@@ -228,17 +228,13 @@ def is_group_distal(s: FiniteSemigroup) -> dict:
 
 
 def _collapse_matrix(model, element, tau: float) -> np.ndarray:
-    """Boolean matrix of sample pairs identified by one envelope element."""
+    """Boolean matrix of sample pairs identified by one envelope element
+    (exact envelopes have tau 0, so identified means equal images)."""
     imgs = element.images
-    if isinstance(imgs, np.ndarray) and imgs.ndim == 1 and imgs.dtype.kind == "i":
-        return np.equal.outer(imgs, imgs)
-    arr = np.asarray(imgs, dtype=float)
-    n = arr.shape[0]
-    flat = arr.reshape(n, -1)
-    ii = np.repeat(np.arange(n), n)
-    jj = np.tile(np.arange(n), n)
-    d = model._raw_dist(flat[ii], flat[jj]).reshape(n, n)
-    return d <= tau
+    n = model.n_points
+    left = model.apply_to_indices(imgs, np.repeat(np.arange(n), n))
+    right = model.apply_to_indices(imgs, np.tile(np.arange(n), n))
+    return model.image_pair_dist(left, right).reshape(n, n) <= tau
 
 
 def proximal_structure(model, env) -> dict:
@@ -414,13 +410,14 @@ def run_equivalence_corpus(count: int = 500, max_points: int = 8, seed: int = 7,
         if no_pairs:
             # distal consequences: every orbit is a cycle and the map is onto
             img = set(int(v) for v in table)
-            on_cycles = all(_point_on_cycle(table, x) for x in range(n))
+            on_cycles = all(point_on_cycle(table, x) for x in range(n))
             if not (len(img) == n and on_cycles):
                 violations.append((trial, "distal-semiflow-consequences"))
     return {"count": count, "violations": violations, "ok": not violations}
 
 
-def _point_on_cycle(table, x) -> bool:
+def point_on_cycle(table, x) -> bool:
+    """Whether point ``x`` lies on a cycle of the map given by ``table``."""
     seen = set()
     cur = x
     while cur not in seen:

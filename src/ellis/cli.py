@@ -152,7 +152,10 @@ def _op_kernel_and_groups(ctx):
 def _op_ideal_isomorphism(ctx, i=0, k=1):
     ideals = algebra.minimal_left_ideals(_sg(ctx))
     i, k = int(i), int(k)
-    k = min(k, len(ideals) - 1)
+    for name, value in (("i", i), ("k", k)):
+        if not 0 <= value < len(ideals):
+            raise spaces.InvalidParameterError(
+                f"ideal index {name}={value} outside [0, {len(ideals)})")
     return algebra.ideal_isomorphism_check(_sg(ctx), ideals[i], ideals[k])
 
 
@@ -463,10 +466,7 @@ def emit_report(report: dict, timings, out_dir, formats=("json",)) -> list[str]:
             res = step.get("result") or {}
             if step["op"] == "entropy" and "sequence" in res:
                 path = out / f"step{i}_entropy.csv"
-                lines = ["n,count,log_count_over_n"]
-                for (n, val), c in zip(res["sequence"], res["counts"]):
-                    lines.append(f"{n},{c},{val:.12f}")
-                path.write_text("\n".join(lines) + "\n")
+                path.write_text(symbolic.entropy_csv(res))
                 written.append(str(path))
             if step["op"] == "hitting_matrix" and "pairs" in res:
                 path = out / f"step{i}_hitting.csv"

@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import (
-    CascadeModel,
-    FiniteModel,
-    InvalidParameterError,
-    NegativePowerError,
-    WindowSampleModel,
-)
+from .spaces import CascadeModel, FiniteModel, InvalidParameterError, NegativePowerError
 
 
 class EnvelopeBudgetError(RuntimeError):
@@ -180,12 +174,17 @@ def exact_envelope(model: FiniteModel) -> ExactEnvelope:
     return ExactEnvelope(model)
 
 
-def _identify(model, elements, images, tau, key=None, key_index=None):
+def _identify(model, elements, images, tau, key, key_index):
     """Index of the cluster whose representative is within tau, else None."""
-    if key is not None and key_index is not None:
+    if key is not None:
         return key_index.get(key)
+    # the sup distance over every 64th sample point bounds the full one from
+    # below, so it rejects most clusters without a pass over the whole sample
+    probe = np.arange(0, model.n_points, 64)
+    head = model.apply_to_indices(images, probe)
     for i, el in enumerate(elements):
-        if model.image_sup_dist(el.images, images) <= tau:
+        if (model.image_sup_dist(model.apply_to_indices(el.images, probe), head) <= tau
+                and model.image_sup_dist(el.images, images) <= tau):
             return i
     return None
 
@@ -210,22 +209,11 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
     elements: list[MapSample] = []
     exponent_map: dict[int, int] = {}
     key_index: dict = {}
-    use_keys = True
-    precomputed_keys = None
-    if isinstance(model, WindowSampleModel):
-        precomputed_keys = model.key_matrix(exponents, tau)
 
     for n in exponents:
         images = model.iterate_images(n)
-        if precomputed_keys is not None:
-            key = precomputed_keys[n]
-        else:
-            key = model.cluster_key(images, tau) if use_keys else None
-            if key is None:
-                use_keys = False
-        hit = _identify(model, elements, images, tau,
-                        key=key if use_keys or precomputed_keys is not None else None,
-                        key_index=key_index if key is not None else None)
+        key = model.cluster_key(images, tau)
+        hit = _identify(model, elements, images, tau, key, key_index)
         if hit is None:
             hit = len(elements)
             elements.append(MapSample("", images, n, [], "iterate"))
@@ -291,8 +279,7 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
                 known, images, exponent = compose(i, j)
                 if known is None:
                     key = model.cluster_key(images, tau)
-                    known = _identify(model, elements, images, tau, key=key,
-                                      key_index=key_index if key is not None else None)
+                    known = _identify(model, elements, images, tau, key, key_index)
                     if known is None:
                         known = len(elements)
                         if exponent is not None:
@@ -362,7 +349,7 @@ def envelope_power_decomposition(model: FiniteModel, n: int) -> dict:
         inv_n = np.arange(model.n_points, dtype=np.int64)
         for _ in range(n):
             inv_n = model.inverse_table[inv_n]
-    sub = FiniteModel(f"{model.name}^... ", {}, model.coords, model._dist_fn,
+    sub = FiniteModel(f"{model.name}^... ", {}, model.coords, model.point_dist,
                       table_n, inv_n, model.metric_name)
     env_n = exact_envelope(sub)
     translate_sizes = []
@@ -436,12 +423,7 @@ def _element_base_restriction(hyper_env, hyper_model, el) -> tuple:
 
 def _match_base_element(base_env, base_img: np.ndarray, tau: float):
     model = base_env.model
-    if isinstance(model, FiniteModel):
-        for i, el in enumerate(base_env.elements):
-            if np.array_equal(el.images, base_img):
-                return i
-        return None
-    target = model.points[base_img]
+    target = model.apply_to_indices(model.iterate_images(0), base_img)
     for i, el in enumerate(base_env.elements):
         if model.image_sup_dist(el.images, target) <= tau:
             return i

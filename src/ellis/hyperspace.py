@@ -2,7 +2,14 @@
 
 The full hyperspace of closed sets is approximated by the bounded-cardinality
 finite-subset lattice, which is dense in it; the induced map acts elementwise
-with dedup after snapping.
+with dedup after snapping (Bauer & Sigmund 1975, Monatsh. Math. 79).
+
+Every hyperpoint is stored as a padded row of exactly k base points: a set
+with j < k members repeats its first member k - j times.  Repeating a member
+leaves the set unchanged, and the Hausdorff distance depends only on the two
+sets, so the min/max reduction of a (k, k) table of member distances is the
+exact Hausdorff distance even with repeats.  One reduction over a (k, k, P)
+tensor then answers P pairs at once, whatever the carrier of the base.
 """
 
 from __future__ import annotations
@@ -29,16 +36,20 @@ def canonical(members) -> HyperPoint:
     return out
 
 
+def _hausdorff(d: np.ndarray) -> np.ndarray:
+    """Hausdorff distances from a (|A|, |B|, P) tensor of member distances;
+    the pair axis comes last so each reduction runs over whole vectors."""
+    return np.maximum(d.min(axis=1).max(axis=0), d.min(axis=0).max(axis=0))
+
+
 def hausdorff_distance(model: CascadeModel, a, b) -> float:
     """Max of the two directed sup-min distances between finite subsets."""
     a = canonical(a)
     b = canonical(b)
     ia = np.asarray(a, dtype=np.int64)
     ib = np.asarray(b, dtype=np.int64)
-    grid_a = np.repeat(ia, len(ib))
-    grid_b = np.tile(ib, len(ia))
-    d = model.point_dist(grid_a, grid_b).reshape(len(ia), len(ib))
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    d = model.point_dist(np.repeat(ia, len(ib)), np.tile(ib, len(ia)))
+    return float(_hausdorff(d.reshape(len(ia), len(ib), 1))[0])
 
 
 def vietoris_member(model: CascadeModel, a, basis) -> bool:
@@ -64,16 +75,15 @@ def vietoris_member(model: CascadeModel, a, basis) -> bool:
 class HyperCascadeModel(CascadeModel):
     """Enumeration of all subsets of size <= max_cardinality of a base model.
 
-    Satisfies the same raw-image protocol as base models, so envelope and
-    property machinery runs on it unchanged.  For finite-exact bases the
-    induced map is an exact index table; for sampled bases raw images are
-    tuples of base raw images, snapped and deduped on demand.
+    Holds what both hyperspace carriers share: the hyperpoints, their
+    padded member rows, the Hausdorff metric, and the scales of the base.
+    ``build_hyper_model`` picks the carrier; each satisfies the raw-image
+    protocol, so envelope and property machinery runs on it unchanged.
     """
 
     kind = "hyper"
 
-    def __init__(self, base: CascadeModel, max_cardinality: int = 3, budget: int = 250_000):
-        super().__init__()
+    def _enumerate(self, base: CascadeModel, max_cardinality: int, budget: int):
         if max_cardinality < 1:
             raise InvalidParameterError("max cardinality must be >= 1")
         n = base.n_points
@@ -81,27 +91,35 @@ class HyperCascadeModel(CascadeModel):
         if total > budget:
             raise HyperBudgetError(f"{total} hyperpoints exceeds budget {budget}")
         self.base = base
-        self.max_cardinality = int(max_cardinality)
-        self.name = f"hyper({base.name}, k={max_cardinality})"
-        self.params = {"base": base.name, "k": max_cardinality, **base.params}
+        self.max_cardinality = k = int(max_cardinality)
+        self.name = f"hyper({base.name}, k={k})"
+        self.params = {"base": base.name, "k": k, **base.params}
         self.metric_name = f"hausdorff[{base.metric_name}]"
-        self.invertible = base.invertible
         pts = []
-        for j in range(1, max_cardinality + 1):
+        for j in range(1, k + 1):
             pts.extend(combinations(range(n), j))
         self.hyperpoints: list[HyperPoint] = pts
         self.index = {p: i for i, p in enumerate(pts)}
         self._singleton = {p[0]: i for i, p in enumerate(pts) if len(p) == 1}
-        self._members = [np.asarray(p, dtype=np.int64) for p in pts]
-        if isinstance(base, FiniteModel):
-            table = [self.index[canonical(base.map_table[m])] for m in self._members]
-            self.map_table = np.asarray(table, dtype=np.int64)
-            if base.invertible:
-                inv = [self.index[canonical(base.inverse_table[m])] for m in self._members]
-                self.inverse_table = np.asarray(inv, dtype=np.int64)
-            else:
-                self.inverse_table = None
-        self._res = None
+        self.members = np.asarray([p + (p[0],) * (k - len(p)) for p in pts], dtype=np.int64)
+
+    def _lookup(self, rows) -> np.ndarray:
+        # hyperpoint id of each row of base point ids (repeats allowed)
+        return np.asarray([self.index[canonical(r)] for r in rows], dtype=np.int64)
+
+    def _member_images(self, hyper_ids) -> np.ndarray:
+        # base identity images of the padded members, (P, k, ...)
+        ident = self.base.iterate_images(0)
+        return self.base.apply_to_indices(ident, self.members[hyper_ids])
+
+    def _member_hausdorff(self, a, b) -> np.ndarray:
+        # a, b: (P, k, ...) padded base images; one base distance call on
+        # every member pair (i, j), laid out as (k, k, P)
+        k, point = a.shape[1], a.shape[2:]
+        shape = (k, k) + a.shape[:1] + point
+        rows_a = np.broadcast_to(np.moveaxis(a, 1, 0)[:, None], shape).reshape(-1, *point)
+        rows_b = np.broadcast_to(np.moveaxis(b, 1, 0)[None, :], shape).reshape(-1, *point)
+        return _hausdorff(self.base.image_pair_dist(rows_a, rows_b).reshape(k, k, -1))
 
     # -- structure -----------------------------------------------------------
 
@@ -123,125 +141,26 @@ class HyperCascadeModel(CascadeModel):
 
     # -- metric ---------------------------------------------------------------
 
-    def _base_dist_matrix(self):
-        if getattr(self, "_bdm", None) is None:
-            n = self.base.n_points
-            idx = np.arange(n)
-            m = np.empty((n, n))
-            for i in range(n):
-                m[i] = self.base.point_dist(np.full(n, i), idx)
-            self._bdm = m
-        return self._bdm
-
-    def _padded_members(self):
-        # repeat-padding leaves Hausdorff distances unchanged
-        if getattr(self, "_padded", None) is None:
-            k = self.max_cardinality
-            self._padded = np.asarray(
-                [list(p) + [p[0]] * (k - len(p)) for p in self.hyperpoints],
-                dtype=np.int64,
-            )
-        return self._padded
-
     def pairwise_hausdorff(self, a_idx, b_idx) -> np.ndarray:
-        """Vectorized Hausdorff distances between two index arrays."""
-        bdm = self._base_dist_matrix()
-        mem = self._padded_members()
-        a = mem[np.atleast_1d(np.asarray(a_idx, dtype=np.int64))]
-        b = mem[np.atleast_1d(np.asarray(b_idx, dtype=np.int64))]
-        d = bdm[a[:, :, None], b[:, None, :]]
-        return np.maximum(d.min(axis=2).max(axis=1), d.min(axis=1).max(axis=1))
+        """Vectorized Hausdorff distances between two hyperpoint index arrays."""
+        a = np.atleast_1d(np.asarray(a_idx, dtype=np.int64))
+        b = np.atleast_1d(np.asarray(b_idx, dtype=np.int64))
+        return self._member_hausdorff(self._member_images(a), self._member_images(b))
 
     def point_dist(self, a, b):
-        a = np.atleast_1d(np.asarray(a))
-        b = np.atleast_1d(np.asarray(b))
-        if self.base.n_points <= 4096:
-            return self.pairwise_hausdorff(a.ravel(), b.ravel()).reshape(a.shape)
-        return np.asarray(
-            [
-                hausdorff_distance(self.base, self.hyperpoints[int(i)], self.hyperpoints[int(j)])
-                for i, j in zip(a.ravel(), b.ravel())
-            ]
-        )
+        return self.pairwise_hausdorff(a, b)
 
     @property
     def resolution(self):
-        if self._res is None:
-            self._res = self.base.resolution
-        return self._res
+        return self.base.resolution
 
     @property
     def diameter(self):
         return self.base.diameter
 
-    # -- dynamics --------------------------------------------------------------
-
-    def _identity_images(self):
-        if isinstance(self.base, FiniteModel):
-            return np.arange(self.n_points, dtype=np.int64)
-        return [tuple(self.base.points[m] for m in p) for p in self.hyperpoints]
-
-    def _advance(self, images, direction):
-        if isinstance(self.base, FiniteModel):
-            table = self.map_table if direction > 0 else self.inverse_table
-            if table is None:
-                raise InvalidParameterError("base model is not invertible")
-            return table[images]
-        out = []
-        for members in images:
-            arr = np.stack(members)
-            nxt = self.base._advance(arr, direction)
-            out.append(tuple(nxt[i] for i in range(nxt.shape[0])))
-        return out
-
-    def _raw_hausdorff(self, a_members, b_members) -> float:
-        a = np.stack(a_members)
-        b = np.stack(b_members)
-        d = np.empty((a.shape[0], b.shape[0]))
-        for i in range(a.shape[0]):
-            d[i] = self.base._raw_dist(np.broadcast_to(a[i], b.shape), b)
-        return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-    def image_pair_dist(self, a_imgs, b_imgs):
-        if isinstance(self.base, FiniteModel):
-            a = np.atleast_1d(np.asarray(a_imgs))
-            b = np.atleast_1d(np.asarray(b_imgs))
-            return self.pairwise_hausdorff(a, b)
-        return np.asarray(
-            [self._raw_hausdorff(x, y) for x, y in zip(a_imgs, b_imgs)]
-        )
-
-    def image_point_dist(self, imgs, point):
-        if isinstance(self.base, FiniteModel):
-            return self.point_dist(np.asarray(imgs), np.full(len(imgs), point))
-        target = [self.base.points[m] for m in self.hyperpoints[point]]
-        return np.asarray([self._raw_hausdorff(x, target) for x in imgs])
-
-    def snap_images(self, imgs):
-        if isinstance(self.base, FiniteModel):
-            return np.asarray(imgs, dtype=np.int64), 0.0
-        idx = np.empty(len(imgs), dtype=np.int64)
-        err = 0.0
-        for i, members in enumerate(imgs):
-            arr = np.stack(members)
-            snapped, e = self.base.snap_images(arr)
-            err = max(err, e)
-            idx[i] = self.index[canonical(snapped)]
-        return idx, err
-
-    def apply_to_indices(self, imgs, idx):
-        if isinstance(self.base, FiniteModel):
-            return np.asarray(imgs)[idx]
-        return [imgs[i] for i in idx]
-
-    def cluster_key(self, imgs, tau):
-        if isinstance(self.base, FiniteModel) and tau < self.resolution:
-            return np.asarray(imgs).tobytes()
-        return None
+    # -- serialization ---------------------------------------------------------
 
     def export_images(self, imgs):
-        if isinstance(self.base, FiniteModel):
-            return [list(self.hyperpoints[int(i)]) for i in imgs]
         snapped, _ = self.snap_images(imgs)
         return [list(self.hyperpoints[int(i)]) for i in snapped]
 
@@ -249,27 +168,72 @@ class HyperCascadeModel(CascadeModel):
         return list(self.hyperpoints[i])
 
     def to_json(self):
-        out = {
+        return {
             "schema": "ellis.hypermodel/1",
             "base": self.base.name,
             "max_cardinality": self.max_cardinality,
             "hyperpoints": [list(p) for p in self.hyperpoints],
         }
-        if isinstance(self.base, FiniteModel):
-            out["induced_map"] = [int(v) for v in self.map_table]
-        return out
+
+
+class FiniteHyperModel(HyperCascadeModel, FiniteModel):
+    """Hyperspace of a finite-exact base: the induced map is an exact index
+    table and images are hyperpoint ids."""
+
+    def __init__(self, base: FiniteModel, max_cardinality: int = 3, budget: int = 250_000):
+        self._enumerate(base, max_cardinality, budget)
+        inverse = None
+        if base.invertible:
+            inverse = self._lookup(base.inverse_table[self.members])
+        # no distance function: HyperCascadeModel.point_dist takes precedence
+        FiniteModel.__init__(self, self.name, self.params, None, None,
+                             self._lookup(base.map_table[self.members]), inverse,
+                             self.metric_name)
+
+    def to_json(self):
+        return {**super().to_json(), "induced_map": [int(v) for v in self.map_table]}
+
+
+class SampledHyperModel(HyperCascadeModel):
+    """Hyperspace of a sampled base: images are padded ``(H, k, *point)``
+    arrays of raw base images, taken from the base's own iterates and
+    snapped member by member on demand."""
+
+    def __init__(self, base: CascadeModel, max_cardinality: int = 3, budget: int = 250_000):
+        super().__init__()
+        self._enumerate(base, max_cardinality, budget)
+        self.invertible = base.invertible
+
+    def iterate_images(self, n: int):
+        return self.base.apply_to_indices(self.base.iterate_images(n), self.members)
+
+    def image_pair_dist(self, a_imgs, b_imgs):
+        return self._member_hausdorff(a_imgs, b_imgs)
+
+    def image_point_dist(self, imgs, point):
+        target = self._member_images(np.asarray([point]))
+        return self._member_hausdorff(imgs, np.broadcast_to(target, imgs.shape))
+
+    def snap_images(self, imgs):
+        p, k = imgs.shape[:2]
+        members, err = self.base.snap_images(imgs.reshape(p * k, *imgs.shape[2:]))
+        return self._lookup(members.reshape(p, k)), err
+
+    def apply_to_indices(self, imgs, idx):
+        return imgs[idx]
 
 
 def induced_step(hyper: HyperCascadeModel, a) -> HyperPoint:
     """Image of a hyperpoint under the induced map, in canonical form."""
     a = canonical(a)
     base = hyper.base
-    if isinstance(base, FiniteModel):
-        return canonical(base.map_table[np.asarray(a, dtype=np.int64)])
-    raw = base._advance(base.points[np.asarray(a, dtype=np.int64)], 1)
+    raw = base.apply_to_indices(base.iterate_images(1), np.asarray(a, dtype=np.int64))
     snapped, _ = base.snap_images(raw)
     return canonical(snapped)
 
 
 def build_hyper_model(base: CascadeModel, k: int = 3, budget: int = 250_000) -> HyperCascadeModel:
-    return HyperCascadeModel(base, k, budget=budget)
+    """The finite-subset hyperspace of ``base``: an exact index table over a
+    finite-exact base, padded raw member arrays over a sampled one."""
+    carrier = FiniteHyperModel if isinstance(base, FiniteModel) else SampledHyperModel
+    return carrier(base, k, budget=budget)

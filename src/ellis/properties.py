@@ -13,15 +13,10 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .spaces import (
-    CascadeModel,
-    FiniteModel,
-    InvalidParameterError,
-    SampledModel,
-    WindowSampleModel,
-)
+from .spaces import CascadeModel, FiniteModel, InvalidParameterError
 from .symbolic import Subshift, cylinder_hitting
-from .hyperspace import HyperCascadeModel, build_hyper_model
+from .hyperspace import build_hyper_model
+from .algebra import point_on_cycle
 from . import envelope as envelope_mod
 
 
@@ -84,23 +79,6 @@ def cylinder(word: str) -> OpenSet:
 
 def full_distance_matrix(model: CascadeModel) -> np.ndarray:
     n = model.n_points
-    if isinstance(model, HyperCascadeModel):
-        out = np.empty((n, n))
-        idx = np.arange(n)
-        for i in range(n):
-            out[i] = model.pairwise_hausdorff(np.full(n, i), idx)
-        return out
-    if isinstance(model, WindowSampleModel):
-        order = model._scan_order
-        weights = 2.0 ** (-np.abs(np.arange(-model.pad, model.pad + 1)))[order]
-        out = np.zeros((n, n))
-        bits = model.bits[:, order]
-        for i in range(n):
-            diff = bits != bits[i]
-            first = np.argmax(diff, axis=1)
-            any_diff = diff.any(axis=1)
-            out[i] = np.where(any_diff, weights[first], 0.0)
-        return out
     idx = np.arange(n)
     out = np.empty((n, n))
     for i in range(n):
@@ -111,17 +89,6 @@ def full_distance_matrix(model: CascadeModel) -> np.ndarray:
 def _point_return_matrix(model: CascadeModel, horizon: int, tau: float) -> np.ndarray:
     """R[n, i] true when the n-th image of point i is within tau of it."""
     n_pts = model.n_points
-    if isinstance(model, WindowSampleModel):
-        w = model.window_radius(tau)
-        bits = np.pad(model.bits, ((0, 0), (horizon + w + 1, horizon + w + 1)))
-        origin = model.pad + horizon + w + 1
-        base = bits[:, origin - w : origin + w + 1]
-        out = np.zeros((horizon + 1, n_pts), dtype=bool)
-        out[0] = True
-        for n in range(1, horizon + 1):
-            sl = bits[:, origin + n - w : origin + n + w + 1]
-            out[n] = (sl == base).all(axis=1)
-        return out
     ident = model.iterate_images(0)
     out = np.zeros((horizon + 1, n_pts), dtype=bool)
     out[0] = True
@@ -144,28 +111,21 @@ def hitting_set(target, u, v, horizon: int) -> list[int]:
         return cylinder_hitting(target, uw, vw, horizon)
     model = target
     iu = u.resolve(model)
-    iv_center, iv_radius = v.center, v.radius
+    iv = None
     if v.kind == "points":
+        # images of a finite-exact model are point ids, so membership is exact
         if not isinstance(model, FiniteModel):
             raise InvalidParameterError("explicit point sets need a finite-exact model")
-        iv = set(int(x) for x in v.resolve(model))
+        iv = v.resolve(model)
     out = []
     for n in range(1, horizon + 1):
-        imgs = model.iterate_images(n)
-        if isinstance(model, FiniteModel):
-            hit_imgs = imgs[iu]
-            if v.kind == "points":
-                if any(int(x) in iv for x in hit_imgs):
-                    out.append(n)
-            else:
-                d = model.point_dist(hit_imgs, np.full(len(iu), iv_center))
-                if (d < iv_radius).any():
-                    out.append(n)
+        sub = model.apply_to_indices(model.iterate_images(n), iu)
+        if iv is not None:
+            hit = np.isin(sub, iv)
         else:
-            sub = model.apply_to_indices(imgs, iu)
-            d = model._raw_dist(sub, np.broadcast_to(model.points[iv_center], np.asarray(sub).shape))
-            if (d < iv_radius).any():
-                out.append(n)
+            hit = model.image_point_dist(sub, v.center) < v.radius
+        if hit.any():
+            out.append(n)
     return out
 
 
@@ -326,20 +286,6 @@ def _neighbor_pairs(model: CascadeModel, dist: np.ndarray):
 
 def _pair_sup_divergence(model, pairs, horizon):
     """sup over n <= horizon of d(f^n x, f^n y) for the given index pairs."""
-    if isinstance(model, WindowSampleModel):
-        sups = []
-        for x, y in pairs:
-            diff = np.nonzero(model.bits[x] != model.bits[y])[0] - model.pad
-            if diff.size == 0:
-                sups.append(0.0)
-                continue
-            # shifting by n moves a disagreement at p to p - n
-            best = math.inf
-            for p in diff:
-                reach = 0 if 0 <= p <= horizon else min(abs(p), abs(p - horizon))
-                best = min(best, reach)
-            sups.append(2.0 ** (-best))
-        return np.asarray(sups)
     xs = np.asarray([p[0] for p in pairs], dtype=np.int64)
     ys = np.asarray([p[1] for p in pairs], dtype=np.int64)
     sup = np.zeros(len(pairs))
@@ -361,10 +307,7 @@ def equicontinuity_scan(model: CascadeModel, eps_list, horizon: int,
     passing points at the smallest epsilon.
     """
     eps_list = sorted(eps_list)
-    if granularity is None:
-        # window samples live at cylinder scale; metric grids at 4x resolution
-        granularity = 0.5 if isinstance(model, WindowSampleModel) else 4.0 * model.resolution
-    g = granularity
+    g = model.granularity if granularity is None else granularity
     dist = full_distance_matrix(model)
     neighbor = _neighbor_pairs(model, dist)
     pairs = []
@@ -512,8 +455,6 @@ def rigidity_battery(model: CascadeModel, horizon: int, tau: float,
 
 def recurrence_report(model: CascadeModel, horizon: int, tau: float) -> dict:
     """Per-point recurrence flags at tolerance tau."""
-    if isinstance(model, WindowSampleModel):
-        raise InvalidParameterError("recurrence report is not defined for window samples")
     r = _point_return_matrix(model, horizon, tau)
     n_pts = model.n_points
     dist = full_distance_matrix(model)
@@ -524,14 +465,8 @@ def recurrence_report(model: CascadeModel, horizon: int, tau: float) -> dict:
         ball_idx = np.nonzero(dist[x] <= tau)[0]
         hit_ns = []
         for n in range(1, horizon + 1):
-            imgs = model.iterate_images(n)
-            sub = model.apply_to_indices(imgs, ball_idx)
-            dd = (
-                model.point_dist(sub, np.full(len(ball_idx), x))
-                if isinstance(model, FiniteModel)
-                else model._raw_dist(sub, np.broadcast_to(model.points[x], np.asarray(sub).shape))
-            )
-            if (dd <= tau).any():
+            sub = model.apply_to_indices(model.iterate_images(n), ball_idx)
+            if (model.image_point_dist(sub, x) <= tau).any():
                 hit_ns.append(n)
         nonwandering = bool(hit_ns)
         essentially = False
@@ -612,16 +547,15 @@ def wap_proxy_check(model: CascadeModel, env, eps_grid=None) -> dict:
 
 def distal_semiflow_check(model: FiniteModel) -> dict:
     """Distality of a finite semicascade and the theorem consequences:
-    pointwise almost periodicity and surjectivity must follow exactly."""
-    if not isinstance(model, FiniteModel):
-        raise InvalidParameterError("semiflow check needs a finite-exact model")
+    pointwise almost periodicity and surjectivity must follow exactly.
+    Models without an exact map table are refused by ``exact_envelope``."""
     env = envelope_mod.exact_envelope(model)
     distal = all(
         len(set(int(v) for v in el.images)) == model.n_points for el in env.elements
     )
     table = model.map_table
     surjective = len(set(int(v) for v in table)) == model.n_points
-    pap = all(_on_cycle(table, x) for x in range(model.n_points))
+    pap = all(point_on_cycle(table, x) for x in range(model.n_points))
     return {
         "distal": distal,
         "pointwise_almost_periodic": pap,
@@ -629,16 +563,3 @@ def distal_semiflow_check(model: FiniteModel) -> dict:
         "consequences_hold": (not distal) or (pap and surjective),
     }
 
-
-def _on_cycle(table, x) -> bool:
-    seen = set()
-    cur = x
-    while cur not in seen:
-        seen.add(cur)
-        cur = int(table[cur])
-    cycle = set()
-    probe = cur
-    while probe not in cycle:
-        cycle.add(probe)
-        probe = int(table[probe])
-    return x in cycle

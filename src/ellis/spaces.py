@@ -59,10 +59,22 @@ def _circ2(a, b):
 class CascadeModel:
     """Shared interface for all carriers.
 
-    Subclasses provide the raw-image protocol used by the envelope and
-    property modules: ``iterate_images(n)`` returns an opaque image object
-    (one raw image per sample point), and the ``image_*`` methods interpret
-    it.  Models are immutable after construction; the iterate cache only
+    Subclasses provide the raw-image protocol used by the envelope,
+    property and hyperspace modules: ``iterate_images(n)`` returns the image
+    of the whole sample under f^n, and the ``image_*``, ``snap_images``,
+    ``apply_to_indices`` and ``cluster_key`` methods interpret it, so callers
+    never need to know which carrier they hold.  The image type is:
+
+    * finite-exact: an int64 ndarray of sample-point ids, one per point;
+    * sampled: a float ndarray of raw coordinates, sample on the leading
+      axis (never snapped mid-orbit);
+    * hyperspace: an ndarray with the sample of hyperpoints on the leading
+      axis: hyperpoint ids over a finite base, padded ``(H, k, *point)``
+      raw member arrays over a sampled base;
+    * window: a ``ShiftImage``, the exponent plus the sample rows it covers,
+      so deep shifts stay exact.
+
+    Models are immutable after construction; the iterate cache only
     memoizes pure results.
     """
 
@@ -98,6 +110,11 @@ class CascadeModel:
     @property
     def diameter(self) -> float:
         raise NotImplementedError
+
+    @property
+    def granularity(self) -> float:
+        """Neighbor scale of the equicontinuity scan: 4x the resolution."""
+        return 4.0 * self.resolution
 
     # -- dynamics (raw-image protocol) --------------------------------------
 
@@ -150,6 +167,10 @@ class CascadeModel:
         return None
 
     def export_images(self, imgs) -> list:
+        raise NotImplementedError
+
+    def orbit_entry(self, imgs, x: PointId):
+        """JSON-ready description of the image of sample point ``x``."""
         raise NotImplementedError
 
     # -- serialization -------------------------------------------------------
@@ -247,6 +268,9 @@ class FiniteModel(CascadeModel):
     def export_images(self, imgs):
         return [int(v) for v in imgs]
 
+    def orbit_entry(self, imgs, x):
+        return int(imgs[x])
+
     def point_data(self, i):
         if self._labels is not None:
             return self._labels[i]
@@ -340,6 +364,13 @@ class SampledModel(CascadeModel):
     def export_images(self, imgs):
         return [[float(v) for v in np.atleast_1d(row)] for row in np.asarray(imgs)]
 
+    def orbit_entry(self, imgs, x):
+        # the raw image and its snap, so discretization is never silent
+        raw = imgs[[x]]
+        idx, err = self.snap_images(raw)
+        return {"raw": [float(v) for v in np.atleast_1d(raw[0])], "snapped": int(idx[0]),
+                "snap_error": err}
+
     def point_data(self, i):
         if self._point_fmt is not None:
             return self._point_fmt(self.points[i])
@@ -362,23 +393,22 @@ class SampledModel(CascadeModel):
     def point_data_raw(self, raw):
         return [float(v) for v in np.atleast_1d(raw)]
 
-    # convenience used by the spaces-level step() operation
-    def step_snapped(self, i: PointId):
-        raw = self._step_raw(self.points[i : i + 1])
-        idx, err = self.snap_images(raw)
-        return raw[0], int(idx[0]), err
-
 
 class ShiftImage:
-    """Lazy image of the sample under sigma^n (window models)."""
+    """Lazy image of sample rows under sigma^n (window models).
 
-    __slots__ = ("n",)
+    ``rows`` lists the sample points the image covers, in order, so window
+    images re-index like every other carrier's.
+    """
 
-    def __init__(self, n: int):
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n: int, rows: np.ndarray):
         self.n = int(n)
+        self.rows = rows
 
     def __repr__(self):
-        return f"ShiftImage({self.n})"
+        return f"ShiftImage({self.n}, {len(self.rows)} rows)"
 
 
 class WindowSampleModel(CascadeModel):
@@ -387,7 +417,7 @@ class WindowSampleModel(CascadeModel):
     Points are binary sequences with support inside ``[-radius, radius]``;
     the shift is evaluated exactly via index arithmetic (a ``ShiftImage``
     handle), so arbitrarily deep iterates stay exact.  Distances use the
-    standard dyadic sequence metric.
+    standard dyadic sequence metric, read off positions ``[-pad, pad]``.
     """
 
     kind = "window"
@@ -400,16 +430,27 @@ class WindowSampleModel(CascadeModel):
         self.radius = int(radius)
         self.pad = int(pad)
         width = 2 * pad + 1
-        self.bits = np.zeros((bits.shape[0], width), dtype=np.uint8)
-        lo = pad - radius
-        self.bits[:, lo : lo + bits.shape[1]] = bits
+        # position-major symbols between two all-zero rows: row p + pad + 1
+        # holds position p, so clipping a position off the stored support
+        # lands on a zero row and a window of positions is one gather
+        self._columns = np.zeros((width + 2, bits.shape[0]), dtype=np.uint8)
+        lo = pad - radius + 1
+        self._columns[lo : lo + bits.shape[1]] = bits.T
+        self._rows = np.arange(bits.shape[0])
         self.invertible = True
-        order = np.argsort(np.abs(np.arange(-pad, pad + 1)), kind="stable")
-        self._scan_order = order
+        # positions -pad..pad in order of distance from the origin
+        pos = np.arange(-pad, pad + 1)
+        self._scan_order = np.argsort(np.abs(pos), kind="stable")
+        self._scan_weight = 2.0 ** (-np.abs(pos[self._scan_order]))
 
     @property
     def n_points(self):
-        return int(self.bits.shape[0])
+        return int(self._columns.shape[1])
+
+    @property
+    def bits(self) -> np.ndarray:
+        """Symbols at positions -pad..pad, one row per sample point."""
+        return self._columns[1:-1].T
 
     def symbol(self, i: PointId, pos: int) -> int:
         p = pos + self.pad
@@ -417,25 +458,27 @@ class WindowSampleModel(CascadeModel):
             return int(self.bits[i, p])
         return 0
 
-    def _seq_dist(self, i, shift_i, j, shift_j):
-        # first disagreement of sigma^a(x_i) and sigma^b(x_j) around the origin
-        width = self.bits.shape[1]
-        for p in self._scan_order:
-            pos = p - self.pad
-            a = pos + shift_i + self.pad
-            b = pos + shift_j + self.pad
-            va = int(self.bits[i, a]) if 0 <= a < width else 0
-            vb = int(self.bits[j, b]) if 0 <= b < width else 0
-            if va != vb:
-                return 2.0 ** (-abs(pos))
-        return 0.0
+    def key_matrix(self, imgs, w: int) -> np.ndarray:
+        """Symbols of an image on the window ``[-w, w]``, position-major.
+
+        Entry (j, r) is the symbol of sigma^n(x) at position j - w, for the
+        sample point x = ``imgs.rows[r]``; 0 off the stored support, and no
+        positions at all for ``w = -1``.
+        """
+        pos = np.arange(imgs.n - w, imgs.n + w + 1) + (self.pad + 1)
+        return self._columns.take(pos, axis=0, mode="clip").take(imgs.rows, axis=1)
+
+    def _first_diff(self, a, b):
+        # columns of symbols on positions -pad..pad: the disagreement nearest
+        # the origin, at position p, gives 2^-|p|; none gives 0
+        diff = (a != b)[self._scan_order]
+        first = np.argmax(diff, axis=0)
+        return np.where(diff.any(axis=0), self._scan_weight[first], 0.0)
 
     def point_dist(self, a, b):
-        a = np.atleast_1d(np.asarray(a))
-        b = np.atleast_1d(np.asarray(b))
-        return np.asarray(
-            [self._seq_dist(int(i), 0, int(j), 0) for i, j in zip(a, b)]
-        )
+        seqs = self._columns[1:-1]
+        return self._first_diff(seqs.take(np.atleast_1d(a), axis=1),
+                                seqs.take(np.atleast_1d(b), axis=1))
 
     @property
     def resolution(self):
@@ -445,73 +488,50 @@ class WindowSampleModel(CascadeModel):
     def diameter(self):
         return 1.0
 
-    def _identity_images(self):
-        return ShiftImage(0)
-
-    def _advance(self, images, direction):
-        return ShiftImage(images.n + direction)
+    @property
+    def granularity(self):
+        # window samples live at cylinder scale, not at the sample resolution
+        return 0.5
 
     def iterate_images(self, n: int):
-        return ShiftImage(n)
+        return ShiftImage(n, self._rows)
 
     def image_pair_dist(self, a_imgs, b_imgs):
-        n = self.n_points
-        return np.asarray(
-            [self._seq_dist(i, a_imgs.n, i, b_imgs.n) for i in range(n)]
-        )
+        return self._first_diff(self.key_matrix(a_imgs, self.pad),
+                                self.key_matrix(b_imgs, self.pad))
 
     def image_point_dist(self, imgs, point):
-        return np.asarray(
-            [self._seq_dist(i, imgs.n, point, 0) for i in range(self.n_points)]
-        )
+        return self._first_diff(self.key_matrix(imgs, self.pad), self._columns[1:-1, [point]])
 
     def snap_images(self, imgs):
-        idx = np.empty(self.n_points, dtype=np.int64)
+        block = self.key_matrix(imgs, self.pad)
+        idx = np.empty(block.shape[1], dtype=np.int64)
         err = 0.0
-        for i in range(self.n_points):
-            d = [self._seq_dist(i, imgs.n, j, 0) for j in range(self.n_points)]
-            idx[i] = int(np.argmin(d))
-            err = max(err, float(min(d)))
+        for r in range(block.shape[1]):
+            d = self._first_diff(block[:, [r]], self._columns[1:-1])
+            idx[r] = int(np.argmin(d))
+            err = max(err, float(d[idx[r]]))
         return idx, err
 
     def apply_to_indices(self, imgs, idx):
-        raise NotImplementedError("window images cannot be re-indexed; compose shifts instead")
+        return ShiftImage(imgs.n, imgs.rows[np.asarray(idx)])
 
     def window_radius(self, tau: float) -> int:
-        # distances are 0 or 2^-k: keys on [-w, w] decide sup<tau exactly
-        # when tau lies in (2^-(w+1), 2^-w]
-        w = 0
-        while 2.0 ** (-(w + 1)) >= tau:
+        # distances are 0 or 2^-k, so d <= tau exactly when the sequences
+        # agree on [-w, w] for the largest w with 2^-w > tau (-1 if tau >= 1)
+        w = -1
+        while 2.0 ** (-(w + 1)) > tau:
             w += 1
         return w
 
-    def key_matrix(self, exponents, tau: float) -> dict[int, bytes]:
-        """Exact tau-cluster keys for sigma^n over the sample, per exponent."""
-        w = self.window_radius(tau)
-        keys = {}
-        width = self.bits.shape[1]
-        for n in exponents:
-            lo = self.pad + n - w
-            hi = self.pad + n + w + 1
-            if lo < 0 or hi > width:
-                block = np.zeros((self.n_points, 2 * w + 1), dtype=np.uint8)
-                src_lo, src_hi = max(lo, 0), min(hi, width)
-                if src_lo < src_hi:
-                    block[:, src_lo - lo : src_hi - lo] = self.bits[:, src_lo:src_hi]
-            else:
-                block = self.bits[:, lo:hi]
-            keys[n] = np.ascontiguousarray(block).tobytes()
-        return keys
-
     def cluster_key(self, imgs, tau):
-        return self.key_matrix([imgs.n], tau)[imgs.n]
+        return self.key_matrix(imgs, self.window_radius(tau)).tobytes()
 
     def export_images(self, imgs):
-        w = min(self.pad, 8)
-        out = []
-        for i in range(self.n_points):
-            out.append("".join(str(self.symbol(i, imgs.n + p)) for p in range(-w, w + 1)))
-        return out
+        return ["".join(map(str, seq)) for seq in self.key_matrix(imgs, min(self.pad, 8)).T]
+
+    def orbit_entry(self, imgs, x):
+        return {"shift": imgs.n, "point": int(imgs.rows[x])}
 
     def point_data(self, i):
         sup = np.nonzero(self.bits[i])[0] - self.pad
@@ -895,14 +915,10 @@ def step(model: CascadeModel, x: PointId):
     """One application of the map.
 
     Finite-exact models return the image PointId.  Sampled models return
-    ``(raw, snapped_id, snap_error)`` so discretization is never silent.
+    ``(raw, snapped_id, snap_error)`` so discretization is never silent;
+    window models return the shift handle.
     """
-    if isinstance(model, SampledModel):
-        raw, idx, err = model.step_snapped(x)
-        return {"raw": [float(v) for v in np.atleast_1d(raw)], "snapped": idx, "snap_error": err}
-    if isinstance(model, WindowSampleModel):
-        raise InvalidParameterError("window models are iterated through iterate_images")
-    return int(model.map_table[x])
+    return model.orbit_entry(model.iterate_images(1), x)
 
 
 def orbit_segment(model: CascadeModel, x: PointId, n_from: int, n_to: int):
@@ -910,21 +926,7 @@ def orbit_segment(model: CascadeModel, x: PointId, n_from: int, n_to: int):
         raise InvalidParameterError("n_from must be <= n_to")
     if n_from < 0 and not model.invertible:
         raise NegativePowerError("negative powers need an invertible model")
-    out = []
-    for n in range(n_from, n_to + 1):
-        imgs = model.iterate_images(n)
-        if isinstance(model, FiniteModel):
-            out.append(int(imgs[x]))
-        elif isinstance(model, SampledModel):
-            raw = imgs[x]
-            idx, _ = model.snap_images(raw.reshape(1, -1) if raw.ndim else np.asarray([raw]))
-            out.append({
-                "raw": [float(v) for v in np.atleast_1d(raw)],
-                "snapped": int(idx[0]),
-            })
-        else:
-            out.append({"shift": imgs.n, "point": x})
-    return out
+    return [model.orbit_entry(model.iterate_images(n), x) for n in range(n_from, n_to + 1)]
 
 
 def omega_limit_estimate(model: CascadeModel, x: PointId, horizon: int, tol: float) -> set[PointId]:
@@ -932,23 +934,12 @@ def omega_limit_estimate(model: CascadeModel, x: PointId, horizon: int, tol: flo
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
     hits = np.zeros(model.n_points, dtype=np.int64)
+    ident = model.iterate_images(0)
+    copies_of_x = np.full(model.n_points, x, dtype=np.int64)
     for n in range(horizon // 2 + 1, horizon + 1):
-        imgs = model.iterate_images(n)
-        if isinstance(model, FiniteModel):
-            target = int(imgs[x])
-            d0 = 0.0
-            hits[target] += 1
-            if tol > 0:
-                row = model.point_dist(np.full(model.n_points, target), np.arange(model.n_points))
-                hits[(row <= tol) & (row > d0)] += 1
-        elif isinstance(model, SampledModel):
-            raw = np.asarray(imgs)[x]
-            pts = model.points
-            d = model._raw_dist(np.broadcast_to(raw, pts.shape), pts)
-            hits[d <= tol] += 1
-        else:
-            d = np.asarray([model._seq_dist(x, imgs.n, j, 0) for j in range(model.n_points)])
-            hits[d <= tol] += 1
+        # distance from the n-th image of x to every sample point
+        imgs = model.apply_to_indices(model.iterate_images(n), copies_of_x)
+        hits[model.image_pair_dist(imgs, ident) <= tol] += 1
     return {int(i) for i in np.nonzero(hits >= 2)[0]}
 
 
@@ -960,18 +951,12 @@ def snap_to_finite(model: SampledModel, name: str | None = None) -> FiniteModel:
     """
     if not isinstance(model, SampledModel):
         raise InvalidParameterError("snap_to_finite expects a sampled model")
-    raw = model._step_raw(model.points)
-    table, _ = model.snap_images(raw)
+    table, _ = model.snap_images(model.iterate_images(1))
     inverse = None
     if sorted(table) == list(range(model.n_points)):
         inverse = np.argsort(table)
-    coords = model.points
-
-    def dist(a, b):
-        return model._raw_dist(coords[np.asarray(a)], coords[np.asarray(b)])
-
     return FiniteModel(
-        name or f"{model.name}-snapped", dict(model.params), coords, dist,
+        name or f"{model.name}-snapped", dict(model.params), model.points, model.point_dist,
         table, inverse, model.metric_name,
     )
 

@@ -618,9 +618,6 @@ def _merge_words(u: str, v: str, offset: int):
         if a is not None and b is not None and a != b:
             return None
         out.append(a if a is not None else b)
-    if any(c is None for c in out):
-        # fill the gap with every completion later; keep placeholder
-        return out
     return out
 
 
@@ -727,7 +724,11 @@ def two_shift_window_model(count: int, radius: int, seed: int = 0,
 
 
 def emit_language_csv(shift: Subshift, n_max: int) -> str:
-    est = entropy_estimates(shift, n_max)
+    return entropy_csv(entropy_estimates(shift, n_max))
+
+
+def entropy_csv(est: dict) -> str:
+    """CSV table of word counts and log(count)/n from ``entropy_estimates``."""
     lines = ["n,count,log_count_over_n"]
     for (n, val), c in zip(est["sequence"], est["counts"]):
         lines.append(f"{n},{c},{val:.12f}")

@@ -137,3 +137,24 @@ def test_run_experiment_api_matches_cli(tmp_path):
     assert report["summary"]["ok"] and len(timings) == 1
     written = cli.emit_report(report, timings, tmp_path, ["json"])
     assert Path(written[0]).name == "report.json"
+
+
+def test_ideal_isomorphism_rejects_out_of_range_ideals(tmp_path):
+    # the identity envelope has a single minimal left ideal, so k=1 and
+    # i=-1 name no ideal and must not fall back to ideal 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "model": {"name": "identity", "params": {"n": 3}},
+        "pipeline": [
+            {"op": "exact_envelope", "params": {}},
+            {"op": "ideal_isomorphism", "params": {"i": 0, "k": 1}},
+            {"op": "ideal_isomorphism", "params": {"i": -1, "k": 0}},
+            {"op": "ideal_isomorphism", "params": {"i": 0, "k": 0}},
+        ],
+    }))
+    r = run_cli(["--out", str(tmp_path / "o"), "run", str(cfg)])
+    assert r.returncode == 1
+    steps = json.loads((tmp_path / "o" / "report.json").read_text())["steps"]
+    assert [s["status"] for s in steps] == ["ok", "error", "error", "ok"]
+    assert steps[1]["error"].startswith("InvalidParameterError")
+    assert steps[3]["result"]["isomorphic"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ellis import algebra, envelope, hyperspace, spaces
+from ellis import algebra, envelope, hyperspace, properties, spaces
 from ellis.envelope import (
     approx_envelope,
     envelope_phase_model,
@@ -137,6 +137,20 @@ def test_identity_isolated_on_window_model():
     model = spaces.sample_window_model(count=300, radius=220, seed=2)
     env = approx_envelope(model, 200, 0.4, "two-sided", close_table=False)
     assert identity_isolated(env)["isolated"]
+
+
+def test_window_tau_boundary_is_inclusive():
+    # x_0 = x_1 = 1 and zero elsewhere: sigma(x) first differs from x at
+    # position -1, so sup d(f^0, f^1) = 1/2 sits exactly on tau = 1/2
+    bits = np.zeros((1, 7), dtype=np.uint8)
+    bits[0, 3] = bits[0, 4] = 1
+    model = spaces.WindowSampleModel("w", {}, bits, 3, 5)
+    assert model.image_sup_dist(model.iterate_images(0), model.iterate_images(1)) == 0.5
+    env = approx_envelope(model, 1, 0.5, "forward", close_table=False)
+    assert env.element_names() == ["f^0"]
+    assert properties.rigidity_battery(model, 1, 0.5)["full_return_times"] == [1]
+    env_below = approx_envelope(model, 1, 0.25, "forward", close_table=False)
+    assert env_below.element_names() == ["f^0", "f^1"]
 
 
 def test_window_envelope_growth_and_budget():

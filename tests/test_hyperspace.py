@@ -15,9 +15,8 @@ from ellis.hyperspace import (
 )
 
 
-def brute_hausdorff(model, a, b):
-    # independent oracle: direct sup-min over member pairs
-    d = model.metric
+def brute_hausdorff(d, a, b):
+    # independent oracle: direct sup-min over member pairs under the metric d
     fwd = max(min(d(x, y) for y in b) for x in a)
     bwd = max(min(d(x, y) for x in a) for y in b)
     return max(fwd, bwd)
@@ -38,7 +37,7 @@ def test_hausdorff_prescribed_example():
     # gives 0.5 (the point 0.5 sits at distance 0.5 from A)
     m = spaces.load_example("square-map", grid=3)
     value = hausdorff_distance(m, (0, 2), (0, 1, 2))
-    assert value == pytest.approx(brute_hausdorff(m, (0, 2), (0, 1, 2)))
+    assert value == pytest.approx(brute_hausdorff(m.metric, (0, 2), (0, 1, 2)))
     assert value == pytest.approx(0.5)
 
 
@@ -47,7 +46,7 @@ def test_hausdorff_matches_brute_force(grid11):
     for _ in range(60):
         a = tuple(sorted(set(rng.integers(0, 11, rng.integers(1, 4)).tolist())))
         b = tuple(sorted(set(rng.integers(0, 11, rng.integers(1, 4)).tolist())))
-        assert hausdorff_distance(grid11, a, b) == pytest.approx(brute_hausdorff(grid11, a, b))
+        assert hausdorff_distance(grid11, a, b) == pytest.approx(brute_hausdorff(grid11.metric, a, b))
 
 
 def test_empty_set_rejected(grid11):
@@ -166,3 +165,39 @@ def test_canonical_form(members):
     c = canonical(members)
     assert list(c) == sorted(set(members))
     assert canonical(c) == c
+
+
+# -- padded sampled-base hyperspace against the oracle ---------------------------
+
+K = 3
+member_sets = st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=K,
+                       unique=True)
+raw_sets = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=K)
+
+
+@pytest.fixture(scope="module")
+def hyper11():
+    return build_hyper_model(spaces.load_example("square-map", grid=11), K)
+
+
+def padded(members):
+    return list(members) + [members[0]] * (K - len(members))
+
+
+@given(st.lists(st.tuples(member_sets, member_sets), min_size=1, max_size=5))
+def test_padded_point_dist_matches_oracle(hyper11, pairs):
+    base = hyper11.base
+    ia = [hyper11.index[canonical(a)] for a, _ in pairs]
+    ib = [hyper11.index[canonical(b)] for _, b in pairs]
+    got = hyper11.point_dist(ia, ib)
+    for value, (a, b) in zip(got, pairs):
+        assert value == brute_hausdorff(base.metric, a, b)
+
+
+@given(st.lists(st.tuples(raw_sets, raw_sets), min_size=1, max_size=5))
+def test_padded_raw_image_pair_dist_matches_oracle(hyper11, pairs):
+    a_imgs = np.asarray([padded(a) for a, _ in pairs])
+    b_imgs = np.asarray([padded(b) for _, b in pairs])
+    got = hyper11.image_pair_dist(a_imgs, b_imgs)
+    for value, (a, b) in zip(got, pairs):
+        assert value == brute_hausdorff(lambda x, y: abs(x - y), a, b)

@@ -225,3 +225,29 @@ def test_rotation_orbit_period_divides_grid(grid, start):
     start %= grid
     seg = spaces.orbit_segment(rot, start, 0, grid)
     assert seg[grid] == seg[0]
+
+
+def brute_seq_dist(model, i, a, j, b):
+    # independent oracle: scan positions outward from the origin and stop
+    # at the first disagreement of sigma^a(x_i) and sigma^b(x_j)
+    for r in range(model.pad + 1):
+        for pos in (-r, r):
+            if model.symbol(i, pos + a) != model.symbol(j, pos + b):
+                return 2.0 ** (-r)
+    return 0.0
+
+
+@given(st.integers(min_value=0, max_value=2**16), st.integers(min_value=-12, max_value=12),
+       st.integers(min_value=-12, max_value=12))
+def test_window_distances_match_first_difference_oracle(seed, a, b):
+    m = spaces.sample_window_model(count=6, radius=5, seed=seed)
+    rows = np.random.default_rng(seed).permutation(m.n_points)
+    img_a = m.apply_to_indices(m.iterate_images(a), rows)
+    img_b = m.iterate_images(b)
+    pair = m.image_pair_dist(img_a, m.apply_to_indices(img_b, rows))
+    to_point = m.image_point_dist(img_a, 2)
+    points = m.point_dist(rows, np.arange(m.n_points))
+    for r, i in enumerate(rows):
+        assert pair[r] == brute_seq_dist(m, i, a, i, b)
+        assert to_point[r] == brute_seq_dist(m, i, a, 2, 0)
+        assert points[r] == brute_seq_dist(m, i, 0, r, 0)
