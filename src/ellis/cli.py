@@ -197,20 +197,10 @@ def _op_hitting_matrix(ctx, horizon, cylinder_length=2, granularity=None):
     """Membership matrix of every N(U, V) over the cover, CSV-friendly."""
     target = ctx.shift if ctx.shift is not None and ctx.model is None else ctx.model
     target = _require(target, "a model or shift")
-    if isinstance(target, symbolic.Subshift):
-        sets = [properties.cylinder(w)
-                for L in range(1, cylinder_length + 1)
-                for w in sorted(target.words(L))]
-    else:
-        sets = properties.default_cover(target, granularity)
-    rows = []
-    for u in sets:
-        for v in sets:
-            ns = set(properties.hitting_set(target, u, v, horizon))
-            rows.append({
-                "u": u.label(), "v": v.label(),
-                "membership": [1 if n in ns else 0 for n in range(1, horizon + 1)],
-            })
+    sets = properties.transitivity_cover(target, cylinder_length, granularity)
+    hits = properties.hitting_tensor(target, sets, horizon)
+    rows = [{"u": u.label(), "v": v.label(), "membership": hits[1:, i, j].astype(int).tolist()}
+            for i, u in enumerate(sets) for j, v in enumerate(sets)]
     return {"horizon": horizon, "pairs": rows}
 
 
@@ -272,10 +262,16 @@ def _op_boyle(ctx, n_max):
         _require(ctx.shift, "a second shift"), n_max)
 
 
-def _op_verify_factor(ctx, n):
+def _op_verify_factor(ctx, n, code=None):
+    """Check a sliding-block code ``{memory, anticipation, rule}`` from the
+    previous shift onto the current one; the golden-mean to even-shift code
+    by default."""
     dom = _require(ctx.shift_other, "the domain shift")
     cod = _require(ctx.shift, "the codomain shift")
-    blk = symbolic.golden_to_even_code()
+    if code is None:
+        blk = symbolic.golden_to_even_code()
+    else:
+        blk = symbolic.SlidingBlockCode(**code)
     return {"n": n, "verified": symbolic.verify_factor(blk, dom, cod, n)}
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .spaces import CascadeModel, FiniteModel, InvalidParameterError
-from .symbolic import Subshift, cylinder_hitting
+from .symbolic import Subshift, cylinder_hitting, cylinder_tensor
 from .hyperspace import build_hyper_model
 from .algebra import point_on_cycle
 from . import envelope as envelope_mod
@@ -146,16 +146,82 @@ def default_cover(model: CascadeModel, granularity: float | None = None,
     return cover
 
 
-def _has_run(ns: list[int], run: int) -> bool:
-    if not ns:
-        return False
-    streak, prev = 1, None
-    for n in ns:
-        streak = streak + 1 if prev is not None and n == prev + 1 else 1
-        if streak >= run:
-            return True
-        prev = n
-    return False
+def transitivity_cover(target, cylinder_length: int = 3,
+                       granularity: float | None = None) -> list[OpenSet]:
+    """Cylinders of every word up to ``cylinder_length`` on a shift space,
+    the default ball cover on a model."""
+    if isinstance(target, Subshift):
+        return [cylinder(w) for L in range(1, cylinder_length + 1)
+                for w in sorted(target.words(L))]
+    return default_cover(target, granularity)
+
+
+def _target_membership(model: CascadeModel, sets, imgs) -> np.ndarray:
+    """V[x, j] = 1 when image entry x lies in sets[j], by ``hitting_set``'s test."""
+    out = np.empty((model.n_points, len(sets)), dtype=np.float32)
+    for j, v in enumerate(sets):
+        if v.kind == "points":
+            out[:, j] = np.isin(imgs, v.resolve(model))
+        else:
+            out[:, j] = model.image_point_dist(imgs, v.center) < v.radius
+    return out
+
+
+def hitting_tensor(target, sets, horizon: int) -> np.ndarray:
+    """Every hitting set of a cover at once: ``hits[n, i, j]`` is true when
+    n is in ``hitting_set(target, sets[i], sets[j], horizon)``.  Row 0
+    stays false, so the row index is the time.
+
+    On a model, U[i, x] = [x in U_i] and V_n[x, j] = [f^n x in V_j] give
+    ``hits[n] = U @ V_n > 0``, one K x N by N x K product per iterate.  V_n
+    applies ``hitting_set``'s own comparison, so every bit agrees with it;
+    on finite-exact carriers, whose images are point ids, V_n is a row
+    gather from one table of the identity.  Shift spaces go to
+    ``symbolic.cylinder_tensor``.
+    """
+    if isinstance(target, Subshift):
+        return cylinder_tensor(target, [s.word for s in sets], horizon)
+    model = target
+    k = len(sets)
+    member = np.zeros((k, model.n_points), dtype=np.float32)
+    for i, u in enumerate(sets):
+        member[i, u.resolve(model)] = 1.0
+    table = None
+    if isinstance(model, FiniteModel):
+        table = _target_membership(model, sets, model.iterate_images(0))
+    elif any(v.kind == "points" for v in sets):
+        raise InvalidParameterError("explicit point sets need a finite-exact model")
+    hits = np.zeros((horizon + 1, k, k), dtype=bool)
+    for n in range(1, horizon + 1):
+        imgs = model.iterate_images(n)
+        target_n = _target_membership(model, sets, imgs) if table is None else table[imgs]
+        hits[n] = member @ target_n > 0
+    return hits
+
+
+def _thick(masks: np.ndarray, run: int) -> np.ndarray:
+    """Per row: some ``run`` consecutive times all hit (any hit for run <= 1)."""
+    w = max(run, 1)
+    counts = np.zeros((masks.shape[0], masks.shape[1] + 1), dtype=np.int32)
+    np.cumsum(masks, axis=1, out=counts[:, 1:])
+    return (counts[:, w:] - counts[:, :-w] == w).any(axis=1)
+
+
+def _first_disjoint_pair(masks: np.ndarray):
+    """First (a, b) in row-major order whose rows share no time, or None.
+
+    Chunks of rows of the mask matrix are multiplied by its transpose in
+    float32: a zero entry is exactly a pair with no common hit.
+    """
+    m = masks.astype(np.float32)
+    chunk = max(1, (1 << 20) // max(1, len(m)))
+    for lo in range(0, len(m), chunk):
+        zero = m[lo:lo + chunk] @ m.T == 0
+        rows = np.nonzero(zero.any(axis=1))[0]
+        if rows.size:
+            r = int(rows[0])
+            return lo + r, int(np.argmax(zero[r]))
+    return None
 
 
 def classify_transitivity(target, horizon: int, cover=None, cylinder_length: int = 3,
@@ -165,49 +231,39 @@ def classify_transitivity(target, horizon: int, cover=None, cylinder_length: int
     Shift spaces use all cylinders up to ``cylinder_length``; models use
     metric balls at the given granularity.  Weak mixing combines the
     product-pair test with a thickness scan of every hitting set.
+
+    Every verdict reads one boolean tensor ``hitting_tensor(target, sets,
+    horizon)``: K^2 (H+1) booleans for K sets at horizon H, built with one
+    K x K product per iterate.  Its pair rows, in row-major (U, V) order,
+    form the K^2 x (H+1) mask matrix that the scans share: a cumulative sum
+    gives the thickness scan, the trailing run of hits the mixing tail, and
+    chunked products of the mask matrix with its transpose the first
+    disjoint pair of the weak-mixing test.
     """
-    if isinstance(target, Subshift):
-        words = [w for L in range(1, cylinder_length + 1) for w in sorted(target.words(L))]
-        sets = [cylinder(w) for w in words]
-    else:
-        sets = cover if cover is not None else default_cover(target, granularity)
+    sets = cover if cover is not None else transitivity_cover(target, cylinder_length, granularity)
     labels = [s.label() for s in sets]
-    hits = {}
-    for i, u in enumerate(sets):
-        for j, v in enumerate(sets):
-            hits[(i, j)] = hitting_set(target, u, v, horizon)
+    k = len(sets)
+    keys = [(i, j) for i in range(k) for j in range(k)]
+    hits = hitting_tensor(target, sets, horizon)
+    masks = np.ascontiguousarray(hits.reshape(horizon + 1, k * k).T)
     run = min(thick_run, max(2, horizon // 4))
-    empty = [(labels[i], labels[j]) for (i, j), ns in hits.items() if not ns]
+    hit_any = masks.any(axis=1)
+    empty = [(labels[i], labels[j]) for (i, j), h in zip(keys, hit_any) if not h]
     transitive = not empty
-    thick_fail = [(labels[i], labels[j]) for (i, j), ns in hits.items()
-                  if not _has_run(ns, run)]
-    masks = {k: np.zeros(horizon + 1, dtype=bool) for k in hits}
-    for k, ns in hits.items():
-        masks[k][ns] = True
-    pair_fail = []
-    keys = list(hits)
-    for a in keys:
-        for b in keys:
-            if not (masks[a] & masks[b]).any():
-                pair_fail.append((a, b))
-                break
-        if pair_fail:
-            break
+    thick_fail = [(labels[i], labels[j]) for (i, j), ok in zip(keys, _thick(masks, run))
+                  if not ok]
+    disjoint = _first_disjoint_pair(masks)
+    pair_fail = [] if disjoint is None else [(keys[disjoint[0]], keys[disjoint[1]])]
     weakly = transitive and not thick_fail and not pair_fail
-    tails = {}
-    for k, ns in hits.items():
-        n0 = None
-        have = set(ns)
-        for start in range(1, horizon + 1):
-            if all(m in have for m in range(start, horizon + 1)):
-                n0 = start
-                break
-        tails[k] = n0
+    # column 0 is never a hit, so every reversed row has a first miss
+    trailing = np.argmin(masks[:, ::-1], axis=1)
+    tails = {key: (horizon - int(t) + 1 if t else None) for key, t in zip(keys, trailing)}
     mixing = transitive and all(n0 is not None for n0 in tails.values())
     verdicts = {
         "transitive": PropertyVerdict(
             "transitive", "holds" if transitive else "fails", horizon,
-            {"sets": labels}, witnesses=[] if empty else [min(ns) for ns in hits.values()][:4],
+            {"sets": labels},
+            witnesses=[] if empty else [int(t) for t in np.argmax(masks[:4], axis=1)],
             counterexamples=empty[:4]),
         "weakly_mixing": PropertyVerdict(
             "weakly_mixing", "holds" if weakly else "fails", horizon,

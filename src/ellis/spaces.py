@@ -386,8 +386,7 @@ class SampledModel(CascadeModel):
             "invertible": self.invertible,
             "epsilon": self.epsilon,
             "points": [self.point_data(i) for i in range(self.n_points)],
-            "map": [self.point_data_raw(self._step_raw(self.points[i : i + 1])[0])
-                    for i in range(self.n_points)],
+            "map": [self.point_data_raw(raw) for raw in self._step_raw(self.points)],
         }
 
     def point_data_raw(self, raw):

@@ -541,6 +541,12 @@ class SlidingBlockCode:
     anticipation: int
     rule: dict  # window word -> output symbol
 
+    def __post_init__(self):
+        if not all(isinstance(v, int) and v >= 0 for v in (self.memory, self.anticipation)):
+            raise ShiftSpecError("memory and anticipation must be integers >= 0")
+        if not isinstance(self.rule, dict) or any(len(w) != self.window for w in self.rule):
+            raise ShiftSpecError(f"rule must map words of length {self.window} to symbols")
+
     @property
     def window(self) -> int:
         return self.memory + self.anticipation + 1
@@ -608,63 +614,48 @@ def cylinder_metric(x_word: str, y_word: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _merge_words(u: str, v: str, offset: int):
-    """Overlay v at ``offset`` over u; None on conflict."""
-    length = max(len(u), offset + len(v))
-    out = []
-    for i in range(length):
-        a = u[i] if i < len(u) else None
-        b = v[i - offset] if 0 <= i - offset < len(v) else None
-        if a is not None and b is not None and a != b:
-            return None
-        out.append(a if a is not None else b)
-    return out
+def _overlap_meets(shift: Subshift, u: str, v: str, n: int) -> bool:
+    """[u] meets sigma^-n [v] for 0 < n < len(u): v starts inside u, so the
+    two words overlay into one word, which decides."""
+    overlap = u[n:n + len(v)]
+    return v[:len(overlap)] == overlap and shift.word_in_language(u + v[len(overlap):])
+
+
+def _walk_states(shift: Subshift):
+    """States and successor table that the frontier walks read: the block
+    graph of an SFT, the essential NFA of a sofic shift."""
+    p = shift.presentation
+    if p.block_length:
+        return list(range(p.n_states)), p.delta
+    return list(p.nfa_states), p.nfa_delta
 
 
 def cylinder_hitting(shift: Subshift, u: str, v: str, horizon: int) -> list[int]:
     """n in [1, horizon] such that the shift of cylinder [u] meets [v]."""
-    p = shift.presentation
-    if p.block_length:
-        all_states = frozenset(range(p.n_states))
-        read = p.read
-    else:
-        all_states = frozenset(shift.presentation.nfa_states)
+    states, table = _walk_states(shift)
 
-        def read(ss, word):
-            cur = ss
-            for a in word:
-                nxt = set()
-                for s in cur:
-                    nxt |= p.nfa_delta.get((s, a), frozenset())
-                if not nxt:
-                    return frozenset()
-                cur = frozenset(nxt)
-            return cur
+    def read(ss, word):
+        cur = ss
+        for a in word:
+            nxt = set()
+            for s in cur:
+                nxt |= table.get((s, a), frozenset())
+            if not nxt:
+                return frozenset()
+            cur = frozenset(nxt)
+        return cur
 
     def successors(ss):
         nxt = set()
-        table = p.delta if p.block_length else p.nfa_delta
         for s in ss:
             for a in shift.alphabet:
                 nxt |= table.get((s, a), frozenset())
         return frozenset(nxt)
 
-    out = []
     # overlap region: u and v constrain a common window
-    for n in range(1, min(len(u), horizon + 1)):
-        merged = _merge_words(u, v, n)
-        if merged is None:
-            continue
-        slots = [i for i, c in enumerate(merged) if c is None]
-        for fill in product(shift.alphabet, repeat=len(slots)):
-            w = list(merged)
-            for i, c in zip(slots, fill):
-                w[i] = c
-            if shift.word_in_language("".join(w)):
-                out.append(n)
-                break
+    out = [n for n in range(1, min(len(u), horizon + 1)) if _overlap_meets(shift, u, v, n)]
     # beyond the overlap: one incremental frontier walk
-    cur = read(all_states, u)
+    cur = read(frozenset(states), u)
     for n in range(len(u), horizon + 1):
         if n > len(u):
             cur = successors(cur)
@@ -672,7 +663,52 @@ def cylinder_hitting(shift: Subshift, u: str, v: str, horizon: int) -> list[int]
             break
         if read(cur, v):
             out.append(n)
-    return [n for n in sorted(set(out)) if 1 <= n <= horizon]
+    return [n for n in out if n >= 1]
+
+
+def cylinder_tensor(shift: Subshift, words, horizon: int) -> np.ndarray:
+    """Every cylinder hitting set at once: ``hits[n, i, j]`` is true when
+    ``cylinder_hitting(shift, words[i], words[j], horizon)`` contains n.
+    Row 0 stays false, so the row index is the time.
+
+    With one boolean matrix M_a per symbol over the walked states, reading
+    u from every state gives the row r_u = 1 M_u, the states that can read
+    v give the column b_v = M_v 1, and A = sum M_a is one step of the
+    frontier.  For n >= |u| the hit is r_u A^(n-|u|) b_v > 0, so each time
+    costs one K x S by S x S step of the frontier rows and one K x S by
+    S x K product for all pairs; times inside u keep the merged-word test.
+    """
+    states, table = _walk_states(shift)
+    pos = {s: i for i, s in enumerate(states)}
+    size = len(states)
+    mats = {a: np.zeros((size, size), dtype=np.float32) for a in shift.alphabet}
+    for (s, a), succ in table.items():
+        for t in succ:
+            mats[a][pos[s], pos[t]] = 1.0
+    zero = np.zeros((size, size), dtype=np.float32)
+    step = sum(mats.values(), zero)
+    k = len(words)
+    first = np.zeros((k, size), dtype=np.float32)
+    last = np.zeros((size, k), dtype=np.float32)
+    for i, w in enumerate(words):
+        read = np.eye(size, dtype=np.float32)
+        for a in w:
+            read = (read @ mats.get(a, zero) > 0).astype(np.float32)
+        first[i] = read.any(axis=0)
+        last[:, i] = read.any(axis=1)
+    lengths = np.asarray([len(w) for w in words], dtype=np.int64)
+    hits = np.zeros((horizon + 1, k, k), dtype=bool)
+    front = np.zeros((k, size), dtype=np.float32)
+    for n in range(horizon + 1):
+        front = (front @ step > 0).astype(np.float32)
+        start = lengths == n
+        front[start] = first[start]
+        if n:
+            hits[n] = front @ last > 0
+    for i, u in enumerate(words):
+        for n in range(1, min(len(u), horizon + 1)):
+            hits[n, i] = [_overlap_meets(shift, u, v, n) for v in words]
+    return hits
 
 
 # ---------------------------------------------------------------------------

@@ -158,3 +158,23 @@ def test_ideal_isomorphism_rejects_out_of_range_ideals(tmp_path):
     assert [s["status"] for s in steps] == ["ok", "error", "error", "ok"]
     assert steps[1]["error"].startswith("InvalidParameterError")
     assert steps[3]["result"]["isomorphic"]
+
+
+def test_verify_factor_uses_the_given_code():
+    golden = {"kind": "forbidden", "alphabet": ["0", "1"], "forbidden": ["11"]}
+    even = {"kind": "labeled-graph", "states": ["A", "B"],
+            "edges": [["A", "1", "A"], ["A", "0", "B"], ["B", "0", "A"]]}
+    wrong = {"memory": 0, "anticipation": 1, "rule": {"00": "1", "01": "1", "10": "0"}}
+    right = {"memory": 0, "anticipation": 1, "rule": {"00": "1", "01": "0", "10": "0"}}
+    report, _ = cli.run_experiment({"pipeline": [
+        {"op": "build_subshift", "params": {"spec": golden}},
+        {"op": "build_subshift", "params": {"spec": even}},
+        {"op": "verify_factor", "params": {"n": 6}},
+        {"op": "verify_factor", "params": {"n": 6, "code": right}},
+        {"op": "verify_factor", "params": {"n": 6, "code": wrong}},
+        {"op": "verify_factor", "params": {"n": 6, "code": {**wrong, "rule": {"0": "1"}}}},
+    ]})
+    steps = report["steps"]
+    assert [s["status"] for s in steps[2:5]] == ["ok", "ok", "ok"]
+    assert [s["result"]["verified"] for s in steps[2:5]] == [True, True, False]
+    assert steps[5]["status"] == "error" and "ShiftSpecError" in steps[5]["error"]

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from ellis import algebra, envelope, properties, spaces, symbolic
+from ellis import algebra, cli, envelope, properties, spaces, symbolic
 from ellis.properties import (
     OpenSet,
     ball,
@@ -9,6 +12,7 @@ from ellis.properties import (
     distal_semiflow_check,
     equicontinuity_scan,
     hitting_set,
+    hitting_tensor,
     hyper_equicontinuity_crosscheck,
     orbit_closure_equicontinuity,
     recurrence_report,
@@ -85,6 +89,192 @@ def test_classify_rotation_transitive_not_mixing():
     assert out["verdicts"]["transitive"].verdict == "holds"
     assert out["verdicts"]["mixing"].verdict == "fails"
     assert out["chain_ok"]
+
+
+def _reference_has_run(ns, run):
+    if not ns:
+        return False
+    streak, prev = 1, None
+    for n in ns:
+        streak = streak + 1 if prev is not None and n == prev + 1 else 1
+        if streak >= run:
+            return True
+        prev = n
+    return False
+
+
+def reference_classify_transitivity(target, horizon, cover=None, cylinder_length=3,
+                                    thick_run=10, granularity=None):
+    """The loop-based classifier: one ``hitting_set`` per pair and a Python
+    scan per verdict.  Returns its output and the first disjoint mask pair."""
+    if isinstance(target, symbolic.Subshift):
+        words = [w for L in range(1, cylinder_length + 1) for w in sorted(target.words(L))]
+        sets = [properties.cylinder(w) for w in words]
+    else:
+        sets = cover if cover is not None else properties.default_cover(target, granularity)
+    labels = [s.label() for s in sets]
+    hits = {}
+    for i, u in enumerate(sets):
+        for j, v in enumerate(sets):
+            hits[(i, j)] = hitting_set(target, u, v, horizon)
+    run = min(thick_run, max(2, horizon // 4))
+    empty = [(labels[i], labels[j]) for (i, j), ns in hits.items() if not ns]
+    transitive = not empty
+    thick_fail = [(labels[i], labels[j]) for (i, j), ns in hits.items()
+                  if not _reference_has_run(ns, run)]
+    masks = {k: np.zeros(horizon + 1, dtype=bool) for k in hits}
+    for k, ns in hits.items():
+        masks[k][ns] = True
+    pair_fail = []
+    keys = list(hits)
+    for a in keys:
+        for b in keys:
+            if not (masks[a] & masks[b]).any():
+                pair_fail.append((a, b))
+                break
+        if pair_fail:
+            break
+    weakly = transitive and not thick_fail and not pair_fail
+    tails = {}
+    for k, ns in hits.items():
+        n0 = None
+        have = set(ns)
+        for start in range(1, horizon + 1):
+            if all(m in have for m in range(start, horizon + 1)):
+                n0 = start
+                break
+        tails[k] = n0
+    mixing = transitive and all(n0 is not None for n0 in tails.values())
+    verdicts = {
+        "transitive": properties.PropertyVerdict(
+            "transitive", "holds" if transitive else "fails", horizon,
+            {"sets": labels}, witnesses=[] if empty else [min(ns) for ns in hits.values()][:4],
+            counterexamples=empty[:4]),
+        "weakly_mixing": properties.PropertyVerdict(
+            "weakly_mixing", "holds" if weakly else "fails", horizon,
+            {"thick_run": run}, counterexamples=(thick_fail + pair_fail)[:4]),
+        "mixing": properties.PropertyVerdict(
+            "mixing", "holds" if mixing else "fails", horizon,
+            {}, witnesses=[max(n for n in tails.values() if n is not None)] if mixing else []),
+    }
+    chain_ok = (not mixing or weakly) and (not weakly or transitive)
+    return {"verdicts": verdicts, "chain_ok": chain_ok, "tails": tails}, pair_fail
+
+
+REFERENCE_CASES = [
+    ("identity", lambda: spaces.load_example("identity", n=5), 20, {}),
+    ("rotation", lambda: spaces.load_example("irrational-rotation", grid=24), 96, {}),
+    ("rotation-thin-runs", lambda: spaces.load_example("irrational-rotation", grid=12), 30,
+     {"thick_run": 1}),
+    # one-step rotation: every hitting set is periodic runs of five hits
+    ("rotation-runs-of-five", lambda: spaces.load_example(
+        "irrational-rotation", alpha="1/12", grid=12), 40, {"thick_run": 6}),
+    ("reducible-sft", lambda: symbolic.build_subshift(
+        {"kind": "forbidden", "alphabet": ["0", "1"], "forbidden": ["10"]}), 20,
+     {"cylinder_length": 3}),
+    ("two-shift", lambda: symbolic.full_shift(2), 50, {"cylinder_length": 3}),
+]
+
+
+@pytest.mark.parametrize("build,horizon,kwargs", [c[1:] for c in REFERENCE_CASES],
+                         ids=[c[0] for c in REFERENCE_CASES])
+def test_classify_transitivity_matches_loop_reference(build, horizon, kwargs):
+    target = build()
+    got = classify_transitivity(target, horizon, **kwargs)
+    want, want_pair = reference_classify_transitivity(target, horizon, **kwargs)
+    def dump(out):
+        # json.dumps rejects numpy scalars, so this also pins plain Python types
+        return json.dumps({k: v.to_json() for k, v in out["verdicts"].items()})
+
+    assert dump(got) == dump(want)
+    assert got["chain_ok"] == want["chain_ok"]
+    assert got["tails"] == want["tails"]
+    assert all(t is None or type(t) is int for t in got["tails"].values())
+    k = len(got["verdicts"]["transitive"].params["sets"])
+    sets = properties.transitivity_cover(target, kwargs.get("cylinder_length", 3))
+    masks = hitting_tensor(target, sets, horizon).reshape(horizon + 1, k * k).T
+    pair = properties._first_disjoint_pair(masks)
+    keys = list(got["tails"])
+    assert ([] if pair is None else [(keys[pair[0]], keys[pair[1]])]) == want_pair
+
+
+@pytest.mark.parametrize("model,shift", [
+    ({"name": "irrational-rotation", "params": {"grid": 12}}, None),
+    ({"name": "double-circle-rotation", "params": {"grid": 6}}, None),
+    (None, {"kind": "forbidden", "alphabet": ["0", "1"], "forbidden": ["11"]}),
+])
+def test_hitting_matrix_rows_match_hitting_set(model, shift):
+    horizon = 12
+    config = {"pipeline": [{"op": "hitting_matrix", "params": {"horizon": horizon}}]}
+    if model is not None:
+        config["model"] = model
+        target = spaces.load_example(model["name"], **model["params"])
+    else:
+        config["pipeline"].insert(0, {"op": "build_subshift", "params": {"spec": shift}})
+        target = symbolic.build_subshift(shift)
+    report, _ = cli.run_experiment(config)
+    rows = report["steps"][-1]["result"]["pairs"]
+    sets = properties.transitivity_cover(target, 2)
+    expected = []
+    for u in sets:
+        for v in sets:
+            ns = set(hitting_set(target, u, v, horizon))
+            expected.append({"u": u.label(), "v": v.label(),
+                             "membership": [int(n in ns) for n in range(1, horizon + 1)]})
+    assert rows == expected
+
+
+def assert_tensor_matches_hitting_set(target, sets, horizon):
+    hits = hitting_tensor(target, sets, horizon)
+    assert hits.shape == (horizon + 1, len(sets), len(sets))
+    assert not hits[0].any()
+    for i, u in enumerate(sets):
+        for j, v in enumerate(sets):
+            assert np.nonzero(hits[:, i, j])[0].tolist() == hitting_set(target, u, v, horizon)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_hitting_tensor_matches_hitting_set_on_finite_models(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 10))
+    coords = rng.random(n)
+    model = spaces.FiniteModel(
+        "m", {}, coords, lambda a, b: np.abs(coords[np.asarray(a)] - coords[np.asarray(b)]),
+        rng.integers(0, n, n), None, "interval")
+    sets = []
+    for _ in range(int(rng.integers(1, 6))):
+        if rng.random() < 0.5:
+            sets.append(ball(int(rng.integers(0, n)), float(rng.uniform(0.01, 0.6))))
+        else:
+            pts = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            sets.append(OpenSet("points", points=tuple(int(p) for p in pts)))
+    assert_tensor_matches_hitting_set(model, sets, int(rng.integers(0, 12)))
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=40),
+                          st.sampled_from([0.02, 0.05, 0.1, 0.3])), min_size=1, max_size=5),
+       st.integers(min_value=0, max_value=10))
+def test_hitting_tensor_matches_hitting_set_on_sampled_model(balls, horizon):
+    model = spaces.load_example("square-map", grid=41)
+    assert_tensor_matches_hitting_set(model, [ball(c, r) for c, r in balls], horizon)
+
+
+@given(st.integers(min_value=0, max_value=2**16),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=11),
+                          st.sampled_from([0.1, 0.3, 0.6, 1.0])), min_size=1, max_size=5),
+       st.integers(min_value=0, max_value=10))
+def test_hitting_tensor_matches_hitting_set_on_window_model(seed, balls, horizon):
+    model = spaces.sample_window_model(count=12, radius=4, seed=seed)
+    assert_tensor_matches_hitting_set(model, [ball(c, r) for c, r in balls], horizon)
+
+
+def test_hitting_tensor_rejects_point_sets_without_point_ids():
+    model = spaces.load_example("square-map", grid=11)
+    sets = [ball(0, 0.1), OpenSet("points", points=(1, 2))]
+    with pytest.raises(spaces.InvalidParameterError):
+        hitting_set(model, sets[0], sets[1], 3)
+    with pytest.raises(spaces.InvalidParameterError):
+        hitting_tensor(model, sets, 3)
 
 
 # -- strong transitivity --------------------------------------------------------------

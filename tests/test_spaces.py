@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ellis import spaces
+from ellis import cli, spaces
 
 
 def test_unknown_name():
@@ -217,6 +217,21 @@ def test_model_export_schema():
     assert doc["schema"] == "ellis.model/1"
     assert doc["map"] == [0, 1, 2]
     assert len(doc["points"]) == 3
+
+
+SAMPLED_CATALOG = [name for name in sorted(spaces.CATALOG)
+                   if spaces.load_example(name).kind == "sampled"]
+
+
+@pytest.mark.parametrize("name", SAMPLED_CATALOG)
+def test_sampled_model_export_matches_per_point_oracle(name):
+    model = spaces.load_example(name)
+    report, _ = cli.run_experiment({"model": {"name": name},
+                                    "pipeline": [{"op": "model_export"}]})
+    oracle = dict(model.to_json(), map=[
+        model.point_data_raw(model._step_raw(model.points[i : i + 1])[0])
+        for i in range(model.n_points)])
+    assert json.dumps(report["steps"][0]["result"]) == json.dumps(oracle)
 
 
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=39))

@@ -14,6 +14,7 @@ from ellis.symbolic import (
     classify_sft,
     cylinder_hitting,
     cylinder_metric,
+    cylinder_tensor,
     entropy_estimates,
     even_shift,
     full_shift,
@@ -283,6 +284,40 @@ def test_cylinder_hitting_full_shift():
     ns = cylinder_hitting(full2, "111", "000", 10)
     assert set(range(3, 11)) <= set(ns)
     assert 1 not in ns and 2 not in ns  # overlap conflicts
+
+
+def longer_words(shift):
+    return sorted(shift.words(3))[:4] + sorted(shift.words(4))[-3:]
+
+
+def assert_tensor_matches_cylinder_hitting(shift, extra_words=()):
+    # every word up to length 2 over the alphabet, in the language or not,
+    # plus some longer language words so the merged-word region is exercised
+    words = ["".join(t) for L in (1, 2) for t in itertools.product(shift.alphabet, repeat=L)]
+    words += sorted(w for w in extra_words if w not in words)
+    horizon = 9
+    hits = cylinder_tensor(shift, words, horizon)
+    assert not hits[0].any()
+    for i, u in enumerate(words):
+        for j, v in enumerate(words):
+            assert (list(map(int, hits[:, i, j].nonzero()[0]))
+                    == cylinder_hitting(shift, u, v, horizon)), (u, v)
+
+
+@given(st.sampled_from(["01", "012"]),
+       st.sets(st.text(alphabet="012", min_size=1, max_size=3), max_size=5))
+def test_cylinder_tensor_matches_cylinder_hitting_on_random_sfts(alphabet, forbidden):
+    shift = build_subshift({"kind": "forbidden", "alphabet": list(alphabet),
+                            "forbidden": sorted(w for w in forbidden if set(w) <= set(alphabet))})
+    assert_tensor_matches_cylinder_hitting(shift, longer_words(shift))
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from("01"),
+                          st.integers(min_value=0, max_value=3)), min_size=1, max_size=8))
+def test_cylinder_tensor_matches_cylinder_hitting_on_random_sofic_shifts(edges):
+    shift = build_subshift({"kind": "labeled-graph", "states": ["A", "B", "C", "D"],
+                            "edges": [["ABCD"[s], a, "ABCD"[t]] for s, a, t in edges]})
+    assert_tensor_matches_cylinder_hitting(shift, longer_words(shift))
 
 
 def test_window_model_sampling_respects_language():
