@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spaces import cycle_structure
+
 
 class TableError(ValueError):
     """Composition table fails a structural invariant in strict mode."""
@@ -78,7 +80,9 @@ class FiniteSemigroup:
 def from_envelope(env) -> FiniteSemigroup:
     if env.table is None or (env.table < 0).any():
         raise TableError("envelope has no closed composition table")
-    source = "exact" if type(env).__name__ == "ExactEnvelope" else "approx"
+    from .envelope import ExactEnvelope
+
+    source = "exact" if isinstance(env, ExactEnvelope) else "approx"
     return FiniteSemigroup(env.table, env.identity_index, env.generator_index, source)
 
 
@@ -93,20 +97,18 @@ def idempotents(s: FiniteSemigroup) -> list[int]:
 
 
 def minimal_left_ideals(s: FiniteSemigroup) -> list[tuple[int, ...]]:
-    """Inclusion-minimal principal left ideals S.a (with a adjoined)."""
-    t = s.table
-    principal = []
-    for a in range(s.size):
-        ideal = frozenset(int(v) for v in t[:, a]) | {a}
-        principal.append(ideal)
-    minimal = []
-    for ideal in principal:
-        if any(other < ideal for other in principal):
-            continue
-        if ideal not in minimal:
-            minimal.append(ideal)
-    out = sorted((tuple(sorted(i)) for i in set(minimal)), key=lambda x: (len(x), x))
-    return out
+    """Inclusion-minimal principal left ideals S.a (with a adjoined): S.b is
+    a proper subset of S.a when they share |S.b| elements and |S.b| < |S.a|."""
+    n = s.size
+    member = np.zeros((n, n), dtype=bool)
+    member[np.arange(n)[:, None], s.table.T] = True
+    member[np.arange(n), np.arange(n)] = True
+    sizes = member.sum(axis=1)
+    rows = member.astype(np.float32)
+    shared = rows @ rows.T                     # shared[a, b] = |S.a ∩ S.b|
+    below = (shared == sizes[None, :]) & (sizes[None, :] < sizes[:, None])
+    minimal = {tuple(np.flatnonzero(row).tolist()) for row in member[~below.any(axis=1)]}
+    return sorted(minimal, key=lambda x: (len(x), x))
 
 
 @dataclass
@@ -147,15 +149,13 @@ def kernel_and_groups(s: FiniteSemigroup) -> IdealDecomposition:
 
 
 def _is_group_on(t, members, identity) -> bool:
-    mset = set(members)
-    for g in members:
-        if t[identity, g] != g or t[g, identity] != g:
-            return False
-        if any(int(t[g, h]) not in mset for h in members):
-            return False
-        if not any(t[g, h] == identity and t[h, g] == identity for h in members):
-            return False
-    return True
+    """``identity`` is a two-sided identity on ``members``, which are closed
+    under the table and each have an inverse among them."""
+    m = np.asarray(members, dtype=np.int64)
+    sub = t[np.ix_(m, m)]
+    return bool((t[identity, m] == m).all() and (t[m, identity] == m).all()
+                and np.isin(sub, m).all()
+                and ((sub == identity) & (sub.T == identity)).any(axis=1).all())
 
 
 def ideal_isomorphism_check(s: FiniteSemigroup, ideal_i, ideal_k) -> dict:
@@ -277,19 +277,6 @@ def proximal_structure(model, env) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _generator_orbit(s: FiniteSemigroup, start: int):
-    gen = s.generator
-    orbit = [start]
-    seen = {start: 0}
-    cur = start
-    while True:
-        cur = int(s.table[gen, cur])
-        if cur in seen:
-            return orbit, seen[cur]
-        seen[cur] = len(orbit)
-        orbit.append(cur)
-
-
 def periodic_element_analysis(env) -> dict:
     """Periodic points of the envelope under left multiplication by the
     generator: their common period, whether each orbit is a minimal left
@@ -298,21 +285,19 @@ def periodic_element_analysis(env) -> dict:
     if s.generator is None:
         raise TableError("envelope has no generator element")
     ideals = {frozenset(i) for i in minimal_left_ideals(s)}
-    periodic = {}
-    for p in range(s.size):
-        orbit, entry = _generator_orbit(s, p)
-        if entry == 0:  # the orbit returns to p itself
-            periodic[p] = len(orbit)
-    periods = sorted(set(periodic.values()))
-    orbits_minimal = {}
-    for p, per in periodic.items():
-        orbit, _ = _generator_orbit(s, p)
-        orbits_minimal[p] = frozenset(orbit) in ideals
+    tail, length, root = cycle_structure(s.table[s.generator])
+    on_cycle = tail == 0
+    periodic = np.flatnonzero(on_cycle).tolist()
+    periods = sorted(set(length[on_cycle].tolist()))
+    # the orbit of a periodic point is its cycle: the periodic points of its root
+    cycle_minimal = {r: frozenset(np.flatnonzero(on_cycle & (root == r)).tolist()) in ideals
+                     for r in set(root[on_cycle].tolist())}
+    orbits_minimal = {p: cycle_minimal[int(root[p])] for p in periodic}
     common = periods[0] if len(periods) == 1 else (math.lcm(*periods) if periods else None)
     bound_ok = (not periodic) or len(periodic) <= 2 * max(periods)
     return {
-        "periodic_elements": sorted(periodic),
-        "least_periods": {p: periodic[p] for p in sorted(periodic)},
+        "periodic_elements": periodic,
+        "least_periods": {p: int(length[p]) for p in periodic},
         "all_periods_equal": len(periods) <= 1,
         "common_period": common,
         "orbit_is_minimal_ideal": orbits_minimal,
@@ -330,16 +315,10 @@ def recurrent_idempotent_check(env, horizon: int | None = None) -> dict:
     if s.generator is None:
         raise TableError("envelope has no generator element")
     horizon = horizon or s.size + 1
-    report = {}
-    for u in idempotents(s):
-        cur = u
-        witness = None
-        for k in range(1, horizon + 1):
-            cur = int(s.table[s.generator, cur])
-            if cur == u:
-                witness = k
-                break
-        report[u] = witness
+    # u returns to itself first after length[u] steps if it is on a cycle
+    tail, length, _ = cycle_structure(s.table[s.generator])
+    report = {u: int(length[u]) if tail[u] == 0 and length[u] <= horizon else None
+              for u in idempotents(s)}
     iso = identity_isolated(env)
     required = {u: w for u, w in report.items()
                 if not (u == s.identity and iso["isolated"])}
@@ -410,23 +389,8 @@ def run_equivalence_corpus(count: int = 500, max_points: int = 8, seed: int = 7,
         if no_pairs:
             # distal consequences: every orbit is a cycle and the map is onto
             img = set(int(v) for v in table)
-            on_cycles = all(point_on_cycle(table, x) for x in range(n))
+            on_cycles = (cycle_structure(table)[0] == 0).all()
             if not (len(img) == n and on_cycles):
                 violations.append((trial, "distal-semiflow-consequences"))
     return {"count": count, "violations": violations, "ok": not violations}
 
-
-def point_on_cycle(table, x) -> bool:
-    """Whether point ``x`` lies on a cycle of the map given by ``table``."""
-    seen = set()
-    cur = x
-    while cur not in seen:
-        seen.add(cur)
-        cur = int(table[cur])
-    # x is on a cycle iff the eventual cycle contains x
-    cycle = set()
-    probe = cur
-    while probe not in cycle:
-        cycle.add(probe)
-        probe = int(table[probe])
-    return x in cycle

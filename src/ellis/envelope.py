@@ -15,15 +15,21 @@ the worst snap error is reported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import CascadeModel, FiniteModel, InvalidParameterError, NegativePowerError
+from .spaces import (CascadeModel, FiniteModel, InvalidParameterError, NegativePowerError,
+                     cycle_structure)
 
 
 class EnvelopeBudgetError(RuntimeError):
-    """Composition closure exceeded the element budget."""
+    """An envelope would exceed its size budget."""
+
+
+# int64 cells an exact envelope may hold in its maps and table together (1 GiB)
+CELL_BUDGET = 2 ** 27
 
 
 @dataclass
@@ -96,31 +102,33 @@ class _EnvelopeBase:
 
 
 class ExactEnvelope(_EnvelopeBase):
-    """Iterate monoid of a finite-exact model: f^(index+period) = f^index."""
+    """Iterate monoid {f^n} of a finite-exact model, in closed form: index =
+    longest tail of f's functional graph, period = lcm of its cycle lengths,
+    f^i f^j = f^fold(i+j).  Cost O(N + (index+period)·N), refused with
+    ``EnvelopeBudgetError`` before allocating over ``CELL_BUDGET`` cells."""
 
     def __init__(self, model):
         if getattr(model, "map_table", None) is None:
             raise InvalidParameterError("exact envelopes need an exact map table")
         self.model = model
-        maps = [np.arange(model.n_points, dtype=np.int64)]
-        seen = {maps[0].tobytes(): 0}
-        while True:
-            nxt = model.map_table[maps[-1]]
-            key = nxt.tobytes()
-            if key in seen:
-                self.index = seen[key]
-                self.period = len(maps) - seen[key]
-                break
-            seen[key] = len(maps)
-            maps.append(nxt)
-        self.elements = [
-            MapSample(f"f^{n}", m, n, [n], "iterate") for n, m in enumerate(maps)
-        ]
-        size = len(maps)
-        self.table = np.empty((size, size), dtype=np.int64)
-        for a in range(size):
-            for b in range(size):
-                self.table[a, b] = self.fold(a + b)
+        tail, length, _ = cycle_structure(model.map_table)
+        self.index = int(tail.max())
+        self.period = math.lcm(*set(length.tolist()))
+        size, n = self.index + self.period, model.n_points
+        if size * (size + n) > CELL_BUDGET:
+            raise EnvelopeBudgetError(
+                f"exact envelope of {size} elements over {n} points needs "
+                f"{size * (size + n)} int64 cells, over the budget of {CELL_BUDGET}")
+        maps = np.empty((size, n), dtype=np.int64)
+        maps[0] = np.arange(n)
+        for k in range(1, size):
+            maps[k] = model.map_table[maps[k - 1]]
+        self.elements = [MapSample(f"f^{k}", maps[k], k, [k], "iterate") for k in range(size)]
+        # fold(i + j), in place so the table is the only size**2 array
+        r = np.arange(size, dtype=np.int64)
+        self.table = np.add.outer(r - self.index, r)
+        np.remainder(self.table, self.period, out=self.table, where=self.table >= 0)
+        self.table += self.index
         self.identity_index = 0
         self.generator_index = 1 if size > 1 else 0
         self.tau = 0.0
@@ -341,14 +349,8 @@ def envelope_power_decomposition(model: FiniteModel, n: int) -> dict:
         raise InvalidParameterError("n must be >= 1")
     env = exact_envelope(model)
     full = {e.images.tobytes() for e in env.elements}
-    table_n = np.arange(model.n_points, dtype=np.int64)
-    for _ in range(n):
-        table_n = model.map_table[table_n]
-    inv_n = None
-    if model.invertible:
-        inv_n = np.arange(model.n_points, dtype=np.int64)
-        for _ in range(n):
-            inv_n = model.inverse_table[inv_n]
+    table_n = env.elements[env.fold(n)].images
+    inv_n = env.elements[env.element_of_exponent(-n)].images if model.invertible else None
     sub = FiniteModel(f"{model.name}^... ", {}, model.coords, model.point_dist,
                       table_n, inv_n, model.metric_name)
     env_n = exact_envelope(sub)

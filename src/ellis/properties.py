@@ -13,10 +13,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .spaces import CascadeModel, FiniteModel, InvalidParameterError
+from .spaces import CascadeModel, FiniteModel, InvalidParameterError, cycle_structure
 from .symbolic import Subshift, cylinder_hitting, cylinder_tensor
 from .hyperspace import build_hyper_model
-from .algebra import point_on_cycle
 from . import envelope as envelope_mod
 
 
@@ -568,7 +567,7 @@ def wap_proxy_check(model: CascadeModel, env, eps_grid=None) -> dict:
     iu = np.triu_indices(n, k=1)
     base = dist[iu]
     scale = model.resolution * (1 + 1e-9)
-    if hasattr(env, "index"):  # exact: the cycle part is the adherence set
+    if isinstance(env, envelope_mod.ExactEnvelope):  # the cycle part is the adherence set
         eligible = set(range(env.index, env.index + env.period))
     else:
         eligible = {i for i, el in enumerate(env.elements)
@@ -611,7 +610,7 @@ def distal_semiflow_check(model: FiniteModel) -> dict:
     )
     table = model.map_table
     surjective = len(set(int(v) for v in table)) == model.n_points
-    pap = all(point_on_cycle(table, x) for x in range(model.n_points))
+    pap = bool((cycle_structure(table)[0] == 0).all())
     return {
         "distal": distal,
         "pointwise_almost_periodic": pap,

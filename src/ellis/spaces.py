@@ -51,6 +51,29 @@ def _circ2(a, b):
     return np.minimum(d, 2.0 - d)
 
 
+def cycle_structure(table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steps to the cycle, cycle length and cycle id (its least point) of
+    every point of the map x -> table[x], in one pass linear in the points."""
+    nxt = np.asarray(table, dtype=np.int64).tolist()
+    tail, length, root = [-1] * len(nxt), [0] * len(nxt), [0] * len(nxt)
+    for start in range(len(nxt)):
+        path, x = [], start
+        while tail[x] == -1:
+            tail[x] = -2                  # on the current walk
+            path.append(x)
+            x = nxt[x]
+        if tail[x] == -2:                 # the walk closed a new cycle at x
+            cycle = path[path.index(x):]
+            del path[-len(cycle):]
+            least = min(cycle)
+            for y in cycle:
+                tail[y], length[y], root[y] = 0, len(cycle), least
+        for y in reversed(path):
+            z = nxt[y]
+            tail[y], length[y], root[y] = tail[z] + 1, length[z], root[z]
+    return tuple(np.asarray(v, dtype=np.int64) for v in (tail, length, root))
+
+
 # ---------------------------------------------------------------------------
 # model classes
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ellis import algebra, envelope, spaces
 from ellis.algebra import (
@@ -178,3 +182,131 @@ def test_semigroup_json_roundtrip():
 def test_equivalence_corpus_small():
     rep = run_equivalence_corpus(count=80, max_points=7, seed=3)
     assert rep["ok"], rep["violations"]
+
+
+# -- brute-force oracles for the closed forms --------------------------------
+
+
+def brute_minimal_left_ideals(t):
+    principal = [frozenset(int(v) for v in t[:, a]) | {a} for a in range(len(t))]
+    minimal = {p for p in principal if not any(q < p for q in principal)}
+    return sorted((tuple(sorted(p)) for p in minimal), key=lambda x: (len(x), x))
+
+
+def brute_is_group_on(t, members, identity):
+    mset = set(members)
+    return all(
+        t[identity, g] == g and t[g, identity] == g
+        and all(int(t[g, h]) in mset for h in members)
+        and any(t[g, h] == identity and t[h, g] == identity for h in members)
+        for g in members)
+
+
+def generator_orbit(t, gen, start):
+    # walk start, g.start, g.g.start, ... until a repeat; report where it re-enters
+    orbit, cur = [start], start
+    while True:
+        cur = int(t[gen, cur])
+        if cur in orbit:
+            return orbit, orbit.index(cur)
+        orbit.append(cur)
+
+
+def brute_periodic_analysis(s):
+    ideals = {frozenset(i) for i in brute_minimal_left_ideals(s.table)}
+    periods, minimal = {}, {}
+    for p in range(s.size):
+        orbit, entry = generator_orbit(s.table, s.generator, p)
+        if entry == 0:
+            periods[p] = len(orbit)
+            minimal[p] = frozenset(orbit) in ideals
+    distinct = sorted(set(periods.values()))
+    return {
+        "periodic_elements": sorted(periods),
+        "least_periods": periods,
+        "all_periods_equal": len(distinct) <= 1,
+        "common_period": math.lcm(*distinct),
+        "orbit_is_minimal_ideal": minimal,
+        "count_bound_ok": len(periods) <= 2 * max(distinct),
+        "count": len(periods),
+    }
+
+
+def brute_witnesses(s, horizon):
+    out = {}
+    for u in idempotents(s):
+        cur, out[u] = u, None
+        for k in range(1, horizon + 1):
+            cur = int(s.table[s.generator, cur])
+            if cur == u:
+                out[u] = k
+                break
+    return out
+
+
+def check_envelope_against_orbit_loops(env):
+    s = from_envelope(env)
+    rep = periodic_element_analysis(env)
+    assert rep == brute_periodic_analysis(s)
+    json.dumps(rep)                  # plain Python types only
+    for horizon in (None, 1, 2, 3):
+        rep = recurrent_idempotent_check(env, horizon)
+        assert rep["witnesses"] == brute_witnesses(s, horizon or s.size + 1)
+        json.dumps(rep)
+
+
+random_maps = st.integers(min_value=1, max_value=9).flatmap(
+    lambda n: st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n))
+
+
+@given(random_maps)
+def test_periodic_and_recurrent_match_orbit_loops_on_exact_envelopes(table):
+    check_envelope_against_orbit_loops(envelope.exact_envelope(finite(table)))
+
+
+@pytest.mark.parametrize("name", ["square-map", "neg-cube"])
+def test_periodic_and_recurrent_match_orbit_loops_on_approx_envelopes(name):
+    model = spaces.load_example(name, grid=201)
+    check_envelope_against_orbit_loops(envelope.approx_envelope(model, 40, 1e-3, "two-sided"))
+
+
+random_tables = st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.lists(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@given(random_tables, st.data())
+def test_ideals_and_groups_match_set_versions_on_random_tables(rows, data):
+    s = FiniteSemigroup(np.asarray(rows), source="approx")   # may be non-associative
+    t = s.table
+    assert minimal_left_ideals(s) == brute_minimal_left_ideals(t)
+    members = data.draw(st.lists(st.integers(min_value=0, max_value=s.size - 1),
+                                 unique=True, max_size=s.size))
+    identity = data.draw(st.integers(min_value=0, max_value=s.size - 1))
+    assert algebra._is_group_on(t, members, identity) == brute_is_group_on(t, members, identity)
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.tuples(*[st.integers(min_value=0, max_value=k - 1)] * 3),
+                         max_size=3))), st.integers(min_value=0, max_value=4))
+# a left identity that is not a right one; one-sided inverses only
+@example((2, [(1, 0, 0)]), 0)
+@example((3, [(1, 1, 1), (1, 2, 0), (2, 1, 1), (2, 2, 0)]), 0)
+def test_group_check_matches_set_version_on_near_groups(group, identity):
+    # Z_k with a few cells rewritten inside it, so each condition can fail alone
+    k, cells = group
+    t = np.add.outer(np.arange(k), np.arange(k)) % k
+    for i, j, v in cells:
+        t[i, j] = v
+    members = list(range(k))
+    assert algebra._is_group_on(t, members, identity % k) == \
+        brute_is_group_on(t, members, identity % k)
+
+
+@given(random_maps)
+def test_ideals_and_groups_match_set_versions_on_exact_envelopes(table):
+    s = from_envelope(envelope.exact_envelope(finite(table)))
+    assert minimal_left_ideals(s) == brute_minimal_left_ideals(s.table)
+    for (_, v), members in kernel_and_groups(s).groups.items():
+        assert algebra._is_group_on(s.table, members, v)
+        assert brute_is_group_on(s.table, members, v)

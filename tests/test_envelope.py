@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ellis import algebra, envelope, hyperspace, properties, spaces
 from ellis.envelope import (
@@ -69,6 +72,53 @@ def test_exact_table_associative_exhaustively():
         sg = algebra.from_envelope(env)
         assert sg.associativity_violations == 0
         assert len(algebra.idempotents(sg)) >= 1  # an idempotent always exists
+
+
+def brute_monoid(table):
+    # independent oracle: iterate f until a map repeats; the product of
+    # f^i and f^j is found by composing the two maps and looking it up
+    n = len(table)
+    maps = [tuple(range(n))]
+    while True:
+        nxt = tuple(table[v] for v in maps[-1])
+        if nxt in maps:
+            break
+        maps.append(nxt)
+    index = maps.index(nxt)
+    prod = [[maps.index(tuple(a[v] for v in b)) for b in maps] for a in maps]
+    return index, len(maps) - index, maps, prod
+
+
+maps_up_to_9 = st.integers(min_value=1, max_value=9).flatmap(
+    lambda n: st.one_of(
+        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n),
+        st.permutations(list(range(n)))))
+
+
+@given(maps_up_to_9)
+def test_exact_envelope_matches_iteration_until_repeat(table):
+    index, period, maps, prod = brute_monoid(table)
+    env = exact_envelope(finite(table))
+    assert (env.index, env.period) == (index, period)
+    assert [tuple(e.images.tolist()) for e in env.elements] == maps
+    assert env.table.tolist() == prod
+    assert [env.fold(i + j) for i in range(len(maps)) for j in range(len(maps))] == \
+        [v for row in prod for v in row]
+
+
+def test_exact_envelope_budget_refuses_before_allocating():
+    ok = exact_envelope(spaces.load_example("periodic-union", n=8))
+    assert (ok.index, ok.period) == (201, 840)
+    big = spaces.load_example("periodic-union", n=11)   # index 201, period 27720
+    start = time.perf_counter()
+    with pytest.raises(envelope.EnvelopeBudgetError, match="27921 elements"):
+        exact_envelope(big)
+    assert time.perf_counter() - start < 1.0
+    # the maps count too: a 1000-cycle beside 200,000 fixed points
+    table = np.arange(201_000)
+    table[:1000] = np.roll(np.arange(1000), -1)
+    with pytest.raises(envelope.EnvelopeBudgetError, match="1000 elements over 201000 points"):
+        exact_envelope(finite(table))
 
 
 def test_invertible_envelope_is_cyclic_group():

@@ -266,3 +266,30 @@ def test_window_distances_match_first_difference_oracle(seed, a, b):
         assert pair[r] == brute_seq_dist(m, i, a, i, b)
         assert to_point[r] == brute_seq_dist(m, i, a, 2, 0)
         assert points[r] == brute_seq_dist(m, i, 0, r, 0)
+
+
+def walk_to_cycle(table, x):
+    # independent oracle: follow x until a point repeats; the repeated point
+    # opens the cycle, and its position on the walk is the tail length
+    walk = []
+    while x not in walk:
+        walk.append(x)
+        x = table[x]
+    cycle = walk[walk.index(x):]
+    return walk.index(x), len(cycle), min(cycle)
+
+
+random_maps = st.integers(min_value=1, max_value=14).flatmap(
+    lambda n: st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n))
+permutations = st.integers(min_value=1, max_value=14).flatmap(
+    lambda n: st.permutations(list(range(n))))
+constant_maps = st.integers(min_value=1, max_value=14).flatmap(
+    lambda n: st.integers(min_value=0, max_value=n - 1).map(lambda c: [c] * n))
+
+
+@given(st.one_of(random_maps, permutations, constant_maps, st.just([0])))
+def test_cycle_structure_matches_per_point_walk(table):
+    tail, length, root = spaces.cycle_structure(table)
+    assert [tail.dtype, length.dtype, root.dtype] == [np.int64] * 3
+    got = list(zip(tail.tolist(), length.tolist(), root.tolist()))
+    assert got == [walk_to_cycle(table, x) for x in range(len(table))]
