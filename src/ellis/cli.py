@@ -149,13 +149,16 @@ def _op_kernel_and_groups(ctx):
     }
 
 
+def _index(value, size, name):
+    """``value`` as an index into ``size`` items; no wrapping, no clamping."""
+    if not 0 <= int(value) < size:
+        raise spaces.InvalidParameterError(f"{name}={value} outside [0, {size})")
+    return int(value)
+
+
 def _op_ideal_isomorphism(ctx, i=0, k=1):
     ideals = algebra.minimal_left_ideals(_sg(ctx))
-    i, k = int(i), int(k)
-    for name, value in (("i", i), ("k", k)):
-        if not 0 <= value < len(ideals):
-            raise spaces.InvalidParameterError(
-                f"ideal index {name}={value} outside [0, {len(ideals)})")
+    i, k = (_index(v, len(ideals), f"ideal index {n}") for n, v in (("i", i), ("k", k)))
     return algebra.ideal_isomorphism_check(_sg(ctx), ideals[i], ideals[k])
 
 
@@ -221,7 +224,9 @@ def _op_theta_check(ctx):
 
 def _op_inducibility(ctx, element=None):
     henv = _require(ctx.hyper_env, "a hyper envelope")
-    targets = [element] if element is not None else list(range(len(henv.elements)))
+    targets = range(len(henv.elements))
+    if element is not None:
+        targets = [_index(element, len(targets), "element")]
     out = {}
     for idx in targets:
         out[henv.elements[idx].name] = envelope.inducibility_check(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -385,9 +386,14 @@ def stabilization_diagnostic(model: CascadeModel, horizons, tau: float,
     if sorted(horizons) != horizons:
         raise InvalidParameterError("horizons must be increasing")
     counts = []
-    for h in horizons:
-        env = approx_envelope(model, h, tau, power_range, close_table=False)
-        counts.append(len(env.elements))
+    if horizons:
+        if horizons[0] < 1:
+            raise InvalidParameterError("horizon must be >= 1")
+        # clustering is greedy in exponent order, and the order for h is a
+        # prefix of the order for the last horizon: the clusters at h are
+        # those whose first exponent has |origin| <= h
+        env = approx_envelope(model, horizons[-1], tau, power_range, close_table=False)
+        counts = [sum(abs(e.origin) <= h for e in env.elements) for h in horizons]
     if len(counts) >= 2 and all(b > a for a, b in zip(counts, counts[1:])):
         verdict = "growing"
     elif len(counts) >= 2 and counts[-1] == counts[-2]:
@@ -402,32 +408,20 @@ def stabilization_diagnostic(model: CascadeModel, horizons, tau: float,
 # ---------------------------------------------------------------------------
 
 
-def _element_base_restriction(hyper_env, hyper_model, el) -> tuple:
-    """Restrict a hyper envelope element to singletons.
-
-    Returns (base image index array, escape list); an escape is a singleton
-    whose image fails to be a singleton.
-    """
-    imgs = el.images
-    snapped, _ = hyper_model.snap_images(imgs)
-    base_img = np.empty(hyper_model.base.n_points, dtype=np.int64)
-    escapes = []
-    for x in range(hyper_model.base.n_points):
-        hid = int(snapped[hyper_model.singleton_id(x)])
-        members = hyper_model.hyperpoints[hid]
-        if len(members) != 1:
-            escapes.append(x)
-            base_img[x] = members[0]
-        else:
-            base_img[x] = members[0]
-    return base_img, escapes
+def _element_base_restriction(hyper_model, el) -> tuple:
+    """Restrict a hyper envelope element to the singletons 0..n-1, unsnapped:
+    (column 0 of their raw member rows, a base image; the escapes, singletons
+    whose image row holds distinct members)."""
+    n = hyper_model.base.n_points
+    rows = hyper_model.member_rows(el.images[:n])
+    escaped = (rows != rows[:, :1]).reshape(n, -1).any(axis=1)
+    return rows[:, 0], np.flatnonzero(escaped).tolist()
 
 
-def _match_base_element(base_env, base_img: np.ndarray, tau: float):
+def _match_base_element(base_env, base_img, tau: float):
     model = base_env.model
-    target = model.apply_to_indices(model.iterate_images(0), base_img)
     for i, el in enumerate(base_env.elements):
-        if model.image_sup_dist(el.images, target) <= tau:
+        if model.image_sup_dist(el.images, base_img) <= tau:
             return i
     return None
 
@@ -444,7 +438,7 @@ def theta_check(base_env, hyper_env, hyper_model) -> dict:
     escapes = []
     unmatched = []
     for idx, el in enumerate(hyper_env.elements):
-        base_img, esc = _element_base_restriction(hyper_env, hyper_model, el)
+        base_img, esc = _element_base_restriction(hyper_model, el)
         escapes.extend((idx, x) for x in esc)
         match = _match_base_element(base_env, base_img, tau)
         if match is None:
@@ -452,14 +446,9 @@ def theta_check(base_env, hyper_env, hyper_model) -> dict:
         theta.append(match)
     hom_violations = []
     if hyper_env.table is not None and base_env.table is not None and not unmatched:
-        n = len(hyper_env.elements)
-        for i in range(n):
-            for j in range(n):
-                prod = hyper_env.table[i, j]
-                if prod < 0:
-                    continue
-                if theta[prod] != base_env.table[theta[i], theta[j]]:
-                    hom_violations.append((i, j))
+        th, table = np.asarray(theta, dtype=np.int64), hyper_env.table
+        bad = (table >= 0) & (th[table] != base_env.table[th][:, th])
+        hom_violations = [tuple(p) for p in np.argwhere(bad).tolist()]
     observed = {t for t in theta if t is not None}
     return {
         "well_defined": not escapes and not unmatched,
@@ -472,40 +461,37 @@ def theta_check(base_env, hyper_env, hyper_model) -> dict:
     }
 
 
+def _includes(a, b) -> np.ndarray:
+    # row-wise inclusion of the member sets of padded rows a in those of b
+    return (a[:, :, None] == b[:, None, :]).any(axis=2).all(axis=1)
+
+
 def inducibility_check(hyper_env, hyper_model, element_index: int) -> dict:
     """Three conditions for a hyper-envelope element to come from a point map:
     singletons to singletons, monotone on inclusions, minimal in the
     pointwise-inclusion order among envelope elements."""
-    el = hyper_env.elements[element_index]
-    snapped, _ = hyper_model.snap_images(el.images)
-    members = [set(hyper_model.hyperpoints[int(h)]) for h in snapped]
+    members = hyper_model.members
+    snapped, _ = hyper_model.snap_images(hyper_env.elements[element_index].images)
+    rows = members[snapped]
+    singles = rows[:hyper_model.base.n_points]
+    singles_ok = bool((singles == singles[:, :1]).all())
+    # the sub-rows on each proper subset of the k positions name every
+    # proper subset A of every hyperpoint B, so these cover all A < B
+    k = hyper_model.max_cardinality
+    monotone_ok = all(
+        _includes(rows[hyper_model.hyper_ids(members[:, list(cols)])], rows).all()
+        for j in range(1, k) for cols in combinations(range(k), j))
 
-    singles_ok = all(
-        len(members[hyper_model.singleton_id(x)]) == 1
-        for x in range(hyper_model.base.n_points)
-    )
-    monotone_ok = True
-    for a_idx, b_idx in hyper_model.subset_pairs():
-        if not members[a_idx] <= members[b_idx]:
-            monotone_ok = False
-            break
-    minimal_ok = True
-    dominated_by = None
-    for j, other in enumerate(hyper_env.elements):
-        if j == element_index:
-            continue
+    def below(other):
         o_snapped, _ = hyper_model.snap_images(other.images)
-        if np.array_equal(o_snapped, snapped):
-            continue
-        if all(set(hyper_model.hyperpoints[int(o)]) <= m
-               for o, m in zip(o_snapped, members)):
-            minimal_ok = False
-            dominated_by = j
-            break
+        return not np.array_equal(o_snapped, snapped) and _includes(members[o_snapped], rows).all()
+
+    dominated_by = next((j for j, other in enumerate(hyper_env.elements)
+                         if j != element_index and below(other)), None)
     return {
         "singletons_ok": singles_ok,
         "monotone_ok": monotone_ok,
-        "minimal_ok": minimal_ok,
+        "minimal_ok": dominated_by is None,
         "dominated_by": dominated_by,
     }
 

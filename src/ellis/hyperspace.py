@@ -15,7 +15,7 @@ tensor then answers P pairs at once, whatever the carrier of the base.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -75,10 +75,11 @@ def vietoris_member(model: CascadeModel, a, basis) -> bool:
 class HyperCascadeModel(CascadeModel):
     """Enumeration of all subsets of size <= max_cardinality of a base model.
 
-    Holds what both hyperspace carriers share: the hyperpoints, their
-    padded member rows, the Hausdorff metric, and the scales of the base.
-    ``build_hyper_model`` picks the carrier; each satisfies the raw-image
-    protocol, so envelope and property machinery runs on it unchanged.
+    Holds what both hyperspace carriers share: the padded member rows, their
+    ids (by cardinality, then lexicographic, so {x} has id x), the Hausdorff
+    metric, and the scales of the base.  ``build_hyper_model`` picks the
+    carrier; each satisfies the raw-image protocol, so envelope and property
+    machinery runs on it unchanged.
     """
 
     kind = "hyper"
@@ -86,26 +87,48 @@ class HyperCascadeModel(CascadeModel):
     def _enumerate(self, base: CascadeModel, max_cardinality: int, budget: int):
         if max_cardinality < 1:
             raise InvalidParameterError("max cardinality must be >= 1")
-        n = base.n_points
-        total = sum(math.comb(n, j) for j in range(1, max_cardinality + 1))
-        if total > budget:
-            raise HyperBudgetError(f"{total} hyperpoints exceeds budget {budget}")
+        n, k = base.n_points, int(max_cardinality)
+        counts = [math.comb(n, j) for j in range(1, k + 1)]
+        if sum(counts) > budget:
+            raise HyperBudgetError(f"{sum(counts)} hyperpoints exceeds budget {budget}")
         self.base = base
-        self.max_cardinality = k = int(max_cardinality)
+        self.max_cardinality = k
         self.name = f"hyper({base.name}, k={k})"
         self.params = {"base": base.name, "k": k, **base.params}
         self.metric_name = f"hausdorff[{base.metric_name}]"
-        pts = []
-        for j in range(1, k + 1):
-            pts.extend(combinations(range(n), j))
-        self.hyperpoints: list[HyperPoint] = pts
-        self.index = {p: i for i, p in enumerate(pts)}
-        self._singleton = {p[0]: i for i, p in enumerate(pts) if len(p) == 1}
-        self.members = np.asarray([p + (p[0],) * (k - len(p)) for p in pts], dtype=np.int64)
+        blocks = []
+        for j, count in enumerate(counts, start=1):
+            sets = np.fromiter(chain.from_iterable(combinations(range(n), j)),
+                               dtype=np.int64, count=count * j).reshape(count, j)
+            blocks.append(np.concatenate([sets, np.repeat(sets[:, :1], k - j, axis=1)], axis=1))
+        self.members = np.concatenate(blocks)
+        # C(a, b) for a < n, b <= k: column b is the running sum of column b - 1
+        self._binom = np.zeros((n, k + 1), dtype=np.int64)
+        self._binom[:, 0] = 1
+        for b in range(1, k + 1):
+            self._binom[1:, b] = np.cumsum(self._binom[:-1, b - 1])
+        # the last id of each cardinality j (index j; -1 before the first)
+        self._last = np.cumsum([-1] + counts)
 
-    def _lookup(self, rows) -> np.ndarray:
-        # hyperpoint id of each row of base point ids (repeats allowed)
-        return np.asarray([self.index[canonical(r)] for r in rows], dtype=np.int64)
+    def hyper_ids(self, rows) -> np.ndarray:
+        """Ids of rows of at most k base point ids, repeats allowed: the j-set
+        {c_1 < ... < c_j} has lex rank C(n, j) - 1 - sum_t C(n-1-c_t, j-t+1)
+        among the j-sets (Knuth, TAOCP 4A, 7.2.1.3)."""
+        s = np.sort(np.asarray(rows, dtype=np.int64), axis=1)
+        first = np.ones(s.shape, dtype=bool)
+        first[:, 1:] = s[:, 1:] != s[:, :-1]
+        size = first.sum(axis=1)
+        terms = self._binom[self.base.n_points - 1 - s, size[:, None] - np.cumsum(first, axis=1) + 1]
+        return self._last[size] - np.where(first, terms, 0).sum(axis=1)
+
+    def member_rows(self, imgs) -> np.ndarray:
+        """Padded member rows of an image: base point ids over a finite base."""
+        return self.members[imgs]
+
+    @property
+    def hyperpoints(self) -> list[HyperPoint]:
+        """The canonical subsets in id order, read off the member rows."""
+        return [tuple(dict.fromkeys(r)) for r in self.members.tolist()]
 
     def _member_images(self, hyper_ids) -> np.ndarray:
         # base identity images of the padded members, (P, k, ...)
@@ -125,19 +148,7 @@ class HyperCascadeModel(CascadeModel):
 
     @property
     def n_points(self):
-        return len(self.hyperpoints)
-
-    def singleton_id(self, base_point: int) -> int:
-        return self._singleton[base_point]
-
-    def subset_pairs(self):
-        """All enumerated (A, B) index pairs with A a proper subset of B."""
-        for bi, b in enumerate(self.hyperpoints):
-            if len(b) == 1:
-                continue
-            for j in range(1, len(b)):
-                for sub in combinations(b, j):
-                    yield self.index[sub], bi
+        return len(self.members)
 
     # -- metric ---------------------------------------------------------------
 
@@ -162,10 +173,10 @@ class HyperCascadeModel(CascadeModel):
 
     def export_images(self, imgs):
         snapped, _ = self.snap_images(imgs)
-        return [list(self.hyperpoints[int(i)]) for i in snapped]
+        return [list(dict.fromkeys(r)) for r in self.members[snapped].tolist()]
 
     def point_data(self, i):
-        return list(self.hyperpoints[i])
+        return list(dict.fromkeys(self.members[i].tolist()))
 
     def to_json(self):
         return {
@@ -182,12 +193,10 @@ class FiniteHyperModel(HyperCascadeModel, FiniteModel):
 
     def __init__(self, base: FiniteModel, max_cardinality: int = 3, budget: int = 250_000):
         self._enumerate(base, max_cardinality, budget)
-        inverse = None
-        if base.invertible:
-            inverse = self._lookup(base.inverse_table[self.members])
+        inverse = self.hyper_ids(base.inverse_table[self.members]) if base.invertible else None
         # no distance function: HyperCascadeModel.point_dist takes precedence
         FiniteModel.__init__(self, self.name, self.params, None, None,
-                             self._lookup(base.map_table[self.members]), inverse,
+                             self.hyper_ids(base.map_table[self.members]), inverse,
                              self.metric_name)
 
     def to_json(self):
@@ -217,7 +226,11 @@ class SampledHyperModel(HyperCascadeModel):
     def snap_images(self, imgs):
         p, k = imgs.shape[:2]
         members, err = self.base.snap_images(imgs.reshape(p * k, *imgs.shape[2:]))
-        return self._lookup(members.reshape(p, k)), err
+        return self.hyper_ids(members.reshape(p, k)), err
+
+    def member_rows(self, imgs):
+        # images are already padded raw member rows
+        return imgs
 
     def apply_to_indices(self, imgs, idx):
         return imgs[idx]

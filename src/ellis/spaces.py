@@ -27,6 +27,10 @@ TWO_PI = 2.0 * math.pi
 
 PointId = int
 
+# rows per chunk of a sampled sup distance: 8192 float64 rows are 64 KiB,
+# under glibc's 128 KiB threshold for serving an allocation by a fresh mmap
+SUP_CHUNK = 8192
+
 
 class UnknownExampleError(KeyError):
     """Requested catalog name does not exist."""
@@ -371,6 +375,12 @@ class SampledModel(CascadeModel):
 
     def image_pair_dist(self, a_imgs, b_imgs):
         return self._raw_dist(a_imgs, b_imgs)
+
+    def image_sup_dist(self, a_imgs, b_imgs):
+        # chunked, so that every temporary stays below glibc's mmap threshold
+        # and comes off the heap, whatever the heap's layout
+        return max(float(np.max(self._raw_dist(a_imgs[i:i + SUP_CHUNK], b_imgs[i:i + SUP_CHUNK])))
+                   for i in range(0, len(a_imgs), SUP_CHUNK))
 
     def image_point_dist(self, imgs, point):
         tgt = np.broadcast_to(self.points[point], np.asarray(imgs).shape)

@@ -160,6 +160,24 @@ def test_ideal_isomorphism_rejects_out_of_range_ideals(tmp_path):
     assert steps[3]["result"]["isomorphic"]
 
 
+def test_inducibility_rejects_out_of_range_element():
+    # element=-1 names no element and must not wrap to the last one
+    report, _ = cli.run_experiment({
+        "model": {"name": "identity", "params": {"n": 3}},
+        "pipeline": [
+            {"op": "build_hyper", "params": {"k": 2}},
+            {"op": "hyper_envelope", "params": {}},
+            {"op": "inducibility", "params": {"element": 0}},
+            {"op": "inducibility", "params": {"element": -1}},
+            {"op": "inducibility", "params": {"element": 1}},
+        ],
+    })
+    steps = report["steps"]
+    assert [s["status"] for s in steps] == ["ok", "ok", "ok", "error", "error"]
+    assert all(s["error"].startswith("InvalidParameterError") for s in steps[3:])
+    assert list(steps[2]["result"]) == ["f^0"]
+
+
 def test_verify_factor_uses_the_given_code():
     golden = {"kind": "forbidden", "alphabet": ["0", "1"], "forbidden": ["11"]}
     even = {"kind": "labeled-graph", "states": ["A", "B"],

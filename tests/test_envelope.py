@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -264,6 +265,33 @@ def test_two_sided_requires_inverse():
     assert env.stabilized
 
 
+def per_horizon_counts(model, horizons, tau, power_range):
+    # oracle: one envelope from scratch per horizon
+    return [len(approx_envelope(model, h, tau, power_range, close_table=False).elements)
+            for h in horizons]
+
+
+@pytest.mark.parametrize("model, horizons, tau, power_range", [
+    (spaces.load_example("square-map", grid=1001), [10, 20, 40, 60], 1e-3, "two-sided"),
+    (spaces.load_example("neg-cube", grid=401), [5, 15, 15, 60], 1e-3, "two-sided"),
+    (spaces.load_example("neg-cube", grid=401), [3, 30], 1e-3, "forward"),
+    (spaces.sample_window_model(count=40, radius=24, seed=6), [4, 8, 16], 0.4, "two-sided"),
+    (spaces.load_example("annulus-skew", radial=4, grid=24), [8, 16, 24], 0.05, "two-sided"),
+], ids=["square-map", "neg-cube", "neg-cube-forward", "window", "annulus-skew"])
+def test_stabilization_counts_match_per_horizon_envelopes(model, horizons, tau, power_range):
+    diag = stabilization_diagnostic(model, horizons, tau, power_range)
+    assert diag["counts"] == per_horizon_counts(model, horizons, tau, power_range)
+
+
+def test_stabilization_validates_horizons():
+    sq = spaces.load_example("square-map", grid=11)
+    assert stabilization_diagnostic(sq, [], 0.05) == {
+        "horizons": [], "counts": [], "verdict": "inconclusive"}
+    for bad in ([0, 4], [8, 4], [-2]):
+        with pytest.raises(spaces.InvalidParameterError):
+            stabilization_diagnostic(sq, bad, 0.05)
+
+
 # -- power decomposition ---------------------------------------------------------
 
 
@@ -375,6 +403,120 @@ def test_inducibility_detects_singleton_escape():
     env.elements.append(forged)
     rep = inducibility_check(env, hyper, len(env.elements) - 1)
     assert not rep["singletons_ok"]
+
+
+# θ restricts raw singleton rows: on every carrier the hyper envelope at k = 2
+# is the base envelope carried over, including sampled bases clustered at tau
+# below the snap scale (half a grid step is 0.05 on the 21-grids)
+THETA_CASES = {
+    "identity": ({"n": 5}, None),
+    "irrational-rotation": ({"grid": 12}, None),
+    "double-circle-rotation": ({"grid": 8}, None),
+    "dyadic-circle-stack": ({"levels": 3, "mult": 2}, None),
+    "dyadic-circle-stack-inward": ({"levels": 3, "mult": 2}, None),
+    "triadic-circle-stack": ({"levels": 2, "mult": 1}, None),
+    "periodic-stack": ({"n": 2, "truncate": 6}, None),
+    "periodic-union": ({"n": 2, "truncate": 5}, None),
+    "isolated-ones-subshift": ({"truncate": 6}, None),
+    "square-map": ({"grid": 21}, (40, 0.01)),
+    "neg-cube": ({"grid": 21}, (40, 0.01)),
+    "annulus-skew": ({"radial": 1, "grid": 6}, (6, 0.05)),
+}
+
+
+def test_theta_cases_cover_the_catalog():
+    assert set(THETA_CASES) == set(spaces.CATALOG)
+
+
+@pytest.mark.parametrize("name", sorted(THETA_CASES))
+def test_theta_is_the_identity_on_every_catalog_model(name):
+    params, clustering = THETA_CASES[name]
+    model = spaces.load_example(name, **params)
+    hyper = hyperspace.build_hyper_model(model, 2)
+    if clustering is None:
+        base_env, hyper_env = exact_envelope(model), exact_envelope(hyper)
+    else:
+        horizon, tau = clustering
+        base_env = approx_envelope(model, horizon, tau, "two-sided")
+        hyper_env = approx_envelope(hyper, horizon, tau, "two-sided")
+    assert hyper_env.element_names() == base_env.element_names()
+    rep = theta_check(base_env, hyper_env, hyper)
+    assert rep["theta"] == list(range(len(base_env.elements)))
+    assert rep["well_defined"] and rep["injective"] and rep["surjective_onto_observed"]
+    assert rep["homomorphism_violations"] == []
+
+
+def set_based_inducibility(hyper_env, hyper, element_index):
+    # oracle: the member sets of every image, compared set by set over every
+    # enumerated inclusion A < B and every other envelope element
+    index = {p: i for i, p in enumerate(hyper.hyperpoints)}
+
+    def image_sets(el):
+        snapped, _ = hyper.snap_images(el.images)
+        return snapped, [set(hyper.hyperpoints[int(h)]) for h in snapped]
+
+    snapped, members = image_sets(hyper_env.elements[element_index])
+    singles_ok = all(len(members[index[(x,)]]) == 1 for x in range(hyper.base.n_points))
+    monotone_ok = all(members[index[a]] <= members[bi]
+                      for bi, b in enumerate(hyper.hyperpoints)
+                      for j in range(1, len(b)) for a in itertools.combinations(b, j))
+    minimal_ok, dominated_by = True, None
+    for j, other in enumerate(hyper_env.elements):
+        if j == element_index:
+            continue
+        o_snapped, o_members = image_sets(other)
+        if np.array_equal(o_snapped, snapped):
+            continue
+        if all(o <= m for o, m in zip(o_members, members)):
+            minimal_ok, dominated_by = False, j
+            break
+    return {"singletons_ok": singles_ok, "monotone_ok": monotone_ok,
+            "minimal_ok": minimal_ok, "dominated_by": dominated_by}
+
+
+def test_inducibility_matches_set_oracle_on_square_map():
+    sq = spaces.load_example("square-map", grid=11)
+    hyper = hyperspace.build_hyper_model(sq, 2)
+    hyper_env = approx_envelope(hyper, 40, 0.05, "two-sided")
+    # forged elements: raw rows of random hyperpoints, which break singletons,
+    # monotonicity and minimality in turn
+    rng = np.random.default_rng(3)
+    ident = hyper.iterate_images(0)
+    for _ in range(6):
+        hyper_env.elements.append(envelope.MapSample(
+            "forged", ident[rng.integers(0, hyper.n_points, hyper.n_points)], 0))
+    hyper_env.elements.append(envelope.MapSample("constant", ident[[11] * hyper.n_points], 0))
+    # {x} -> {x, 0} and pairs fixed: pointwise above the identity, so not minimal
+    grown = ident.copy()
+    grown[:11, 1] = 0.0
+    hyper_env.elements.append(envelope.MapSample("grown", grown, 0))
+    for i in range(len(hyper_env.elements)):
+        assert inducibility_check(hyper_env, hyper, i) == \
+            set_based_inducibility(hyper_env, hyper, i), i
+
+
+def test_inducibility_matches_set_oracle_on_forged_finite_elements():
+    ident = spaces.load_example("identity", n=5)
+    hyper = hyperspace.build_hyper_model(ident, 3)
+    env = exact_envelope(hyper)
+    rng = np.random.default_rng(4)
+    for _ in range(8):
+        env.elements.append(envelope.MapSample(
+            "forged", rng.integers(0, hyper.n_points, hyper.n_points), 0))
+    # singletons fixed, every larger set sent to {0}: not monotone
+    ids = np.arange(hyper.n_points)
+    env.elements.append(envelope.MapSample("collapse", np.where(ids < 5, ids, 0), 0))
+    # A -> A + {0} where that fits: pointwise above the identity, so not minimal
+    grown = hyper.members.copy()
+    grown[grown[:, 2] == grown[:, 0], 2] = 0
+    env.elements.append(envelope.MapSample("grown", hyper.hyper_ids(grown), 0))
+    # the map induced by x -> min(x, 2) passes all three conditions
+    induced = hyper.hyper_ids(np.minimum(hyper.members, 2))
+    env.elements.append(envelope.MapSample("induced", induced, 0))
+    results = [inducibility_check(env, hyper, i) for i in range(len(env.elements))]
+    assert results == [set_based_inducibility(env, hyper, i) for i in range(len(env.elements))]
+    assert [list(r.values()) for r in results[-3:]] == [
+        [True, False, True, None], [False, False, False, 0], [True, True, True, None]]
 
 
 def test_envelope_phase_model_square():

@@ -187,8 +187,9 @@ def padded(members):
 @given(st.lists(st.tuples(member_sets, member_sets), min_size=1, max_size=5))
 def test_padded_point_dist_matches_oracle(hyper11, pairs):
     base = hyper11.base
-    ia = [hyper11.index[canonical(a)] for a, _ in pairs]
-    ib = [hyper11.index[canonical(b)] for _, b in pairs]
+    # enumeration order is the oracle for hyperpoint ids
+    ia = [hyper11.hyperpoints.index(canonical(a)) for a, _ in pairs]
+    ib = [hyper11.hyperpoints.index(canonical(b)) for _, b in pairs]
     got = hyper11.point_dist(ia, ib)
     for value, (a, b) in zip(got, pairs):
         assert value == brute_hausdorff(base.metric, a, b)
@@ -201,3 +202,23 @@ def test_padded_raw_image_pair_dist_matches_oracle(hyper11, pairs):
     got = hyper11.image_pair_dist(a_imgs, b_imgs)
     for value, (a, b) in zip(got, pairs):
         assert value == brute_hausdorff(lambda x, y: abs(x - y), a, b)
+
+
+@given(st.data())
+def test_hyper_ids_match_enumeration_order(data):
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    hyper = build_hyper_model(spaces.load_example("identity", n=n), k)
+    width = data.draw(st.integers(min_value=1, max_value=k))
+    # unsorted rows with repeats, as images of padded rows come out
+    rows = data.draw(st.lists(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                       min_size=width, max_size=width),
+                              min_size=1, max_size=8))
+    want = [hyper.hyperpoints.index(canonical(r)) for r in rows]
+    assert hyper.hyper_ids(np.asarray(rows)).tolist() == want
+
+
+def test_hyper_ids_invert_the_member_rows():
+    hyper = build_hyper_model(spaces.load_example("identity", n=7), 3)
+    assert hyper.hyper_ids(hyper.members).tolist() == list(range(hyper.n_points))
+    assert hyper.hyperpoints[:7] == [(x,) for x in range(7)]
