@@ -324,9 +324,18 @@ def identity_isolated(env, tau: float | None = None) -> dict:
 
     Not isolated is the finite-horizon reading of weak rigidity; the witness
     is the smallest returning exponent.
+
+    On an exact envelope the default tau is the model's resolution, the
+    least positive distance between points.  Provided the metric separates
+    points, only f^n = id comes within it, so the closed form answers: the
+    witness is the period when the index is 0, and the identity is isolated
+    otherwise.  Only an explicit tau walks the exponents.
     """
     if isinstance(env, ExactEnvelope):
-        tau = env.model.resolution if tau is None else tau
+        if tau is None:
+            if env.index == 0:
+                return {"isolated": False, "witness": env.period, "weakly_rigid_up_to_horizon": True}
+            return {"isolated": True, "witness": None, "weakly_rigid_up_to_horizon": False}
         ident = env.elements[0].images
         top = env.index + env.period
         for n in range(1, top + 1):

@@ -19,7 +19,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .spaces import CascadeModel, FiniteModel, InvalidParameterError
+from .spaces import CascadeModel, FiniteModel, InvalidParameterError, WindowSampleModel
 
 
 class HyperBudgetError(RuntimeError):
@@ -247,6 +247,11 @@ def induced_step(hyper: HyperCascadeModel, a) -> HyperPoint:
 
 def build_hyper_model(base: CascadeModel, k: int = 3, budget: int = 250_000) -> HyperCascadeModel:
     """The finite-subset hyperspace of ``base``: an exact index table over a
-    finite-exact base, padded raw member arrays over a sampled one."""
+    finite-exact base, padded raw member arrays over a sampled one.  The
+    window carrier has no hyperspace carrier and is refused."""
+    if isinstance(base, WindowSampleModel):
+        raise InvalidParameterError(
+            f"no hyperspace over the window carrier ({base.name}); "
+            "use a finite-exact or sampled base")
     carrier = FiniteHyperModel if isinstance(base, FiniteModel) else SampledHyperModel
     return carrier(base, k, budget=budget)

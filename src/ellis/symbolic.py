@@ -4,9 +4,10 @@ mixing classification, periodic spectra, and sliding-block factor codes.
 Shifts are represented by their languages and graph presentations; no
 infinite sequence is ever materialized.  Subshifts of finite type get a
 higher-block graph (deterministic, trimmed to its essential part), labeled
-graphs are determinized by subset construction for exact word counting, and
-spacing subshifts are expanded to a finite forbidden family with the cutoff
-recorded.
+graphs keep their essential NFA and are determinized by subset construction
+for exact word counting, and spacing subshifts are expanded to a finite
+forbidden family with the cutoff recorded.  Words are read through one
+boolean matrix per symbol over the presentation's states.
 """
 
 from __future__ import annotations
@@ -53,29 +54,52 @@ def _essential_trim(states, edges):
 class _Presentation:
     """Graph presentation driving all exact language computations.
 
-    ``delta`` maps (state, symbol) -> frozenset of successors; ``starts`` is
-    the single start used for deterministic word counting: for SFTs the word
-    itself determines its start state, so counting runs over the block graph;
-    for general labeled graphs we count on the subset automaton instead.
+    ``mats`` holds one boolean matrix M_a per symbol over the walked states:
+    the block graph of an SFT, or the essential NFA of a labeled graph.  A
+    word w acts as the relation R_w = M_w1 ... M_wk, and R_wa = R_w M_a
+    (the transition monoid; Lind & Marcus 1995, Ch. 3), so every language
+    question is one ``read``.  ``adjacency`` is the graph that counting,
+    classification and entropy use: the block graph itself for an SFT, whose
+    words of length >= ``block_length`` fix their path, and the subset
+    automaton (start state 0) for a labeled graph.
     """
 
-    n_states: int
-    delta: dict
-    deterministic: bool
-    block_length: int        # m such that words of length >= m fix their path (SFT); 0 for subset automata
+    n_states: int            # walked states
+    mats: dict               # symbol -> boolean (n_states, n_states) matrix
+    block_length: int        # m of the block graph (SFT); 0 for a labeled graph
     state_words: list | None  # block-graph state words (SFT only)
     adjacency: np.ndarray
 
-    def read(self, state_set: frozenset, word) -> frozenset:
-        cur = state_set
-        for sym in word:
-            nxt = set()
-            for s in cur:
-                nxt |= self.delta.get((s, sym), frozenset())
-            if not nxt:
-                return frozenset()
-            cur = frozenset(nxt)
-        return cur
+    @property
+    def start(self) -> np.ndarray:
+        """The frontier before any symbol is read: every walked state."""
+        return np.ones(self.n_states, dtype=bool)
+
+    @property
+    def step(self) -> np.ndarray:
+        """One symbol of any kind: the union of the M_a."""
+        return np.logical_or.reduce(list(self.mats.values()))
+
+    def read(self, front: np.ndarray, word) -> np.ndarray:
+        """``front`` times M_word: the states reached from a state vector, or
+        the relation R_(u word) from a relation matrix R_u.  A symbol outside
+        the alphabet reads to the empty set."""
+        for a in word:
+            mat = self.mats.get(a)
+            if mat is None:
+                return np.zeros_like(front)
+            front = front @ mat
+        return front
+
+
+def _symbol_matrices(alphabet, alive, edges):
+    """One boolean matrix per symbol of ``alphabet`` over the ``alive`` states
+    from (src, symbol, dst) edges."""
+    remap = {s: i for i, s in enumerate(alive)}
+    mats = {a: np.zeros((len(alive), len(alive)), dtype=bool) for a in alphabet}
+    for s, a, t in edges:
+        mats[a][remap[s], remap[t]] = True
+    return mats
 
 
 def _block_presentation(alphabet, forbidden):
@@ -97,55 +121,35 @@ def _block_presentation(alphabet, forbidden):
                 if v in states:
                     edges.append((i, a, states.index(v)))
     alive, edges = _essential_trim(states, edges)
-    remap = {s: i for i, s in enumerate(alive)}
-    kept_states = [states[s] for s in alive]
-    delta = {}
-    adj = np.zeros((len(alive), len(alive)), dtype=np.int64)
-    for s, a, t in edges:
-        delta.setdefault((remap[s], a), set()).add(remap[t])
-        adj[remap[s], remap[t]] += 1
-    delta = {k: frozenset(v) for k, v in delta.items()}
-    return _Presentation(len(alive), delta, True, m, kept_states, adj)
+    mats = _symbol_matrices(alphabet, alive, edges)
+    adj = np.sum(list(mats.values()), axis=0, dtype=np.int64)
+    return _Presentation(len(alive), mats, m, [states[s] for s in alive], adj)
 
 
-def _subset_presentation(nfa_states, nfa_edges):
-    """Subset automaton from the all-states start of an essential NFA."""
+def _subset_presentation(alphabet, nfa_states, nfa_edges):
+    """Essential NFA of a labeled graph, counted on its subset automaton from
+    the all-states start (found LIFO, symbols in sorted order)."""
     alive, edges = _essential_trim(list(range(nfa_states)), nfa_edges)
-    delta = {}
-    for s, a, t in edges:
-        delta.setdefault((s, a), set()).add(t)
-    symbols = sorted({a for _, a, _ in edges})
-    start = frozenset(alive)
-    subsets = [start]
-    index = {start: 0}
-    trans = {}
-    queue = [start]
+    mats = _symbol_matrices(alphabet, alive, edges)
+    start = np.ones(len(alive), dtype=bool)
+    subsets = {start.tobytes(): 0}
+    pairs = []
+    queue = [(0, start)]
     while queue:
-        cur = queue.pop()
-        for a in symbols:
-            nxt = set()
-            for s in cur:
-                nxt |= delta.get((s, a), set())
-            if not nxt:
+        i, cur = queue.pop()
+        for a in sorted(alphabet):
+            nxt = cur @ mats[a]
+            if not nxt.any():
                 continue
-            nxt = frozenset(nxt)
-            if nxt not in index:
-                index[nxt] = len(subsets)
-                subsets.append(nxt)
-                queue.append(nxt)
-            trans[(index[cur], a)] = frozenset({index[nxt]})
+            key = nxt.tobytes()
+            if key not in subsets:
+                subsets[key] = len(subsets)
+                queue.append((subsets[key], nxt))
+            pairs.append((i, subsets[key]))
     adj = np.zeros((len(subsets), len(subsets)), dtype=np.int64)
-    for (s, _a), ts in trans.items():
-        for t in ts:
-            adj[s, t] += 1
-    nfa_delta = {}
-    for s, a, t in edges:
-        nfa_delta.setdefault((s, a), set()).add(t)
-    nfa_delta = {k: frozenset(v) for k, v in nfa_delta.items()}
-    pres = _Presentation(len(subsets), trans, True, 0, None, adj)
-    pres.nfa_delta = nfa_delta
-    pres.nfa_states = alive
-    return pres
+    for i, j in pairs:
+        adj[i, j] += 1
+    return _Presentation(len(alive), mats, 0, None, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -164,105 +168,55 @@ class Subshift:
     # -- language ------------------------------------------------------------
 
     def words(self, n: int) -> set[str]:
-        if n == 0:
-            return {""}
+        """L_n(X): one level loop over (word, frontier) pairs."""
         p = self.presentation
-        if p.block_length:  # SFT block graph
-            m = p.block_length
-            if n <= m:
-                return {w[:n] for w in p.state_words}
-            out = set()
-
-            def walk(origin, state, suffix):
-                if len(suffix) == n - m:
-                    out.add(origin + suffix)
-                    return
-                for a in self.alphabet:
-                    for t in p.delta.get((state, a), ()):
-                        walk(origin, t, suffix + a)
-
-            for s in range(p.n_states):
-                walk(p.state_words[s], s, "")
-            return out
-        out = set()
-
-        def walk2(state, word):
-            if len(word) == n:
-                out.add(word)
-                return
-            for a in self.alphabet:
-                for t in p.delta.get((state, a), ()):
-                    walk2(t, word + a)
-
-        walk2(0, "")
-        return out
+        layer = {"": p.start}
+        for _ in range(n):
+            layer = {w + a: nxt for w, front in layer.items() for a in self.alphabet
+                     if (nxt := p.read(front, a)).any()}
+        return {w for w, front in layer.items() if front.any()}
 
     def count_words(self, n: int) -> int:
-        if n == 0:
-            return 1
+        """|L_n(X)| as paths of the counting graph: every path of the block
+        graph once n exceeds the block length, the paths from the start of
+        the subset automaton on a labeled graph."""
         p = self.presentation
-        if p.block_length:
-            m = p.block_length
-            if n <= m:
-                return len({w[:n] for w in p.state_words})
-            vec = np.ones(p.n_states, dtype=object)
-            power = np.linalg.matrix_power(p.adjacency.astype(object), n - m)
-            return int(np.ones(p.n_states, dtype=object) @ power @ vec)
-        power = np.linalg.matrix_power(p.adjacency.astype(object), n)
-        return int(power[0].sum())
+        if n == 0:
+            return int(p.start.any())
+        if n <= p.block_length:
+            return len({w[:n] for w in p.state_words})
+        power = np.linalg.matrix_power(p.adjacency.astype(object), n - p.block_length)
+        return int(power.sum() if p.block_length else power[0].sum())
 
     def word_in_language(self, word: str) -> bool:
         p = self.presentation
-        if p.block_length:
-            start = frozenset(range(p.n_states))
-            # words shorter than the block window: prefix of some state word
-            if len(word) <= p.block_length:
-                return any(w.startswith(word) for w in p.state_words)
-            # align: the block graph reads one symbol per edge beyond the window
-            m = p.block_length
-            try:
-                s0 = p.state_words.index(word[:m])
-            except ValueError:
-                return False
-            return bool(p.read(frozenset({s0}), word[m:]))
-        return bool(p.read(frozenset({0}), word))
+        return bool(p.read(p.start, word).any())
 
     def periodic_count(self, n: int) -> int:
-        """Number of points with period dividing n."""
-        p = self.presentation
-        if self.kind in ("forbidden", "edge-graph", "spacing"):
-            return int(np.trace(np.linalg.matrix_power(p.adjacency.astype(object), n)))
-        # sofic: count words w of length n whose periodic extension lies in X
-        count = 0
-        for w in self.words(n):
-            if self._periodic_word_ok(w):
-                count += 1
-        return count
+        """Number of points with period dividing n.
 
-    def _periodic_word_ok(self, w: str) -> bool:
-        # the w-periodic point exists iff the "read w" relation has a cycle
+        An SFT has trace(A^n).  On a labeled graph the w-periodic point exists
+        iff the relation R_w has a cycle, that is iff R_w^S != 0 on S states.
+        So the n-words are counted per distinct relation (R_wa = R_w M_a), and
+        the counts of the relations with a cycle are summed.
+        """
         p = self.presentation
-        nfa = p.nfa_delta
-        states = p.nfa_states
-        idx = {s: i for i, s in enumerate(states)}
-        mat = np.zeros((len(states), len(states)), dtype=bool)
-        for s in states:
-            cur = {s}
-            for a in w:
-                nxt = set()
-                for q in cur:
-                    nxt |= nfa.get((q, a), frozenset())
-                cur = nxt
-                if not cur:
-                    break
-            for t in cur:
-                mat[idx[s], idx[t]] = True
-        power = mat.copy()
-        for _ in range(len(states)):
-            if power.diagonal().any():
-                return True
-            power = power @ mat
-        return False
+        if p.block_length:
+            return int(np.trace(np.linalg.matrix_power(p.adjacency.astype(object), n)))
+        eye = np.eye(p.n_states, dtype=bool)
+        rels = {eye.tobytes(): eye}
+        counts = {eye.tobytes(): 1}
+        for _ in range(n):
+            nxt = {}
+            for key, count in counts.items():
+                for a in self.alphabet:
+                    rel = p.read(rels[key], a)
+                    if rel.any():
+                        rels.setdefault(rel.tobytes(), rel)
+                        nxt[rel.tobytes()] = nxt.get(rel.tobytes(), 0) + count
+            counts = nxt
+        return sum(count for key, count in counts.items()
+                   if np.linalg.matrix_power(rels[key], p.n_states).any())
 
     def to_json(self) -> dict:
         out = {"schema": "ellis.shift/1", "alphabet": list(self.alphabet),
@@ -323,7 +277,7 @@ def build_subshift(spec: dict) -> Subshift:
             if (s, a) in seen:
                 rr = False
             seen.add((s, a))
-        pres = _subset_presentation(len(states), edges)
+        pres = _subset_presentation(symbols, len(states), edges)
         payload = {"states": states, "edges": [list(e) for e in edges_in],
                    "right_resolving": bool(spec.get("right_resolving", rr))}
         return Subshift(tuple(symbols), kind, payload, one_sided, pres)
@@ -357,7 +311,7 @@ def golden_mean_shift() -> Subshift:
     return build_subshift({"kind": "forbidden", "alphabet": ["0", "1"], "forbidden": ["11"]})
 
 
-def even_shift(presentation: str = "labeled") -> Subshift:
+def even_shift() -> Subshift:
     # two-state right-resolving presentation: 1-loops at A, 0-edges A<->B
     return build_subshift({
         "kind": "labeled-graph",
@@ -566,15 +520,36 @@ def apply_block_code(code: SlidingBlockCode, word: str) -> str:
 
 
 def verify_factor(code: SlidingBlockCode, domain: Subshift, codomain: Subshift, n: int) -> bool:
-    """Every domain n-word must map into the codomain's (n - m - a)-language."""
+    """Every domain n-word must map into the codomain's (n - m - a)-language.
+
+    One walk over merged states (last window - 1 symbols, domain frontier,
+    codomain frontier) reads all n-words at once; the code fails when some
+    codomain frontier is empty at depth n.  A window that a domain n-word
+    contains and the rule lacks raises ``RuleUndefinedError``.
+    """
     drop = code.memory + code.anticipation
     if n <= drop:
         raise ShiftSpecError("n must exceed memory + anticipation")
-    for w in domain.words(n):
-        img = apply_block_code(code, w)
-        if not codomain.word_in_language(img):
-            return False
-    return True
+    dom, cod = domain.presentation, codomain.presentation
+    layer = {("", b"", b""): (dom.start, cod.start)}
+    for _ in range(n):
+        nxt = {}
+        for (tail, _, _), (front, image) in layer.items():
+            for a in domain.alphabet:
+                reached = dom.read(front, a)
+                if not reached.any():
+                    continue
+                win = tail + a
+                if len(win) > drop:
+                    if win not in code.rule:
+                        raise RuleUndefinedError(win)
+                    image_a = cod.read(image, code.rule[win])
+                    win = win[1:]
+                else:
+                    image_a = image
+                nxt.setdefault((win, reached.tobytes(), image_a.tobytes()), (reached, image_a))
+        layer = nxt
+    return all(image.any() for _, image in layer.values())
 
 
 def golden_to_even_code() -> SlidingBlockCode:
@@ -621,47 +596,20 @@ def _overlap_meets(shift: Subshift, u: str, v: str, n: int) -> bool:
     return v[:len(overlap)] == overlap and shift.word_in_language(u + v[len(overlap):])
 
 
-def _walk_states(shift: Subshift):
-    """States and successor table that the frontier walks read: the block
-    graph of an SFT, the essential NFA of a sofic shift."""
-    p = shift.presentation
-    if p.block_length:
-        return list(range(p.n_states)), p.delta
-    return list(p.nfa_states), p.nfa_delta
-
-
 def cylinder_hitting(shift: Subshift, u: str, v: str, horizon: int) -> list[int]:
     """n in [1, horizon] such that the shift of cylinder [u] meets [v]."""
-    states, table = _walk_states(shift)
-
-    def read(ss, word):
-        cur = ss
-        for a in word:
-            nxt = set()
-            for s in cur:
-                nxt |= table.get((s, a), frozenset())
-            if not nxt:
-                return frozenset()
-            cur = frozenset(nxt)
-        return cur
-
-    def successors(ss):
-        nxt = set()
-        for s in ss:
-            for a in shift.alphabet:
-                nxt |= table.get((s, a), frozenset())
-        return frozenset(nxt)
-
+    p = shift.presentation
+    step = p.step
     # overlap region: u and v constrain a common window
     out = [n for n in range(1, min(len(u), horizon + 1)) if _overlap_meets(shift, u, v, n)]
     # beyond the overlap: one incremental frontier walk
-    cur = read(frozenset(states), u)
+    cur = p.read(p.start, u)
     for n in range(len(u), horizon + 1):
         if n > len(u):
-            cur = successors(cur)
-        if not cur:
+            cur = cur @ step
+        if not cur.any():
             break
-        if read(cur, v):
+        if p.read(cur, v).any():
             out.append(n)
     return [n for n in out if n >= 1]
 
@@ -671,34 +619,26 @@ def cylinder_tensor(shift: Subshift, words, horizon: int) -> np.ndarray:
     ``cylinder_hitting(shift, words[i], words[j], horizon)`` contains n.
     Row 0 stays false, so the row index is the time.
 
-    With one boolean matrix M_a per symbol over the walked states, reading
-    u from every state gives the row r_u = 1 M_u, the states that can read
-    v give the column b_v = M_v 1, and A = sum M_a is one step of the
-    frontier.  For n >= |u| the hit is r_u A^(n-|u|) b_v > 0, so each time
-    costs one K x S by S x S step of the frontier rows and one K x S by
-    S x K product for all pairs; times inside u keep the merged-word test.
+    With the presentation's matrix M_a per symbol, reading u from every
+    state gives the row r_u = 1 M_u, the states that can read v give the
+    column b_v = M_v 1, and A = sum M_a is one step of the frontier.  For
+    n >= |u| the hit is r_u A^(n-|u|) b_v > 0, so each time costs one
+    K x S by S x S step of the frontier rows and one K x S by S x K product
+    for all pairs; times inside u keep the merged-word test.
     """
-    states, table = _walk_states(shift)
-    pos = {s: i for i, s in enumerate(states)}
-    size = len(states)
-    mats = {a: np.zeros((size, size), dtype=np.float32) for a in shift.alphabet}
-    for (s, a), succ in table.items():
-        for t in succ:
-            mats[a][pos[s], pos[t]] = 1.0
-    zero = np.zeros((size, size), dtype=np.float32)
-    step = sum(mats.values(), zero)
+    p = shift.presentation
+    step = p.step.astype(np.float32)
     k = len(words)
-    first = np.zeros((k, size), dtype=np.float32)
-    last = np.zeros((size, k), dtype=np.float32)
+    first = np.zeros((k, p.n_states), dtype=np.float32)
+    last = np.zeros((p.n_states, k), dtype=np.float32)
+    eye = np.eye(p.n_states, dtype=bool)
     for i, w in enumerate(words):
-        read = np.eye(size, dtype=np.float32)
-        for a in w:
-            read = (read @ mats.get(a, zero) > 0).astype(np.float32)
-        first[i] = read.any(axis=0)
-        last[:, i] = read.any(axis=1)
+        rel = p.read(eye, w)
+        first[i] = rel.any(axis=0)
+        last[:, i] = rel.any(axis=1)
     lengths = np.asarray([len(w) for w in words], dtype=np.int64)
     hits = np.zeros((horizon + 1, k, k), dtype=bool)
-    front = np.zeros((k, size), dtype=np.float32)
+    front = np.zeros((k, p.n_states), dtype=np.float32)
     for n in range(horizon + 1):
         front = (front @ step > 0).astype(np.float32)
         start = lengths == n
@@ -720,7 +660,8 @@ def window_model(shift: Subshift, count: int, radius: int, seed: int = 0,
                  name: str | None = None) -> spaces.WindowSampleModel:
     """Seeded finite sample of ``shift`` as a window phase-space model.
 
-    Sequences are generated by random walks on the presentation graph, then
+    Sequences are generated by random walks on the walked states of the
+    presentation (the block graph, or the essential NFA), then
     padded with the first alphabet symbol outside the window; only binary
     alphabets whose padding symbol is legal make faithful samples, which is
     all this artifact needs.
@@ -735,8 +676,8 @@ def window_model(shift: Subshift, count: int, radius: int, seed: int = 0,
         state = int(rng.integers(0, p.n_states))
         row = []
         while len(row) < width:
-            options = [(a, t) for a in shift.alphabet
-                       for t in p.delta.get((state, a), ())]
+            options = [(a, int(t)) for a in shift.alphabet
+                       for t in np.flatnonzero(p.mats[a][state])]
             if not options:
                 state = int(rng.integers(0, p.n_states))
                 row = []
@@ -750,13 +691,6 @@ def window_model(shift: Subshift, count: int, radius: int, seed: int = 0,
         name or f"window({count})", {"count": count, "radius": radius, "seed": seed},
         bits, radius, pad,
     )
-
-
-def two_shift_window_model(count: int, radius: int, seed: int = 0,
-                           horizon_pad: int = 2) -> spaces.WindowSampleModel:
-    """Full 2-shift sample: iid bits on the window, zero outside."""
-    return spaces.sample_window_model(count=count, radius=radius, seed=seed,
-                                      pad_extra=horizon_pad)
 
 
 def emit_language_csv(shift: Subshift, n_max: int) -> str:

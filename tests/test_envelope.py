@@ -428,6 +428,28 @@ def test_theta_cases_cover_the_catalog():
     assert set(THETA_CASES) == set(spaces.CATALOG)
 
 
+@pytest.mark.parametrize("name", sorted(n for n, (_, c) in THETA_CASES.items() if c is None))
+def test_closed_form_identity_isolation_matches_exponent_loop_on_catalog(name):
+    # oracle: the per-exponent loop that an explicit tau still runs
+    model = spaces.load_example(name, **THETA_CASES[name][0])
+    for carrier in (model, hyperspace.build_hyper_model(model, 2)):
+        env = exact_envelope(carrier)
+        assert identity_isolated(env) == identity_isolated(env, carrier.resolution)
+
+
+@given(st.data())
+def test_closed_form_identity_isolation_matches_exponent_loop_on_random_maps(data):
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    if data.draw(st.booleans()):
+        perm = data.draw(st.permutations(range(n)))
+        model = finite(perm, np.argsort(perm))
+    else:
+        model = finite(data.draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                          min_size=n, max_size=n)))
+    env = exact_envelope(model)
+    assert identity_isolated(env) == identity_isolated(env, model.resolution)
+
+
 @pytest.mark.parametrize("name", sorted(THETA_CASES))
 def test_theta_is_the_identity_on_every_catalog_model(name):
     params, clustering = THETA_CASES[name]

@@ -109,6 +109,13 @@ def test_budget_error():
         build_hyper_model(m, 3, budget=1000)
 
 
+def test_window_base_is_refused():
+    # neither hyperspace carrier can hold window images; refuse at build time
+    window = spaces.sample_window_model(count=5, radius=3)
+    with pytest.raises(spaces.InvalidParameterError, match="window carrier"):
+        build_hyper_model(window, 2)
+
+
 def test_induced_step_examples():
     ident = spaces.load_example("identity", n=4)
     hyper = build_hyper_model(ident, 2)

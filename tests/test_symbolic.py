@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -63,6 +64,59 @@ def full2_least_periods(n_max):
         if count:
             out[n] = count
     return out
+
+
+def periodic_points_by_words(spec, n):
+    # the per-word loop: every word w of length n over the alphabet whose
+    # periodic point w^inf avoids the forbidden family (SFT), or whose "read
+    # w" relation on the labeled graph has a cycle (sofic)
+    alphabet = sorted(spec["alphabet"]) if "alphabet" in spec else sorted(
+        {a for _, a, _ in spec["edges"]})
+    count = 0
+    for w in map("".join, itertools.product(alphabet, repeat=n)):
+        if spec["kind"] == "forbidden":
+            count += not any(f in w * (len(f) // n + 2) for f in spec["forbidden"])
+        else:
+            count += periodic_word_ok(spec["states"], spec["edges"], w)
+    return count
+
+
+def periodic_word_ok(states, edges, w):
+    # the w-periodic point exists iff the "read w" relation has a cycle
+    mat = np.zeros((len(states), len(states)), dtype=bool)
+    for i, s in enumerate(states):
+        cur = {s}
+        for a in w:
+            cur = {t for q, b, t in edges if q in cur and b == a}
+        for t in cur:
+            mat[i, states.index(t)] = True
+    power = mat.copy()
+    for _ in range(len(states)):
+        if power.diagonal().any():
+            return True
+        power = power @ mat
+    return False
+
+
+def verify_factor_by_words(code, domain, codomain, n):
+    # the per-word loop: map every domain n-word, then read every image
+    images = [apply_block_code(code, w) for w in sorted(domain.words(n))]
+    return all(codomain.word_in_language(img) for img in images)
+
+
+# random forbidden-word SFTs over 01 / 012 and random 4-state labeled graphs
+sft_specs = st.builds(
+    lambda alphabet, forbidden: {
+        "kind": "forbidden", "alphabet": list(alphabet),
+        "forbidden": sorted(w for w in forbidden if set(w) <= set(alphabet))},
+    st.sampled_from(["01", "012"]),
+    st.sets(st.text(alphabet="012", min_size=1, max_size=3), max_size=5))
+sofic_specs = st.builds(
+    lambda edges: {"kind": "labeled-graph", "states": list("ABCD"),
+                   "edges": [["ABCD"[s], a, "ABCD"[t]] for s, a, t in edges]},
+    st.lists(st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from("01"),
+                       st.integers(min_value=0, max_value=3)), min_size=1, max_size=8))
+shift_specs = sft_specs | sofic_specs
 
 
 # -- construction -----------------------------------------------------------
@@ -264,6 +318,41 @@ def test_verify_factor_range():
     assert not verify_factor(bad, golden, even, 6)
 
 
+def test_verify_factor_raises_on_a_missing_window():
+    golden, even = golden_mean_shift(), even_shift()
+    # "10" occurs in the golden mean shift; "11" does not and may be left out
+    lacks_10 = symbolic.SlidingBlockCode(0, 1, {"00": "1", "01": "0"})
+    with pytest.raises(RuleUndefinedError):
+        verify_factor(lacks_10, golden, even, 6)
+    # the raise does not depend on whether some other word fails first
+    lacks_10_and_wrong = symbolic.SlidingBlockCode(0, 1, {"00": "1", "01": "1"})
+    for n in range(2, 8):
+        with pytest.raises(RuleUndefinedError):
+            verify_factor(lacks_10_and_wrong, golden, even, n)
+
+
+@given(shift_specs, shift_specs, st.data())
+def test_verify_factor_matches_per_word_oracle(dom_spec, cod_spec, data):
+    domain, codomain = build_subshift(dom_spec), build_subshift(cod_spec)
+    memory = data.draw(st.integers(min_value=0, max_value=2))
+    anticipation = data.draw(st.integers(min_value=0, max_value=2 - memory))
+    window = memory + anticipation + 1
+    windows = ["".join(t) for t in itertools.product(domain.alphabet, repeat=window)]
+    outputs = data.draw(st.lists(st.sampled_from(codomain.alphabet),
+                                 min_size=len(windows), max_size=len(windows)))
+    missing = data.draw(st.sets(st.sampled_from(windows), max_size=2) | st.just(set()))
+    code = symbolic.SlidingBlockCode(memory, anticipation, {
+        w: out for w, out in zip(windows, outputs) if w not in missing})
+    n = data.draw(st.integers(min_value=window, max_value=window + 4))
+    try:
+        expected = verify_factor_by_words(code, domain, codomain, n)
+    except RuleUndefinedError:
+        with pytest.raises(RuleUndefinedError):
+            verify_factor(code, domain, codomain, n)
+        return
+    assert verify_factor(code, domain, codomain, n) == expected
+
+
 def test_cylinder_metric():
     same = cylinder_metric("01010", "01010")
     assert same["distance"] == 0.0 and same["indistinguishable_at_horizon"]
@@ -348,3 +437,27 @@ def test_sft_language_count_agreement(forbidden):
                             "forbidden": sorted(forbidden)})
     for n in range(1, 9):
         assert len(shift.words(n)) == shift.count_words(n)
+
+
+@given(shift_specs)
+def test_periodic_count_matches_per_word_oracle(spec):
+    shift = build_subshift(spec)
+    for n in range(1, 9):
+        assert shift.periodic_count(n) == periodic_points_by_words(spec, n), n
+
+
+@given(shift_specs)
+def test_word_in_language_matches_words(spec):
+    # every word up to length 4, plus words with a symbol outside the alphabet
+    shift = build_subshift(spec)
+    for n in range(5):
+        language_n = shift.words(n)
+        for w in map("".join, itertools.product(shift.alphabet + ("x",), repeat=n)):
+            assert shift.word_in_language(w) == (w in language_n), w
+
+
+@given(sofic_specs)
+def test_sofic_count_words_matches_words(spec):
+    shift = build_subshift(spec)
+    for n in range(9):
+        assert shift.count_words(n) == len(shift.words(n)), n
