@@ -26,11 +26,18 @@ from .spaces import (CascadeModel, FiniteModel, InvalidParameterError, NegativeP
 
 
 class EnvelopeBudgetError(RuntimeError):
-    """An envelope would exceed its size budget."""
+    """An envelope or a distance matrix would exceed its cell budget."""
 
 
-# int64 cells an exact envelope may hold in its maps and table together (1 GiB)
+# cells one exact envelope (its int64 maps and table together) or one float64
+# distance matrix may hold: 1 GiB
 CELL_BUDGET = 2 ** 27
+
+
+def check_cells(cells: int, what: str) -> None:
+    """Refuse, before allocating, an array of more than ``CELL_BUDGET`` cells."""
+    if cells > CELL_BUDGET:
+        raise EnvelopeBudgetError(f"{what} needs {cells} cells, over the budget of {CELL_BUDGET}")
 
 
 @dataclass
@@ -116,10 +123,7 @@ class ExactEnvelope(_EnvelopeBase):
         self.index = int(tail.max())
         self.period = math.lcm(*set(length.tolist()))
         size, n = self.index + self.period, model.n_points
-        if size * (size + n) > CELL_BUDGET:
-            raise EnvelopeBudgetError(
-                f"exact envelope of {size} elements over {n} points needs "
-                f"{size * (size + n)} int64 cells, over the budget of {CELL_BUDGET}")
+        check_cells(size * (size + n), f"exact envelope of {size} elements over {n} points")
         maps = np.empty((size, n), dtype=np.int64)
         maps[0] = np.arange(n)
         for k in range(1, size):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .spaces import CascadeModel, FiniteModel, InvalidParameterError, cycle_structure
+from .spaces import CascadeModel, FiniteModel, InvalidParameterError, cycle_structure, row_blocks
 from .symbolic import Subshift, cylinder_hitting, cylinder_tensor
 from .hyperspace import build_hyper_model
 from . import envelope as envelope_mod
@@ -77,11 +77,13 @@ def cylinder(word: str) -> OpenSet:
 
 
 def full_distance_matrix(model: CascadeModel) -> np.ndarray:
+    """All N^2 sample distances, filled block by block through the carrier's
+    ``distance_rows``; refused before allocating over ``CELL_BUDGET`` cells."""
     n = model.n_points
-    idx = np.arange(n)
+    envelope_mod.check_cells(n * n, f"distance matrix of {model.name} ({n} points)")
     out = np.empty((n, n))
-    for i in range(n):
-        out[i] = model.point_dist(np.full(n, i), idx)
+    for rows in row_blocks(n, n):
+        out[rows[0]:rows[-1] + 1] = model.distance_rows(rows)
     return out
 
 
@@ -509,39 +511,46 @@ def rigidity_battery(model: CascadeModel, horizon: int, tau: float,
 
 
 def recurrence_report(model: CascadeModel, horizon: int, tau: float) -> dict:
-    """Per-point recurrence flags at tolerance tau."""
+    """Per-point recurrence flags at tolerance tau.
+
+    x is nonwandering when some n <= horizon brings a point y of its tau-ball
+    within tau of x; the ball pairs (x, y) are compared once per iterate, in
+    blocks of rows that hold at most N pairs each.
+    Essential nonwandering asks that every n from some start on hits, which
+    holds exactly when n = horizon hits.
+    """
     r = _point_return_matrix(model, horizon, tau)
     n_pts = model.n_points
-    dist = full_distance_matrix(model)
-    points = []
-    for x in range(n_pts):
-        returns = [int(n) for n in range(1, horizon + 1) if r[n, x]]
-        recurrent = len(returns) >= 2
-        ball_idx = np.nonzero(dist[x] <= tau)[0]
-        hit_ns = []
+    ball = full_distance_matrix(model) <= tau
+    counts = ball.sum(axis=1)
+    ends = np.cumsum(counts)
+    ident = model.iterate_images(0)
+    hit = np.zeros((horizon + 1, n_pts), dtype=bool)
+    lo = 0
+    while lo < n_pts:
+        # rows lo..hi-1 hold at most n_pts ball pairs, as many as one ball
+        # may: no call compares more pairs than the per-point loop did
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + n_pts, "right")))
+        xs, ys = np.nonzero(ball[lo:hi])
+        xs += lo
+        at_x = model.apply_to_indices(ident, xs)
         for n in range(1, horizon + 1):
-            sub = model.apply_to_indices(model.iterate_images(n), ball_idx)
-            if (model.image_point_dist(sub, x) <= tau).any():
-                hit_ns.append(n)
-        nonwandering = bool(hit_ns)
-        essentially = False
-        if hit_ns:
-            have = set(hit_ns)
-            for start in range(1, horizon + 1):
-                if all(m in have for m in range(start, horizon + 1)):
-                    essentially = True
-                    break
-        gaps = None
-        if returns:
-            seq = [0] + returns
-            gaps = max(b - a for a, b in zip(seq, seq[1:]))
-        points.append({
-            "point": x,
-            "recurrent": recurrent,
-            "nonwandering": nonwandering,
-            "essentially_nonwandering": essentially,
-            "almost_periodic_gap": gaps if recurrent else None,
-        })
+            sub = model.apply_to_indices(model.iterate_images(n), ys)
+            hit[n, xs[model.image_pair_dist(sub, at_x) <= tau]] = True
+        lo = hi
+    nonwandering = hit[1:].any(axis=0)
+    returns = r[1:].sum(axis=0)
+    # gap before each return: its time minus the latest return before it
+    times = np.arange(horizon + 1)[:, None]
+    latest = np.maximum.accumulate(np.where(r, times, 0), axis=0)
+    gaps = np.where(r[1:], times[1:] - latest[:-1], 0).max(axis=0, initial=0)
+    points = [{
+        "point": x,
+        "recurrent": bool(returns[x] >= 2),
+        "nonwandering": bool(nonwandering[x]),
+        "essentially_nonwandering": bool(hit[horizon, x]),
+        "almost_periodic_gap": int(gaps[x]) if returns[x] >= 2 else None,
+    } for x in range(n_pts)]
     return {"horizon": horizon, "tau": tau, "points": points}
 
 

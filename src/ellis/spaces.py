@@ -31,6 +31,10 @@ PointId = int
 # under glibc's 128 KiB threshold for serving an allocation by a fresh mmap
 SUP_CHUNK = 8192
 
+# cells per row block of a float64 temporary (128 KiB), so that a block and
+# the reductions over it stay in cache
+BLOCK_CELLS = 1 << 14
+
 
 class UnknownExampleError(KeyError):
     """Requested catalog name does not exist."""
@@ -53,6 +57,13 @@ def _circ2(a, b):
     # arc distance on a circle of circumference 2 parametrized by [-1, 1]
     d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
     return np.minimum(d, 2.0 - d)
+
+
+def row_blocks(count: int, width: int) -> list[np.ndarray]:
+    """Consecutive blocks of the row ids 0..count-1, each block of rows of
+    ``width`` cells holding about ``BLOCK_CELLS`` cells."""
+    step = max(1, BLOCK_CELLS // max(1, width))
+    return [np.arange(lo, min(count, lo + step)) for lo in range(0, count, step)]
 
 
 def cycle_structure(table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,6 +134,17 @@ class CascadeModel:
     def point_dist(self, a, b):
         """Vectorized metric between sample-point index arrays."""
         raise NotImplementedError
+
+    def distance_rows(self, rows) -> np.ndarray:
+        """Distances from each point of ``rows`` to every sample point, one
+        ``point_dist`` call per row: a whole block in one call runs slower,
+        bound by memory bandwidth."""
+        n = self.n_points
+        idx = np.arange(n)
+        out = np.empty((len(rows), n))
+        for r, i in enumerate(rows):
+            out[r] = self.point_dist(np.full(n, i), idx)
+        return out
 
     def metric(self, a: PointId, b: PointId) -> float:
         if not (0 <= a < self.n_points and 0 <= b < self.n_points):
@@ -242,11 +264,9 @@ class FiniteModel(CascadeModel):
         return self._dist_fn(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
 
     def _scan_scale(self):
-        n = self.n_points
-        idx = np.arange(n)
         res, diam = math.inf, 0.0
-        for i in range(n):
-            d = self.point_dist(np.full(n, i), idx)
+        for rows in row_blocks(self.n_points, self.n_points):
+            d = self.distance_rows(rows)
             pos = d[d > 0]
             if pos.size:
                 res = min(res, float(pos.min()))

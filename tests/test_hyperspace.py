@@ -1,10 +1,11 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ellis import hyperspace, spaces
+from ellis import envelope, hyperspace, properties, spaces
 from ellis.hyperspace import (
     HyperBudgetError,
     build_hyper_model,
@@ -229,3 +230,93 @@ def test_hyper_ids_invert_the_member_rows():
     hyper = build_hyper_model(spaces.load_example("identity", n=7), 3)
     assert hyper.hyper_ids(hyper.members).tolist() == list(range(hyper.n_points))
     assert hyper.hyperpoints[:7] == [(x,) for x in range(7)]
+
+
+# -- Hausdorff distances gathered from the base distance matrix -----------------------
+
+
+def member_path(hyper, a, b):
+    # the path before the base distance matrix: one base distance call on
+    # every member pair of the padded identity images
+    base = hyper.base
+    ident = base.iterate_images(0)
+    return hyper._member_hausdorff(base.apply_to_indices(ident, hyper.members[a]),
+                                   base.apply_to_indices(ident, hyper.members[b]))
+
+
+def random_finite_base(kind, coords, table):
+    c = np.asarray(coords)
+    metrics = {
+        "interval": lambda a, b: np.abs(c[a] - c[b]),
+        "circle": lambda a, b: spaces._minarc(c[a], c[b]),
+        # not symmetric: the closed form must not assume D = D^T
+        "asymmetric": lambda a, b: 2.0 * np.maximum(c[b] - c[a], 0.0) + np.maximum(c[a] - c[b], 0.0),
+    }
+    return spaces.FiniteModel(f"random-{kind}", {}, c, metrics[kind], table, None, kind)
+
+
+@st.composite
+def hyper_bases(draw):
+    kind = draw(st.sampled_from(["interval", "circle", "asymmetric", "rotation", "square-map"]))
+    k = draw(st.integers(min_value=1, max_value=3))
+    if kind == "rotation":
+        return build_hyper_model(spaces.load_example("irrational-rotation",
+                                                     grid=draw(st.integers(3, 12))), k)
+    if kind == "square-map":
+        return build_hyper_model(spaces.load_example("square-map", grid=11), k)
+    n = draw(st.integers(min_value=1, max_value=9))
+    top = 6.283185307179586 if kind == "circle" else 1.0
+    # few distinct values, so that ties and zero distances between points occur
+    coords = draw(st.lists(st.sampled_from(np.linspace(0.0, top, 7).tolist()) | st.floats(0.0, top),
+                           min_size=n, max_size=n))
+    table = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return build_hyper_model(random_finite_base(kind, coords, table), k)
+
+
+@given(hyper_bases(), st.data())
+def test_hausdorff_from_the_base_matrix_matches_both_oracles(hyper, data):
+    n = hyper.n_points
+    rows = np.arange(n)
+    full = hyper.distance_rows(rows)
+    ii, jj = (v.ravel() for v in np.meshgrid(rows, rows, indexing="ij"))
+    # whole rows, pairs and the old member path agree bit for bit
+    assert np.array_equal(hyper.pairwise_hausdorff(ii, jj), full.ravel())
+    assert np.array_equal(member_path(hyper, ii, jj), full.ravel())
+    assert np.array_equal(properties.full_distance_matrix(hyper), full)
+    # any rows, in any order and with repeats
+    some = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    assert np.array_equal(hyper.distance_rows(some), full[some])
+    # the direct sup-min over member pairs, on drawn pairs
+    points = hyper.hyperpoints
+    for i, j in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   min_size=1, max_size=20)):
+        assert full[i, j] == brute_hausdorff(hyper.base.metric, points[i], points[j])
+
+
+def test_base_distance_matrix_is_built_once_and_budgeted():
+    hyper = build_hyper_model(spaces.load_example("irrational-rotation", grid=10), 2)
+    d = hyper.base_dist
+    hyper.pairwise_hausdorff([3, 4], [20, 30])
+    hyper.distance_rows([0, 1])
+    assert hyper.base_dist is d
+    assert np.array_equal(d, properties.full_distance_matrix(hyper.base))
+    # a k = 1 hyperspace over more than sqrt(CELL_BUDGET / 2) ~ 8.2k points
+    # cannot hold D and C: whole rows are refused at once, while a few pairs
+    # still take the base metric on their member pairs and never build D
+    big = build_hyper_model(spaces.load_example("square-map", grid=8_193), 1)
+    start = time.perf_counter()
+    with pytest.raises(envelope.EnvelopeBudgetError, match="base distance matrix"):
+        big.distance_rows([0])
+    assert time.perf_counter() - start < 1.0
+    assert np.array_equal(big.point_dist([0, 5], [1, 8]), member_path(big, [0, 5], [1, 8]))
+    assert big._base_dist is None
+
+
+def test_small_queries_skip_the_base_matrix_until_it_is_built():
+    hyper = build_hyper_model(spaces.load_example("irrational-rotation", grid=10), 2)
+    pairs = (np.arange(20), np.arange(20)[::-1])
+    few = hyper.pairwise_hausdorff(*pairs)
+    assert hyper._base_dist is None
+    hyper.pairwise_hausdorff(np.zeros(25, dtype=int), np.arange(25))   # k^2 P = N_base^2
+    assert hyper._base_dist is not None
+    assert np.array_equal(hyper.pairwise_hausdorff(*pairs), few)

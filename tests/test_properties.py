@@ -1,10 +1,13 @@
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ellis import algebra, cli, envelope, properties, spaces, symbolic
+from ellis.hyperspace import build_hyper_model
 from ellis.properties import (
     OpenSet,
     ball,
@@ -352,6 +355,48 @@ def test_radial_slice_not_equicontinuous_in_orbit_closure():
     assert rep["orbit_size"] == 32
 
 
+def dense_distance_matrix(model):
+    # reference: one point_dist call per row, as the matrix was filled before
+    # carriers answered whole rows
+    n = model.n_points
+    return np.stack([model.point_dist(np.full(n, i), np.arange(n)) for i in range(n)])
+
+
+HYPER_CATALOG = [
+    ("square-map", {"grid": 21}, 2, 40),
+    ("square-map", {"grid": 9}, 3, 20),
+    ("irrational-rotation", {"grid": 36}, 2, 80),
+    ("double-circle-rotation", {"grid": 12}, 2, 40),
+    ("dyadic-circle-stack", {"levels": 3, "mult": 2}, 2, 64),
+    ("periodic-stack", {"n": 2, "truncate": 6}, 2, 30),
+    ("annulus-skew", {"radial": 1, "grid": 8}, 2, 30),
+]
+
+
+@pytest.mark.parametrize("name,params,k,horizon", HYPER_CATALOG,
+                         ids=[f"{c[0]}-k{c[2]}" for c in HYPER_CATALOG])
+def test_hyper_equicontinuity_scan_matches_dense_reference(monkeypatch, name, params, k, horizon):
+    hyper = build_hyper_model(spaces.load_example(name, **params), k)
+    dense = dense_distance_matrix(hyper)
+    assert np.array_equal(properties.full_distance_matrix(hyper), dense)
+    eps = [hyper.diameter / 8, hyper.diameter / 4]
+    got = equicontinuity_scan(hyper, eps, horizon)
+    monkeypatch.setattr(properties, "full_distance_matrix", dense_distance_matrix)
+    assert equicontinuity_scan(hyper, eps, horizon) == got
+
+
+@pytest.mark.parametrize("name,params", [
+    ("annulus-skew", {}),                # 31,878 hyperpoints: 8.1 GB
+    ("square-map", {"grid": 301}),       # 45,451 hyperpoints: 16.5 GB
+])
+def test_hyper_distance_matrix_over_budget_is_refused_at_once(name, params):
+    base = spaces.load_example(name, **params)
+    start = time.perf_counter()
+    with pytest.raises(envelope.EnvelopeBudgetError, match="distance matrix"):
+        hyper_equicontinuity_crosscheck(base, 2, [0.5], 40)
+    assert time.perf_counter() - start < 1.0
+
+
 # -- rigidity ---------------------------------------------------------------------------
 
 
@@ -458,6 +503,80 @@ def test_recurrence_periodic_stack():
             assert entry["almost_periodic_gap"] == 3
         elif abs(k) <= 4:
             assert not entry["nonwandering"]
+
+
+def reference_recurrence_report(model, horizon, tau):
+    # the per-point loop: one image_point_dist call per point and iterate
+    r = properties._point_return_matrix(model, horizon, tau)
+    dist = dense_distance_matrix(model)
+    points = []
+    for x in range(model.n_points):
+        returns = [int(n) for n in range(1, horizon + 1) if r[n, x]]
+        recurrent = len(returns) >= 2
+        ball_idx = np.nonzero(dist[x] <= tau)[0]
+        hit_ns = []
+        for n in range(1, horizon + 1):
+            sub = model.apply_to_indices(model.iterate_images(n), ball_idx)
+            if (model.image_point_dist(sub, x) <= tau).any():
+                hit_ns.append(n)
+        essentially = False
+        if hit_ns:
+            have = set(hit_ns)
+            for start in range(1, horizon + 1):
+                if all(m in have for m in range(start, horizon + 1)):
+                    essentially = True
+                    break
+        gaps = None
+        if returns:
+            seq = [0] + returns
+            gaps = max(b - a for a, b in zip(seq, seq[1:]))
+        points.append({
+            "point": x,
+            "recurrent": recurrent,
+            "nonwandering": bool(hit_ns),
+            "essentially_nonwandering": essentially,
+            "almost_periodic_gap": gaps if recurrent else None,
+        })
+    return {"horizon": horizon, "tau": tau, "points": points}
+
+
+RECURRENCE_CARRIERS = {
+    "finite": lambda: spaces.load_example("periodic-stack", n=3, truncate=6),
+    "finite-random": lambda: finite([3, 0, 0, 5, 2, 4, 6, 6]),
+    "sampled": lambda: spaces.load_example("square-map", grid=41),
+    "neg-cube": lambda: spaces.load_example("neg-cube", grid=31),
+    "finite-hyper": lambda: build_hyper_model(
+        spaces.load_example("dyadic-circle-stack", levels=2, mult=1), 2),
+    "sampled-hyper": lambda: build_hyper_model(spaces.load_example("square-map", grid=9), 2),
+    "window": lambda: spaces.sample_window_model(count=24, radius=6, seed=2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(RECURRENCE_CARRIERS))
+def recurrence_model(request):
+    return RECURRENCE_CARRIERS[request.param]()
+
+
+@given(st.integers(min_value=0, max_value=24),
+       st.sampled_from([0.0, 0.01, 0.05, 0.13, 0.3, 0.5, 1.0]))
+def test_recurrence_report_matches_per_point_loop(recurrence_model, horizon, tau):
+    got = recurrence_report(recurrence_model, horizon, tau)
+    # json.dumps rejects numpy scalars, so this also pins plain Python types
+    assert json.dumps(got) == json.dumps(reference_recurrence_report(recurrence_model, horizon, tau))
+
+
+def test_recurrence_ball_pairs_are_compared_in_bounded_blocks():
+    # at tau 0.4 a window sample of 400 points has about 20k ball pairs, each
+    # image 805 symbols wide: all pairs in one call held about 65 MB of
+    # temporaries, blocks of at most 400 pairs hold under 3 MB
+    model = spaces.sample_window_model(count=400, radius=400, seed=3)
+    tracemalloc.start()
+    try:
+        recurrence_report(model, 3, 0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 # -- WAP proxy and semiflows -------------------------------------------------------------
