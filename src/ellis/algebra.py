@@ -1,15 +1,21 @@
-"""Finite right-topological semigroup analysis over composition tables.
+"""Finite right-topological semigroup analysis.
 
-Exact tables (from finite-exact envelopes) are validated strictly; tables
-with snap error (approximate envelopes) run every check in report mode,
-since tolerance identification can break associativity at the resolution
-boundary.
+The envelope of a finite-exact model (base or hyperspace) is the monogenic
+monoid {f^0, ..., f^(index+period-1)} with f^i f^j = f^fold(i+j); index and
+period determine its idempotents, minimal left ideals, kernel and groups
+(Clifford & Preston 1961, Section 1.6; Howie 1995, Ch. 1), so
+``MonogenicMonoid`` answers them in O(size) and builds its table only when
+something reads it.  ``FiniteSemigroup`` analyses an explicit composition
+table: approximate envelopes, whose snap error can break associativity at
+the resolution boundary, run every check in report mode; user tables are
+validated strictly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,13 +83,56 @@ class FiniteSemigroup:
                    doc.get("generator"), doc.get("source", "table"))
 
 
-def from_envelope(env) -> FiniteSemigroup:
-    if env.table is None or (env.table < 0).any():
-        raise TableError("envelope has no closed composition table")
+@dataclass(frozen=True)
+class MonogenicMonoid:
+    """The iterate monoid {f^0, ..., f^(size-1)} of a map of this index and
+    period, f^i f^j = f^fold(i+j); associative by construction."""
+
+    index: int
+    period: int
+    identity = 0
+
+    @property
+    def size(self) -> int:
+        return self.index + self.period
+
+    @property
+    def generator(self) -> int:
+        return 1 if self.size > 1 else 0
+
+    @property
+    def kernel(self) -> tuple:
+        """The cycle part, a cyclic group: the one minimal (left) ideal."""
+        return tuple(range(self.index, self.size))
+
+    @property
+    def cycle_idempotent(self) -> int:
+        """f^m, m the least multiple of the period that is >= index: the
+        identity of the kernel."""
+        return -(-self.index // self.period) * self.period
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        from .envelope import check_cells
+
+        size = self.size
+        check_cells(size * size, f"the table of an exact envelope of {size} elements")
+        # fold(i + j), in place so the table is the only size**2 array
+        r = np.arange(size, dtype=np.int64)
+        table = np.add.outer(r - self.index, r)
+        np.remainder(table, self.period, out=table, where=table >= 0)
+        table += self.index
+        return table
+
+
+def from_envelope(env) -> FiniteSemigroup | MonogenicMonoid:
     from .envelope import ExactEnvelope
 
-    source = "exact" if isinstance(env, ExactEnvelope) else "approx"
-    return FiniteSemigroup(env.table, env.identity_index, env.generator_index, source)
+    if isinstance(env, ExactEnvelope):
+        return env.monoid
+    if env.table is None or (env.table < 0).any():
+        raise TableError("envelope has no closed composition table")
+    return FiniteSemigroup(env.table, env.identity_index, env.generator_index, "approx")
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +140,18 @@ def from_envelope(env) -> FiniteSemigroup:
 # ---------------------------------------------------------------------------
 
 
-def idempotents(s: FiniteSemigroup) -> list[int]:
+def idempotents(s: FiniteSemigroup | MonogenicMonoid) -> list[int]:
+    if isinstance(s, MonogenicMonoid):
+        return sorted({s.identity, s.cycle_idempotent})
     t = s.table
     return [int(i) for i in range(s.size) if t[i, i] == i]
 
 
-def minimal_left_ideals(s: FiniteSemigroup) -> list[tuple[int, ...]]:
+def minimal_left_ideals(s: FiniteSemigroup | MonogenicMonoid) -> list[tuple[int, ...]]:
     """Inclusion-minimal principal left ideals S.a (with a adjoined): S.b is
     a proper subset of S.a when they share |S.b| elements and |S.b| < |S.a|."""
+    if isinstance(s, MonogenicMonoid):
+        return [s.kernel]
     n = s.size
     member = np.zeros((n, n), dtype=bool)
     member[np.arange(n)[:, None], s.table.T] = True
@@ -122,7 +175,11 @@ class IdealDecomposition:
     ideals_have_idempotents: bool
 
 
-def kernel_and_groups(s: FiniteSemigroup) -> IdealDecomposition:
+def kernel_and_groups(s: FiniteSemigroup | MonogenicMonoid) -> IdealDecomposition:
+    if isinstance(s, MonogenicMonoid):
+        # one ideal, the kernel, a cyclic group of order period around f^m
+        k, m = s.kernel, s.cycle_idempotent
+        return IdealDecomposition([k], [(m,)], {(k, m): k}, k, True, True, True)
     t = s.table
     ideals = minimal_left_ideals(s)
     idem = set(idempotents(s))
@@ -277,6 +334,16 @@ def proximal_structure(model, env) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _generator_cycles(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``cycle_structure`` of left multiplication by the generator; in a
+    monogenic monoid f^k is index - k steps from the kernel, one cycle of
+    length period whose least element is f^index."""
+    if isinstance(s, MonogenicMonoid):
+        k = np.arange(s.size, dtype=np.int64)
+        return np.maximum(s.index - k, 0), np.full_like(k, s.period), np.full_like(k, s.index)
+    return cycle_structure(s.table[s.generator])
+
+
 def periodic_element_analysis(env) -> dict:
     """Periodic points of the envelope under left multiplication by the
     generator: their common period, whether each orbit is a minimal left
@@ -285,7 +352,7 @@ def periodic_element_analysis(env) -> dict:
     if s.generator is None:
         raise TableError("envelope has no generator element")
     ideals = {frozenset(i) for i in minimal_left_ideals(s)}
-    tail, length, root = cycle_structure(s.table[s.generator])
+    tail, length, root = _generator_cycles(s)
     on_cycle = tail == 0
     periodic = np.flatnonzero(on_cycle).tolist()
     periods = sorted(set(length[on_cycle].tolist()))
@@ -316,7 +383,7 @@ def recurrent_idempotent_check(env, horizon: int | None = None) -> dict:
         raise TableError("envelope has no generator element")
     horizon = horizon or s.size + 1
     # u returns to itself first after length[u] steps if it is on a cycle
-    tail, length, _ = cycle_structure(s.table[s.generator])
+    tail, length, _ = _generator_cycles(s)
     report = {u: int(length[u]) if tail[u] == 0 and length[u] <= horizon else None
               for u in idempotents(s)}
     iso = identity_isolated(env)
@@ -338,7 +405,9 @@ def run_equivalence_corpus(count: int = 500, max_points: int = 8, seed: int = 7,
                            power_ns=(2, 3)) -> dict:
     """Exercise the theorem equivalences on random finite-exact models.
 
-    Checks, per model: group <=> unique idempotent = identity <=> no
+    Checks, per model: the closed-form idempotents and minimal left ideals
+    of the monogenic monoid equal those the generic path reads from the
+    strict table; group <=> unique idempotent = identity <=> no
     nontrivial proximal pair; unique minimal left ideal <=> proximality
     transitive; minimal-ideal pairs isomorphic; power decomposition; an
     idempotent exists; distal consequences (pointwise almost periodic orbits
@@ -366,10 +435,15 @@ def run_equivalence_corpus(count: int = 500, max_points: int = 8, seed: int = 7,
         model = FiniteModel(f"corpus-{trial}", {"seed": seed}, coords, dist,
                             table, inverse, "interval")
         env = exact_envelope(model)
-        s = from_envelope(env)
+        # the generic path over the table is the oracle of the closed form
+        s = FiniteSemigroup(env.table, env.identity_index, env.generator_index, "exact")
         idem = idempotents(s)
+        ideals = minimal_left_ideals(s)
         if not idem:
             violations.append((trial, "nakamura"))
+        monoid = from_envelope(env)
+        if idem != idempotents(monoid) or ideals != minimal_left_ideals(monoid):
+            violations.append((trial, "monogenic-closed-form"))
         gd = is_group_distal(s)
         prox = proximal_structure(model, env)
         no_pairs = prox["pair_count"] == 0
@@ -377,7 +451,6 @@ def run_equivalence_corpus(count: int = 500, max_points: int = 8, seed: int = 7,
             violations.append((trial, "distal-equivalences"))
         if not prox["theorem_er_consistent"]:
             violations.append((trial, "unique-ideal-vs-transitivity"))
-        ideals = minimal_left_ideals(s)
         for a in range(len(ideals)):
             for b in range(len(ideals)):
                 res = ideal_isomorphism_check(s, ideals[a], ideals[b])

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
+from .algebra import MonogenicMonoid
 from .spaces import (CascadeModel, FiniteModel, InvalidParameterError, NegativePowerError,
                      cycle_structure)
 
@@ -29,8 +31,8 @@ class EnvelopeBudgetError(RuntimeError):
     """An envelope or a distance matrix would exceed its cell budget."""
 
 
-# cells one exact envelope (its int64 maps and table together) or one float64
-# distance matrix may hold: 1 GiB
+# cells the int64 maps or the table of one exact envelope, or one float64
+# distance matrix, may hold: 1 GiB
 CELL_BUDGET = 2 ** 27
 
 
@@ -112,7 +114,8 @@ class _EnvelopeBase:
 class ExactEnvelope(_EnvelopeBase):
     """Iterate monoid {f^n} of a finite-exact model, in closed form: index =
     longest tail of f's functional graph, period = lcm of its cycle lengths,
-    f^i f^j = f^fold(i+j).  Cost O(N + (index+period)·N), refused with
+    f^i f^j = f^fold(i+j).  Construction costs one O(N) pass; the maps and
+    the table are built when first read, each refused with
     ``EnvelopeBudgetError`` before allocating over ``CELL_BUDGET`` cells."""
 
     def __init__(self, model):
@@ -120,30 +123,34 @@ class ExactEnvelope(_EnvelopeBase):
             raise InvalidParameterError("exact envelopes need an exact map table")
         self.model = model
         tail, length, _ = cycle_structure(model.map_table)
-        self.index = int(tail.max())
-        self.period = math.lcm(*set(length.tolist()))
-        size, n = self.index + self.period, model.n_points
-        check_cells(size * (size + n), f"exact envelope of {size} elements over {n} points")
-        maps = np.empty((size, n), dtype=np.int64)
-        maps[0] = np.arange(n)
-        for k in range(1, size):
-            maps[k] = model.map_table[maps[k - 1]]
-        self.elements = [MapSample(f"f^{k}", maps[k], k, [k], "iterate") for k in range(size)]
-        # fold(i + j), in place so the table is the only size**2 array
-        r = np.arange(size, dtype=np.int64)
-        self.table = np.add.outer(r - self.index, r)
-        np.remainder(self.table, self.period, out=self.table, where=self.table >= 0)
-        self.table += self.index
-        self.identity_index = 0
-        self.generator_index = 1 if size > 1 else 0
+        self.monoid = MonogenicMonoid(int(tail.max()), math.lcm(*set(length.tolist())))
+        self.index, self.period = self.monoid.index, self.monoid.period
+        self.identity_index = self.monoid.identity
+        self.generator_index = self.monoid.generator
         self.tau = 0.0
-        self.horizon = size
+        self.horizon = self.monoid.size
         self.stabilized = True
         self.max_snap_error = 0.0
 
+    def element_names(self):
+        return [f"f^{k}" for k in range(self.monoid.size)]
+
+    @cached_property
+    def elements(self) -> list:
+        size, n = self.monoid.size, self.model.n_points
+        check_cells(size * n, f"the maps of an exact envelope of {size} elements over {n} points")
+        maps = np.empty((size, n), dtype=np.int64)
+        maps[0] = np.arange(n)
+        for k in range(1, size):
+            maps[k] = self.model.map_table[maps[k - 1]]
+        return [MapSample(f"f^{k}", maps[k], k, [k], "iterate") for k in range(size)]
+
+    @property
+    def table(self) -> np.ndarray:
+        return self.monoid.table
+
     def fold(self, m: int) -> int:
-        size = self.index + self.period
-        if m < size:
+        if m < self.monoid.size:
             return m
         return self.index + (m - self.index) % self.period
 

@@ -327,17 +327,20 @@ def strong_transitivity_check(model: CascadeModel, horizon: int, cover=None) -> 
 
 
 def _neighbor_pairs(model: CascadeModel, dist: np.ndarray):
-    """Per point: its nearest neighbors (ties included)."""
+    """Per point: its nearest other points (ties included), none when that
+    distance is not finite; a lone point is its own neighbor."""
     n = model.n_points
+    if n == 1:
+        return [(0, [0])]
     out = []
-    big = dist + np.eye(n) * (dist.max() + 1.0)
-    nn = big.min(axis=1)
-    for i in range(n):
-        if not math.isfinite(nn[i]):
-            out.append((i, []))
-            continue
-        mates = np.nonzero(big[i] <= nn[i] * (1 + 1e-12))[0]
-        out.append((i, [int(m) for m in mates]))
+    for rows in row_blocks(n, n):
+        block = dist[rows]
+        block[np.arange(len(rows)), rows] = np.inf
+        nn = block.min(axis=1)
+        r, mates = np.nonzero(block <= (nn * (1 + 1e-12))[:, None])
+        per_row = np.split(mates, np.searchsorted(r, np.arange(1, len(rows))))
+        out.extend((int(i), m.tolist() if math.isfinite(d) else [])
+                   for i, m, d in zip(rows, per_row, nn))
     return out
 
 
@@ -379,11 +382,11 @@ def equicontinuity_scan(model: CascadeModel, eps_list, horizon: int,
         worst[i] = max(worst[i], s)
     result = {}
     for eps in eps_list:
-        eq_points = [i for i in range(model.n_points) if worst[i] < eps]
-        if eq_points:
-            dense = bool((dist[:, eq_points].min(axis=1) <= g).all())
-        else:
-            dense = False
+        passing = worst < eps
+        eq_points = np.flatnonzero(passing).tolist()
+        # distance to the nearest passing point, without a copy of its columns
+        dense = bool(eq_points) and bool(
+            (np.min(dist, axis=1, where=passing, initial=np.inf) <= g).all())
         result[eps] = {"equicontinuity_points": eq_points, "ae": dense}
     smallest = eps_list[0]
     sensitive = not result[smallest]["equicontinuity_points"]

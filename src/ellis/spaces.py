@@ -1019,7 +1019,12 @@ def sample_window_model(count=64, radius=64, seed=0, density=0.5,
     if count < 1 or radius < 1:
         raise InvalidParameterError("count and radius must be >= 1")
     rng = np.random.default_rng(seed)
-    bits = (rng.random((count, 2 * radius + 1)) < density).astype(np.uint8)
+    # drawn in row blocks: the same stream as one (count, width) draw, without
+    # its float64 temporary
+    width = 2 * radius + 1
+    bits = np.empty((count, width), dtype=np.uint8)
+    for rows in row_blocks(count, width):
+        bits[rows[0]:rows[-1] + 1] = rng.random((len(rows), width)) < density
     pad = radius + pad_extra
     return WindowSampleModel(
         name, {"count": count, "radius": radius, "seed": seed, "density": density},

@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ellis import algebra, envelope, spaces
+from ellis import algebra, cli, envelope, hyperspace, spaces
 from ellis.algebra import (
     FiniteSemigroup,
     TableError,
@@ -310,3 +311,99 @@ def test_ideals_and_groups_match_set_versions_on_exact_envelopes(table):
     for (_, v), members in kernel_and_groups(s).groups.items():
         assert algebra._is_group_on(s.table, members, v)
         assert brute_is_group_on(s.table, members, v)
+
+
+# -- the closed-form monogenic monoid against the generic table path ---------
+
+
+def generic_semigroup(env):
+    return FiniteSemigroup(env.table, env.identity_index, env.generator_index, "exact")
+
+
+def check_monoid_against_generic(env):
+    monoid, s = from_envelope(env), generic_semigroup(env)
+    assert isinstance(monoid, algebra.MonogenicMonoid)
+    assert (monoid.index, monoid.period, monoid.size) == (env.index, env.period, s.size)
+    assert idempotents(monoid) == idempotents(s)
+    assert minimal_left_ideals(monoid) == minimal_left_ideals(s)
+    assert kernel_and_groups(monoid) == kernel_and_groups(s)
+    closed = [periodic_element_analysis(env)]
+    closed += [recurrent_idempotent_check(env, h) for h in (None, 1, 2, 3)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "from_envelope", generic_semigroup)
+        generic = [periodic_element_analysis(env)]
+        generic += [recurrent_idempotent_check(env, h) for h in (None, 1, 2, 3)]
+    assert closed == generic
+
+
+maps_up_to_9 = st.integers(min_value=1, max_value=9).flatmap(
+    lambda n: st.one_of(
+        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n),
+        st.permutations(list(range(n))),
+        st.integers(min_value=0, max_value=n - 1).map(lambda c: [c] * n)))
+
+
+@given(maps_up_to_9)
+@example([0])
+@example([0, 0, 0])
+@example([1, 2, 0])
+def test_monogenic_monoid_matches_generic_path_on_random_maps(table):
+    inverse = np.argsort(table) if sorted(table) == list(range(len(table))) else None
+    check_monoid_against_generic(envelope.exact_envelope(finite(table, inverse)))
+
+
+# small parameters for every catalog model with an exact map table
+FINITE_CASES = {
+    "identity": {"n": 5},
+    "irrational-rotation": {"grid": 12},
+    "double-circle-rotation": {"grid": 8},
+    "dyadic-circle-stack": {"levels": 3, "mult": 2},
+    "dyadic-circle-stack-inward": {"levels": 3, "mult": 2},
+    "triadic-circle-stack": {"levels": 2, "mult": 1},
+    "periodic-stack": {"n": 2, "truncate": 6},
+    "periodic-union": {"n": 3, "truncate": 4},
+    "isolated-ones-subshift": {"truncate": 6},
+}
+
+
+def test_finite_cases_cover_the_catalog():
+    exact = {name for name in spaces.CATALOG
+             if getattr(spaces.load_example(name), "map_table", None) is not None}
+    assert set(FINITE_CASES) == exact
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_CASES))
+def test_monogenic_monoid_matches_generic_path_on_catalog(name):
+    model = spaces.load_example(name, **FINITE_CASES[name])
+    for carrier in (model, hyperspace.build_hyper_model(model, 2)):
+        check_monoid_against_generic(envelope.exact_envelope(carrier))
+
+
+def test_monogenic_monoid_closed_forms():
+    # index 5, period 3: f^6 is the kernel's identity, f^0 the monoid's
+    m = algebra.MonogenicMonoid(5, 3)
+    assert (m.size, m.generator, m.cycle_idempotent) == (8, 1, 6)
+    assert idempotents(m) == [0, 6]
+    assert minimal_left_ideals(m) == [(5, 6, 7)]
+    assert m.table[7].tolist() == [7, 5, 6, 7, 5, 6, 7, 5]
+    assert idempotents(algebra.MonogenicMonoid(0, 1)) == [0]
+    assert algebra.MonogenicMonoid(0, 1).generator == 0
+
+
+def test_periodic_union_12_pipeline_reads_no_maps_and_no_table():
+    # its maps alone would be 27921 x 15756 int64 cells, 3.5 GB
+    cfg = {"model": {"name": "periodic-union", "params": {"n": 12}}, "pipeline": [
+        {"op": op} for op in ("exact_envelope", "periodic_elements",
+                              "recurrent_idempotents", "kernel_and_groups")]}
+    tracemalloc.start()
+    try:
+        report, _ = cli.run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["summary"]["ok"], report["steps"]
+    assert peak < 64 * 2**20
+    kernel = report["steps"][3]["result"]
+    assert (kernel["kernel"][0], len(kernel["kernel"])) == (201, 27720)
+    assert kernel["idempotents_per_ideal"] == [[27720]]
+    assert report["steps"][1]["result"]["common_period"] == 27720

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 import tracemalloc
 
@@ -395,6 +396,76 @@ def test_hyper_distance_matrix_over_budget_is_refused_at_once(name, params):
     with pytest.raises(envelope.EnvelopeBudgetError, match="distance matrix"):
         hyper_equicontinuity_crosscheck(base, 2, [0.5], 40)
     assert time.perf_counter() - start < 1.0
+
+
+def reference_neighbor_pairs(model, dist):
+    # the scan before row blocks: a shifted N x N copy of the matrix and one
+    # np.nonzero per row
+    n = model.n_points
+    out = []
+    big = dist + np.eye(n) * (dist.max() + 1.0)
+    nn = big.min(axis=1)
+    for i in range(n):
+        if not math.isfinite(nn[i]):
+            out.append((i, []))
+            continue
+        mates = np.nonzero(big[i] <= nn[i] * (1 + 1e-12))[0]
+        out.append((i, [int(m) for m in mates]))
+    return out
+
+
+NEIGHBOR_CARRIERS = {
+    "rotation": lambda: spaces.load_example("irrational-rotation", grid=36),
+    "window": lambda: spaces.sample_window_model(count=60, radius=4, seed=5),
+    "hyper-rotation": lambda: build_hyper_model(
+        spaces.load_example("irrational-rotation", grid=16), 2),
+    "hyper-square": lambda: build_hyper_model(spaces.load_example("square-map", grid=9), 2),
+    # over BLOCK_CELLS cells: rows come in blocks of 12
+    "hyper-rotation-blocks": lambda: build_hyper_model(
+        spaces.load_example("irrational-rotation", grid=48), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEIGHBOR_CARRIERS))
+def test_neighbor_pairs_match_per_row_scan(name):
+    model = NEIGHBOR_CARRIERS[name]()
+    dist = properties.full_distance_matrix(model)
+    assert properties._neighbor_pairs(model, dist) == reference_neighbor_pairs(model, dist)
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n),
+    st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n))))
+def test_neighbor_pairs_match_per_row_scan_on_random_finite_models(model_data):
+    # coordinates on a coarse grid, so points coincide and distances tie
+    table, coords = model_data
+    c = np.asarray(coords, dtype=float) / 4
+    model = spaces.FiniteModel("m", {}, c, lambda a, b: np.abs(c[np.asarray(a)] - c[np.asarray(b)]),
+                               table, None, "interval")
+    dist = properties.full_distance_matrix(model)
+    got = properties._neighbor_pairs(model, dist)
+    assert got == reference_neighbor_pairs(model, dist)
+    json.dumps(got)                  # plain Python ints
+
+
+def test_neighbor_pairs_leave_non_finite_rows_empty():
+    model = finite([0, 1, 2])
+    dist = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, np.inf], [np.inf, np.inf, 0.0]])
+    assert properties._neighbor_pairs(model, dist) == [(0, [1]), (1, [0]), (2, [])]
+
+
+def test_equicontinuity_scan_holds_about_one_distance_matrix():
+    # 1176 hyperpoints: the matrix is 10.6 MB; a shifted copy beside it in the
+    # neighbour scan and a column copy in the density test took the peak to 23 MB
+    hyper = build_hyper_model(spaces.load_example("irrational-rotation", grid=48), 2)
+    tracemalloc.start()
+    try:
+        rep = equicontinuity_scan(hyper, [0.5], 80)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["ae"]
+    assert peak < 16 * 2 ** 20
 
 
 # -- rigidity ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,33 @@ def test_catalog_determinism():
     wa = spaces.sample_window_model(count=12, radius=8, seed=5)
     wb = spaces.sample_window_model(count=12, radius=8, seed=5)
     assert np.array_equal(wa.bits, wb.bits)
+
+
+@pytest.mark.parametrize("count,radius,seed,density", [
+    (1, 1, 0, 0.5),
+    (12, 8, 5, 0.5),
+    (500, 20, 1, 0.1),       # two blocks of rows
+    (40, 300, 11, 0.7),      # blocks of 27 rows
+    (3, 9000, 2, 0.5),       # rows wider than a block: one row per block
+])
+def test_window_sample_bits_are_one_draw_in_row_blocks(count, radius, seed, density):
+    m = spaces.sample_window_model(count=count, radius=radius, seed=seed, density=density)
+    whole = np.random.default_rng(seed).random((count, 2 * radius + 1)) < density
+    drawn = m.bits[:, m.pad - radius:m.pad + radius + 1]
+    assert drawn.dtype == np.uint8
+    assert np.array_equal(drawn, whole.astype(np.uint8))
+
+
+def test_window_sample_holds_no_float_draw_of_the_whole_window():
+    # 1000 x 4001 bits: 4 MB as uint8, and again as the model's columns; the
+    # float64 draw of the whole window would add 32 MB
+    tracemalloc.start()
+    try:
+        spaces.sample_window_model(count=1000, radius=2000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_metric_identity_and_symmetry():
