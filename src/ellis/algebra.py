@@ -243,13 +243,12 @@ def ideal_isomorphism_check(s: FiniteSemigroup, ideal_i, ideal_k) -> dict:
     u, v, orientation = pairing
     image = [int(t[p, v]) for p in ideal_i]
     bijective = set(image) == set_k and len(set(image)) == len(ideal_i)
-    violations = []
-    for sdx in range(s.size):
-        for p in ideal_i:
-            lhs = t[t[sdx, p], v]
-            rhs = t[sdx, t[p, v]]
-            if lhs != rhs:
-                violations.append((sdx, p))
+    # (s p) v against s (p v) for every element s and every p in I, in
+    # element-major, then ideal order
+    members = np.asarray(ideal_i, dtype=np.int64)
+    bad = t[t[:, members], v] != t[:, t[members, v]]
+    rows, cols = np.nonzero(bad)
+    violations = list(zip(rows.tolist(), members[cols].tolist()))
     return {
         "isomorphic": bool(bijective and not violations),
         "pairing": {"u": u, "v": v, "orientation": orientation},

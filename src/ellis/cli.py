@@ -22,14 +22,22 @@ from . import __version__
 from . import algebra, envelope, hyperspace, properties, spaces, symbolic
 
 
+_SCALARS = frozenset({str, int, bool, type(None)})
+
+
 def _jsonable(obj):
+    kind = type(obj)
+    if kind in _SCALARS or kind is float and math.isfinite(obj):
+        return obj
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
         seq = sorted(obj) if isinstance(obj, (set, frozenset)) else list(obj)
+        if all(type(v) in _SCALARS for v in seq):
+            return seq
         return [_jsonable(v) for v in seq]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return _jsonable(obj.tolist())
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):

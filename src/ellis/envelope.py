@@ -23,8 +23,8 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import MonogenicMonoid
-from .spaces import (CascadeModel, FiniteModel, InvalidParameterError, NegativePowerError,
-                     cycle_structure)
+from .spaces import (SUP_CHUNK, CascadeModel, FiniteModel, InvalidParameterError,
+                     NegativePowerError, cycle_structure)
 
 
 class EnvelopeBudgetError(RuntimeError):
@@ -194,19 +194,94 @@ def exact_envelope(model: FiniteModel) -> ExactEnvelope:
     return ExactEnvelope(model)
 
 
-def _identify(model, elements, images, tau, key, key_index):
-    """Index of the cluster whose representative is within tau, else None."""
-    if key is not None:
-        return key_index.get(key)
-    # the sup distance over every 64th sample point bounds the full one from
-    # below, so it rejects most clusters without a pass over the whole sample
-    probe = np.arange(0, model.n_points, 64)
-    head = model.apply_to_indices(images, probe)
-    for i, el in enumerate(elements):
-        if (model.image_sup_dist(model.apply_to_indices(el.images, probe), head) <= tau
-                and model.image_sup_dist(el.images, images) <= tau):
+class _ClusterIndex:
+    """The clusters of an approximate envelope at tau, looked up by key or by
+    their representatives.
+
+    A carrier that keys its images at tau (finite ids below the resolution,
+    window rows) keys every image or none, and is looked up in one dict.
+    Otherwise each representative keeps one row of a ``(capacity, P,
+    *point)`` probe block: its images at the probe columns, every 64th sample
+    point at first.  The probe's sup distance bounds the full one from below,
+    so a lookup is one vectorized distance over the block, in row blocks of
+    at most ``SUP_CHUNK`` cells, and only clusters within tau on the probe get
+    a full test.  A failed full test adds the point where it first exceeded
+    tau to the probe.  The answer is the first cluster in element order
+    within tau of the image, as a scan of the representatives would give."""
+
+    def __init__(self, model: CascadeModel, tau: float):
+        self.model, self.tau = model, tau
+        self.keys: dict = {}
+        self.reps: list = []
+        self.probe = np.arange(0, model.n_points, 64)
+        self.rows = None
+
+    def find(self, images, key):
+        """Index of the first cluster whose representative is within tau, else None."""
+        if key is not None:
+            return self.keys.get(key)
+        head = self.model.apply_to_indices(images, self.probe)
+        lo = 0
+        while lo < len(self.reps):
+            hi = min(len(self.reps), lo + max(1, SUP_CHUNK // len(self.probe)))
+            near = lo + np.flatnonzero(self._probe_dist(self.rows[lo:hi], head) <= self.tau)
+            while len(near):
+                witness = self._witness(self.reps[near[0]], images)
+                if witness is None:
+                    return int(near[0])
+                head = self._add_column(witness, head, images)
+                near = near[1:]
+                if len(near):
+                    near = near[self._probe_dist(self.rows[near, -1:], head[-1:]) <= self.tau]
+            lo = hi
+        return None
+
+    def add(self, images, key) -> int:
+        """Register a new cluster represented by ``images``; its index."""
+        i = len(self.keys) + len(self.reps)
+        if key is not None:
+            self.keys[key] = i
             return i
-    return None
+        row = self.model.apply_to_indices(images, self.probe)
+        if self.rows is None or i == len(self.rows):
+            grown = np.empty((max(8, 2 * i),) + row.shape, dtype=row.dtype)
+            if i:
+                grown[:i] = self.rows[:i]
+            self.rows = grown
+        self.rows[i] = row
+        self.reps.append(images)
+        return i
+
+    def replace(self, i: int, images) -> None:
+        """Represent cluster ``i`` by ``images`` from now on (keys stay)."""
+        if self.rows is not None:
+            self.reps[i] = images
+            self.rows[i] = self.model.apply_to_indices(images, self.probe)
+
+    def _probe_dist(self, block, head) -> np.ndarray:
+        # sup over the probe columns of each row of block, in one call
+        m, point = len(block), head.shape[1:]
+        flat = (m * block.shape[1],) + point
+        d = self.model.image_pair_dist(block.reshape(flat),
+                                       np.broadcast_to(head, block.shape).reshape(flat))
+        return d.reshape(m, -1).max(axis=1)
+
+    def _witness(self, a, b):
+        """None when sup d(a, b) <= tau, else the point where the first
+        ``SUP_CHUNK`` slice over tau peaks."""
+        for lo in range(0, len(b), SUP_CHUNK):
+            d = self.model.image_pair_dist(a[lo:lo + SUP_CHUNK], b[lo:lo + SUP_CHUNK])
+            if not d.max() <= self.tau:
+                return lo + int(np.argmax(d))
+        return None
+
+    def _add_column(self, point: int, head, images):
+        # gather the new column once for every representative
+        col = [point]
+        self.probe = np.append(self.probe, point)
+        new = np.stack([self.model.apply_to_indices(r, col) for r in self.reps])
+        self.rows = np.concatenate([self.rows[:len(self.reps)], new], axis=1)
+        return np.concatenate([head, self.model.apply_to_indices(images, col)])
 
 
 def approx_envelope(model: CascadeModel, horizon: int, tau: float,
@@ -228,17 +303,15 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
 
     elements: list[MapSample] = []
     exponent_map: dict[int, int] = {}
-    key_index: dict = {}
+    index = _ClusterIndex(model, tau)
 
     for n in exponents:
         images = model.iterate_images(n)
         key = model.cluster_key(images, tau)
-        hit = _identify(model, elements, images, tau, key, key_index)
+        hit = index.find(images, key)
         if hit is None:
-            hit = len(elements)
+            hit = index.add(images, key)
             elements.append(MapSample("", images, n, [], "iterate"))
-            if key is not None:
-                key_index[key] = hit
         el = elements[hit]
         el.exponents.append(n)
         if abs(n) > tail_start:
@@ -246,7 +319,7 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
         exponent_map[n] = hit
 
     lim_counter = 0
-    for el in elements:
+    for i, el in enumerate(elements):
         el.is_limit = el.tail_count >= limit_witnesses
         if el.is_limit and abs(el.origin) > tail_start:
             el.name = f"lim#{lim_counter}"
@@ -258,6 +331,7 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
             # represent a limit by its most converged member
             deepest = max(el.exponents, key=abs)
             el.images = model.iterate_images(deepest)
+            index.replace(i, el.images)
 
     stabilized = True
     max_snap = 0.0
@@ -299,17 +373,15 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
                 known, images, exponent = compose(i, j)
                 if known is None:
                     key = model.cluster_key(images, tau)
-                    known = _identify(model, elements, images, tau, key, key_index)
+                    known = index.find(images, key)
                     if known is None:
-                        known = len(elements)
+                        known = index.add(images, key)
                         if exponent is not None:
                             el = MapSample(f"f^{exponent}", images, exponent,
                                            [exponent], "iterate")
                         else:
                             el = MapSample(f"cmp#{known}", images, 0, [], "composite")
                         elements.append(el)
-                        if key is not None:
-                            key_index[key] = known
                     if exponent is not None:
                         exponent_map.setdefault(exponent, known)
                 entries[(i, j)] = known

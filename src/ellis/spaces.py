@@ -175,11 +175,12 @@ class CascadeModel:
             for m in self._iter_cache:
                 if (m <= n and base <= m) if n >= 0 else (n <= m <= base):
                     base = m
-            img = self._iter_cache.get(base, self._identity_images())
+            if base not in self._iter_cache:       # then base is 0
+                self._iter_cache[0] = self._identity_images()
+            img = self._iter_cache[base]
             step = 1 if n >= base else -1
             for _ in range(abs(n - base)):
                 img = self._advance(img, step)
-            self._iter_cache.setdefault(0, self._identity_images())
             self._iter_cache[n] = img
         return self._iter_cache[n]
 

@@ -407,3 +407,36 @@ def test_periodic_union_12_pipeline_reads_no_maps_and_no_table():
     assert (kernel["kernel"][0], len(kernel["kernel"])) == (201, 27720)
     assert kernel["idempotents_per_ideal"] == [[27720]]
     assert report["steps"][1]["result"]["common_period"] == 27720
+
+
+# -- equivariance of the ideal isomorphism against the double loop ------------
+
+
+def check_ideal_isomorphism_against_loop(s, ideal_i, ideal_k):
+    rep = ideal_isomorphism_check(s, ideal_i, ideal_k)
+    if "pairing" not in rep:
+        return
+    t, v = s.table, rep["pairing"]["v"]
+    loop = [(sdx, p) for sdx in range(s.size) for p in ideal_i
+            if t[t[sdx, p], v] != t[sdx, t[p, v]]]
+    assert rep["equivariance_violations"] == loop
+    assert rep["isomorphic"] == (rep["bijective"] and not loop)
+    json.dumps(rep)                  # plain Python types only
+
+
+@given(maps_up_to_9)
+def test_ideal_isomorphism_matches_loop_on_corpus_models(table):
+    # the equivalence corpus checks every pair of ideals of the strict table
+    s = generic_semigroup(envelope.exact_envelope(finite(table)))
+    ideals = minimal_left_ideals(s)
+    for a in ideals:
+        for b in ideals:
+            check_ideal_isomorphism_against_loop(s, a, b)
+
+
+@given(random_tables, st.data())
+def test_ideal_isomorphism_matches_loop_on_random_tables(rows, data):
+    # any member lists, so that equivariance can fail
+    s = FiniteSemigroup(np.asarray(rows), source="approx")
+    members = st.lists(st.integers(min_value=0, max_value=s.size - 1), max_size=s.size)
+    check_ideal_isomorphism_against_loop(s, data.draw(members), data.draw(members))

@@ -1,7 +1,11 @@
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from ellis import cli
 
@@ -196,3 +200,44 @@ def test_verify_factor_uses_the_given_code():
     assert [s["status"] for s in steps[2:5]] == ["ok", "ok", "ok"]
     assert [s["result"]["verified"] for s in steps[2:5]] == [True, True, False]
     assert steps[5]["status"] == "error" and "ShiftSpecError" in steps[5]["error"]
+
+
+def _jsonable_by_recursion(obj):
+    # the per-value conversion that the scalar fast path of cli._jsonable
+    # must reproduce
+    if isinstance(obj, dict):
+        return {str(k): _jsonable_by_recursion(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else list(obj)
+        return [_jsonable_by_recursion(v) for v in seq]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable_by_recursion(v) for v in obj.tolist()]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return _jsonable_by_recursion(float(obj))
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _jsonable_by_recursion(dataclasses.asdict(obj))
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def test_jsonable_fast_path_keeps_every_config_report(tmp_path, monkeypatch):
+    configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+    assert len(configs) >= 8
+    for path in configs:
+        config = json.loads(path.read_text())
+        fast = cli.emit_report(*cli.run_experiment(config), tmp_path / path.stem / "fast")
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "_jsonable", _jsonable_by_recursion)
+            slow = cli.emit_report(*cli.run_experiment(config), tmp_path / path.stem / "slow")
+        assert Path(fast[0]).read_bytes() == Path(slow[0]).read_bytes(), path.name
+
+
+def test_jsonable_converts_nested_values():
+    value = {1: [1, "a", None, True, 2.5, float("nan")], "b": (np.int64(3), np.float64(-np.inf)),
+             "c": {3, 1, 2}, "f": frozenset({(1, 2), (0, 5)}), "d": np.arange(3), "e": [[np.bool_(True)], []]}
+    assert cli._jsonable(value) == _jsonable_by_recursion(value)

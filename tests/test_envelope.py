@@ -302,6 +302,149 @@ def test_stabilization_validates_horizons():
             stabilization_diagnostic(sq, bad, 0.05)
 
 
+# -- the cluster index against the per-element scan --------------------------
+
+
+class LoopIndex:
+    """Oracle: the scan the cluster index replaced.  Each representative is
+    compared in element order, on a 1-in-64 probe gathered afresh and then
+    at full resolution."""
+
+    def __init__(self, model, tau):
+        self.model, self.tau = model, tau
+        self.keys, self.reps = {}, []
+
+    def find(self, images, key):
+        if key is not None:
+            return self.keys.get(key)
+        model = self.model
+        probe = np.arange(0, model.n_points, 64)
+        head = model.apply_to_indices(images, probe)
+        for i, rep in enumerate(self.reps):
+            if (model.image_sup_dist(model.apply_to_indices(rep, probe), head) <= self.tau
+                    and model.image_sup_dist(rep, images) <= self.tau):
+                return i
+        return None
+
+    def add(self, images, key):
+        if key is not None:
+            self.keys[key] = len(self.reps)
+        self.reps.append(images)
+        return len(self.reps) - 1
+
+    def replace(self, i, images):
+        self.reps[i] = images
+
+
+class NoSwapIndex(envelope._ClusterIndex):
+    """A cluster index that keeps a limit's first representative."""
+
+    def replace(self, i, images):
+        pass
+
+
+def clustering(env):
+    return {
+        "names": env.element_names(),
+        "origins": [e.origin for e in env.elements],
+        "exponents": [e.exponents for e in env.elements],
+        "provenance": [(e.provenance, e.is_limit, e.tail_count) for e in env.elements],
+        "exponent_map": env.exponent_map,
+        "table": None if env.table is None else env.table.tolist(),
+        "stabilized": env.stabilized,
+        "max_snap_error": env.max_snap_error,
+    }
+
+
+def envelope_with(index_class, model, *args, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(envelope, "_ClusterIndex", index_class)
+        return approx_envelope(model, *args, **kwargs)
+
+
+def check_index_against_scan(model, horizon, tau, power_range, close_table):
+    env = approx_envelope(model, horizon, tau, power_range, close_table=close_table)
+    oracle = envelope_with(LoopIndex, model, horizon, tau, power_range, close_table=close_table)
+    assert clustering(env) == clustering(oracle)
+    for a, b in zip(env.elements, oracle.elements):
+        assert np.array_equal(a.images, b.images)
+
+
+taus = st.sampled_from([3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1])
+interval_cases = st.tuples(
+    st.sampled_from(["square-map", "neg-cube"]), st.integers(min_value=65, max_value=20001),
+).map(lambda c: spaces.load_example(c[0], grid=c[1]))
+annulus_cases = st.tuples(
+    st.integers(min_value=0, max_value=5), st.integers(min_value=2, max_value=40),
+).map(lambda c: spaces.load_example("annulus-skew", radial=c[0], grid=c[1]))
+hyper_cases = st.tuples(
+    st.sampled_from(["square-map", "neg-cube"]), st.integers(min_value=5, max_value=21),
+).map(lambda c: hyperspace.build_hyper_model(spaces.load_example(c[0], grid=c[1]), 2))
+
+
+@st.composite
+def finite_cases(draw):
+    # tau at or over the resolution: no cluster keys, ids go through the probe
+    n = draw(st.integers(min_value=2, max_value=400))
+    if draw(st.booleans()):
+        table = draw(st.permutations(list(range(n))))
+        model = finite(table, np.argsort(table))
+    else:
+        model = finite(draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                     min_size=n, max_size=n)))
+    return model, model.resolution * draw(st.sampled_from([1.0, 2.5, 10.0, 40.0]))
+
+
+@given(st.one_of(st.tuples(st.one_of(interval_cases, annulus_cases, hyper_cases), taus),
+                 finite_cases()),
+       st.integers(min_value=2, max_value=40), st.booleans(), st.booleans())
+def test_cluster_index_matches_the_scan(case, horizon, two_sided, close_table):
+    model, tau = case
+    assert model.cluster_key(model.iterate_images(0), tau) is None
+    power_range = "two-sided" if two_sided and model.invertible else "forward"
+    check_index_against_scan(model, horizon, tau, power_range, close_table)
+
+
+def test_cluster_index_matches_the_scan_across_a_limit_swap():
+    # a limit's representative is swapped for its deepest iterate after the
+    # main loop; the closure here clusters differently if the probe block
+    # misses the swap
+    model = spaces.load_example("square-map", grid=10001)
+    env = approx_envelope(model, 10, 0.03)
+    assert any(e.is_limit and max(e.exponents, key=abs) != e.origin for e in env.elements)
+    assert clustering(envelope_with(NoSwapIndex, model, 10, 0.03)) != clustering(env)
+    for close_table in (True, False):
+        check_index_against_scan(model, 10, 0.03, "two-sided", close_table)
+
+
+def test_cluster_index_tau_is_inclusive():
+    # integer coordinates, so f and f^2 of x -> x + 1 lie exactly tau = 1 and
+    # 2 from the identity, on the probe as everywhere else
+    n = 200
+    coords = np.arange(n, dtype=float)
+    model = spaces.FiniteModel("step", {}, coords,
+                               lambda a, b: np.abs(coords[np.asarray(a)] - coords[np.asarray(b)]),
+                               np.minimum(np.arange(n) + 1, n - 1))
+    env = approx_envelope(model, 4, 1.0, "forward", close_table=False)
+    assert [e.exponents for e in env.elements] == [[0, 1], [2, 3], [4]]
+    check_index_against_scan(model, 4, 1.0, "forward", True)
+
+
+def test_cluster_index_adds_witness_columns():
+    # square-map 20001 at tau 1e-3 fails full checks at points the every-64th
+    # probe never reads
+    model = spaces.load_example("square-map", grid=20001)
+    index = envelope._ClusterIndex(model, 1e-3)
+    for n in range(-20, 21):
+        images = model.iterate_images(n)
+        if index.find(images, None) is None:
+            index.add(images, None)
+    assert len(index.probe) > len(range(0, model.n_points, 64))
+    gathered = [model.apply_to_indices(r, index.probe) for r in index.reps]
+    assert np.array_equal(index.rows[:len(index.reps)], np.stack(gathered))
+    check_index_against_scan(model, 20, 1e-3, "two-sided", True)
+
+
 # -- power decomposition ---------------------------------------------------------
 
 
