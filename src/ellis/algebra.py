@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spaces import cycle_structure
+from .spaces import check_cells, cycle_structure
 
 
 class TableError(ValueError):
@@ -113,8 +113,6 @@ class MonogenicMonoid:
 
     @cached_property
     def table(self) -> np.ndarray:
-        from .envelope import check_cells
-
         size = self.size
         check_cells(size * size, f"the table of an exact envelope of {size} elements")
         # fold(i + j), in place so the table is the only size**2 array

@@ -125,7 +125,7 @@ def _op_identity_isolated(ctx, tau=None):
 
 def _op_stabilization(ctx, horizons, tau, power_range="two-sided"):
     return envelope.stabilization_diagnostic(
-        _require(ctx.model, "a model"), horizons, tau, power_range)
+        _require(ctx.model, "a model"), horizons, tau, power_range, ctx.env)
 
 
 def _op_power_decomposition(ctx, n):

@@ -23,23 +23,10 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import MonogenicMonoid
-from .spaces import (SUP_CHUNK, CascadeModel, FiniteModel, InvalidParameterError,
-                     NegativePowerError, cycle_structure)
-
-
-class EnvelopeBudgetError(RuntimeError):
-    """An envelope or a distance matrix would exceed its cell budget."""
-
-
-# cells the int64 maps or the table of one exact envelope, or one float64
-# distance matrix, may hold: 1 GiB
-CELL_BUDGET = 2 ** 27
-
-
-def check_cells(cells: int, what: str) -> None:
-    """Refuse, before allocating, an array of more than ``CELL_BUDGET`` cells."""
-    if cells > CELL_BUDGET:
-        raise EnvelopeBudgetError(f"{what} needs {cells} cells, over the budget of {CELL_BUDGET}")
+# CELL_BUDGET, EnvelopeBudgetError and check_cells are re-exported here
+from .spaces import (CELL_BUDGET, SUP_CHUNK, CascadeModel, EnvelopeBudgetError,
+                     FiniteModel, InvalidParameterError, NegativePowerError, check_cells,
+                     cycle_structure)
 
 
 @dataclass
@@ -168,10 +155,14 @@ class ExactEnvelope(_EnvelopeBase):
 
 
 class ApproxEnvelope(_EnvelopeBase):
-    def __init__(self, model, elements, exponent_map, table, tau, horizon,
+    """``elements[:main_count]`` are the clusters of the iterates up to the
+    horizon; the table closure appends the rest."""
+
+    def __init__(self, model, elements, main_count, exponent_map, table, tau, horizon,
                  power_range, stabilized, max_snap_error):
         self.model = model
         self.elements = elements
+        self.main_count = main_count
         self.exponent_map = exponent_map
         self.table = table
         self.tau = tau
@@ -317,6 +308,7 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
         if abs(n) > tail_start:
             el.tail_count += 1
         exponent_map[n] = hit
+    main_count = len(elements)
 
     lim_counter = 0
     for i, el in enumerate(elements):
@@ -393,7 +385,7 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
         for (i, j), v in entries.items():
             table[i, j] = v
 
-    return ApproxEnvelope(model, elements, exponent_map, table, tau, horizon,
+    return ApproxEnvelope(model, elements, main_count, exponent_map, table, tau, horizon,
                           power_range, stabilized, max_snap)
 
 
@@ -472,8 +464,12 @@ def envelope_power_decomposition(model: FiniteModel, n: int) -> dict:
 
 
 def stabilization_diagnostic(model: CascadeModel, horizons, tau: float,
-                             power_range: str = "two-sided") -> dict:
-    """Element counts of the approximate envelope across growing horizons."""
+                             power_range: str = "two-sided", env=None) -> dict:
+    """Element counts of the approximate envelope across growing horizons.
+
+    ``env``, when it is an approximate envelope of this model object at this
+    tau and power range up to at least the last horizon, is read instead of
+    clustering the iterates again."""
     horizons = list(horizons)
     if sorted(horizons) != horizons:
         raise InvalidParameterError("horizons must be increasing")
@@ -482,10 +478,13 @@ def stabilization_diagnostic(model: CascadeModel, horizons, tau: float,
         if horizons[0] < 1:
             raise InvalidParameterError("horizon must be >= 1")
         # clustering is greedy in exponent order, and the order for h is a
-        # prefix of the order for the last horizon: the clusters at h are
-        # those whose first exponent has |origin| <= h
-        env = approx_envelope(model, horizons[-1], tau, power_range, close_table=False)
-        counts = [sum(abs(e.origin) <= h for e in env.elements) for h in horizons]
+        # prefix of the order for any longer horizon: the clusters at h are
+        # the main-loop clusters whose first exponent has |origin| <= h
+        if not (isinstance(env, ApproxEnvelope) and env.model is model and env.tau == tau
+                and env.power_range == power_range and env.horizon >= horizons[-1]):
+            env = approx_envelope(model, horizons[-1], tau, power_range, close_table=False)
+        origins = np.abs([e.origin for e in env.elements[:env.main_count]])
+        counts = [int(np.count_nonzero(origins <= h)) for h in horizons]
     if len(counts) >= 2 and all(b > a for a, b in zip(counts, counts[1:])):
         verdict = "growing"
     elif len(counts) >= 2 and counts[-1] == counts[-2]:

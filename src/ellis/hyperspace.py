@@ -25,8 +25,8 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .envelope import check_cells
-from .spaces import CascadeModel, FiniteModel, InvalidParameterError, WindowSampleModel
+from .spaces import (CascadeModel, FiniteModel, InvalidParameterError, WindowSampleModel,
+                     check_cells)
 
 
 class HyperBudgetError(RuntimeError):
@@ -147,7 +147,7 @@ class HyperCascadeModel(CascadeModel):
     @property
     def base_dist(self) -> np.ndarray:
         """D[x, y] = base.point_dist(x, y) over the base sample, built once and
-        refused over ``envelope.CELL_BUDGET`` cells."""
+        refused over ``spaces.CELL_BUDGET`` cells."""
         if self._base_dist is None:
             n = self.base.n_points
             check_cells(n * n, f"base distance matrix of {self.name}")
@@ -198,7 +198,7 @@ class HyperCascadeModel(CascadeModel):
         max_j M[A, b_j]): k gathers of C and k of M per block of rows, with
         no (k, k, P) temporary, and D need not be symmetric.  C is built once,
         one column gather of D at a time, and D and C together are refused
-        over ``envelope.CELL_BUDGET`` cells."""
+        over ``spaces.CELL_BUDGET`` cells."""
         if self._point_set_dist is None:
             n = self.base.n_points
             check_cells(n * (n + self.n_points), f"base distance matrix and point-to-set "

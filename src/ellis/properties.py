@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .spaces import CascadeModel, FiniteModel, InvalidParameterError, cycle_structure, row_blocks
-from .symbolic import Subshift, cylinder_hitting, cylinder_tensor
+from .symbolic import Subshift, cylinder_tensor
 from .hyperspace import build_hyper_model
 from . import envelope as envelope_mod
 
@@ -109,7 +109,8 @@ def hitting_set(target, u, v, horizon: int) -> list[int]:
     if isinstance(target, Subshift):
         uw = u.word if isinstance(u, OpenSet) else u
         vw = v.word if isinstance(v, OpenSet) else v
-        return cylinder_hitting(target, uw, vw, horizon)
+        hits = cylinder_tensor(target, [uw, vw], max(horizon, 0))[1:, 0, 1]
+        return (np.flatnonzero(hits) + 1).tolist()
     model = target
     iu = u.resolve(model)
     iv = None

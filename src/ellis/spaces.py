@@ -36,6 +36,21 @@ SUP_CHUNK = 8192
 BLOCK_CELLS = 1 << 14
 
 
+# cells the int64 maps or the table of one exact envelope, one float64
+# distance matrix, or one window snap may hold: 1 GiB
+CELL_BUDGET = 2 ** 27
+
+
+class EnvelopeBudgetError(RuntimeError):
+    """An envelope, a distance matrix or a snap would exceed its cell budget."""
+
+
+def check_cells(cells: int, what: str) -> None:
+    """Refuse, before allocating, an array of more than ``CELL_BUDGET`` cells."""
+    if cells > CELL_BUDGET:
+        raise EnvelopeBudgetError(f"{what} needs {cells} cells, over the budget of {CELL_BUDGET}")
+
+
 class UnknownExampleError(KeyError):
     """Requested catalog name does not exist."""
 
@@ -516,10 +531,14 @@ class WindowSampleModel(CascadeModel):
 
         Entry (j, r) is the symbol of sigma^n(x) at position j - w, for the
         sample point x = ``imgs.rows[r]``; 0 off the stored support, and no
-        positions at all for ``w = -1``.
+        positions at all for ``w = -1``.  An image of every sample point, in
+        order, whose window lies inside the stored rows reads a contiguous
+        slice of them: a view, never to be written.
         """
-        pos = np.arange(imgs.n - w, imgs.n + w + 1) + (self.pad + 1)
-        return self._columns.take(pos, axis=0, mode="clip").take(imgs.rows, axis=1)
+        lo, hi = imgs.n - w + self.pad + 1, imgs.n + w + self.pad + 2
+        if imgs.rows is self._rows and 0 <= lo <= hi <= len(self._columns):
+            return self._columns[lo:hi]
+        return self._columns.take(np.arange(lo, hi), axis=0, mode="clip").take(imgs.rows, axis=1)
 
     def _first_diff(self, a, b):
         # columns of symbols on positions -pad..pad: the disagreement nearest
@@ -557,6 +576,8 @@ class WindowSampleModel(CascadeModel):
         return self._first_diff(self.key_matrix(imgs, self.pad), self._columns[1:-1, [point]])
 
     def snap_images(self, imgs):
+        check_cells(len(imgs.rows) * self.n_points * (2 * self.pad + 1),
+                    f"snapping {len(imgs.rows)} window rows onto {self.n_points} points")
         block = self.key_matrix(imgs, self.pad)
         idx = np.empty(block.shape[1], dtype=np.int64)
         err = 0.0
@@ -837,20 +858,13 @@ def build_isolated_ones_subshift(truncate=12):
     js = list(range(-truncate, truncate + 1))
     n = len(js) + 1
     zero = n - 1
-    absj = np.asarray([abs(j) for j in js] + [0])
+    # the 1 of x^j sits at radius |j|; the zero sequence has none
+    radius = np.append(np.abs(np.asarray(js, dtype=float)), np.inf)
 
     def dist(a, b):
-        a = np.atleast_1d(np.asarray(a))
-        b = np.atleast_1d(np.asarray(b))
-        out = np.zeros(a.shape, dtype=float)
-        flat = out.ravel()
-        for i, (x, y) in enumerate(zip(a.ravel(), b.ravel())):
-            if x == y:
-                continue
-            # first disagreement sits at the 1 of smallest |position|
-            radii = [absj[t] for t in (x, y) if t != zero]
-            flat[i] = 2.0 ** (-min(radii))
-        return out
+        # first disagreement sits at the 1 of smallest |position|
+        a, b = np.atleast_1d(a), np.atleast_1d(b)
+        return np.where(a == b, 0.0, 2.0 ** -np.minimum(radius[a], radius[b]))
 
     fwd = []
     for j in js:

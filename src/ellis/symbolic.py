@@ -589,54 +589,33 @@ def cylinder_metric(x_word: str, y_word: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _overlap_meets(shift: Subshift, u: str, v: str, n: int) -> bool:
-    """[u] meets sigma^-n [v] for 0 < n < len(u): v starts inside u, so the
-    two words overlay into one word, which decides."""
-    overlap = u[n:n + len(v)]
-    return v[:len(overlap)] == overlap and shift.word_in_language(u + v[len(overlap):])
-
-
-def cylinder_hitting(shift: Subshift, u: str, v: str, horizon: int) -> list[int]:
-    """n in [1, horizon] such that the shift of cylinder [u] meets [v]."""
-    p = shift.presentation
-    step = p.step
-    # overlap region: u and v constrain a common window
-    out = [n for n in range(1, min(len(u), horizon + 1)) if _overlap_meets(shift, u, v, n)]
-    # beyond the overlap: one incremental frontier walk
-    cur = p.read(p.start, u)
-    for n in range(len(u), horizon + 1):
-        if n > len(u):
-            cur = cur @ step
-        if not cur.any():
-            break
-        if p.read(cur, v).any():
-            out.append(n)
-    return [n for n in out if n >= 1]
-
-
 def cylinder_tensor(shift: Subshift, words, horizon: int) -> np.ndarray:
     """Every cylinder hitting set at once: ``hits[n, i, j]`` is true when
-    ``cylinder_hitting(shift, words[i], words[j], horizon)`` contains n.
+    sigma^n [words[i]] meets [words[j]] (Lind & Marcus 1995, sections 2-3).
     Row 0 stays false, so the row index is the time.
 
     With the presentation's matrix M_a per symbol, reading u from every
-    state gives the row r_u = 1 M_u, the states that can read v give the
-    column b_v = M_v 1, and A = sum M_a is one step of the frontier.  For
-    n >= |u| the hit is r_u A^(n-|u|) b_v > 0, so each time costs one
-    K x S by S x S step of the frontier rows and one K x S by S x K product
-    for all pairs; times inside u keep the merged-word test.
+    state gives the row r_u = 1 M_u, the states that can read a word w give
+    the column c_w = M_w 1 (all states for the empty word), and A = sum M_a
+    is one step of the frontier.  For n >= |u| the hit is r_u A^(n-|u|) c_v
+    > 0, so each time costs one K x S by S x S step of the frontier rows and
+    one K x S by S x K product for all pairs.  For n < |u|, v starts m = |u|
+    - n symbols before u ends: the hit is r_u c_v[m:] > 0 where the head of
+    v agrees with the tail of u, one product per m for every such u.
     """
     p = shift.presentation
     step = p.step.astype(np.float32)
     k = len(words)
-    first = np.zeros((k, p.n_states), dtype=np.float32)
-    last = np.zeros((p.n_states, k), dtype=np.float32)
-    eye = np.eye(p.n_states, dtype=bool)
-    for i, w in enumerate(words):
-        rel = p.read(eye, w)
-        first[i] = rel.any(axis=0)
-        last[:, i] = rel.any(axis=1)
     lengths = np.asarray([len(w) for w in words], dtype=np.int64)
+    first = np.zeros((k, p.n_states), dtype=np.float32)
+    # cols[m, :, j] = c of words[j][m:], read backwards from the empty word
+    cols = np.ones((int(lengths.max(initial=0)) + 1, p.n_states, k), dtype=bool)
+    for j, w in enumerate(words):
+        first[j] = p.read(p.start, w)
+        for m in range(len(w) - 1, -1, -1):
+            mat = p.mats.get(w[m])
+            cols[m, :, j] = False if mat is None else mat @ cols[m + 1, :, j]
+    cols = cols.astype(np.float32)
     hits = np.zeros((horizon + 1, k, k), dtype=bool)
     front = np.zeros((k, p.n_states), dtype=np.float32)
     for n in range(horizon + 1):
@@ -644,10 +623,14 @@ def cylinder_tensor(shift: Subshift, words, horizon: int) -> np.ndarray:
         start = lengths == n
         front[start] = first[start]
         if n:
-            hits[n] = front @ last > 0
-    for i, u in enumerate(words):
-        for n in range(1, min(len(u), horizon + 1)):
-            hits[n, i] = [_overlap_meets(shift, u, v, n) for v in words]
+            hits[n] = front @ cols[0] > 0
+    for m in range(1, len(cols) - 1):
+        times = lengths - m
+        rows = np.flatnonzero((times >= 1) & (times <= horizon))
+        if len(rows):
+            agree = [[v.startswith(words[i][times[i]:times[i] + len(v)]) for v in words]
+                     for i in rows]
+            hits[times[rows], rows] = (first[rows] @ cols[m] > 0) & np.asarray(agree)
     return hits
 
 

@@ -222,6 +222,18 @@ def test_window_envelope_growth_and_budget():
     assert not env.stabilized  # composition closure runs out of budget
 
 
+def test_window_snap_is_refused_over_the_cell_budget():
+    # at tau >= 1 every iterate is one limit cluster, whose square snaps:
+    # 40 rows close, 2000 rows would need 2000 * 2000 * 133 cells
+    small = approx_envelope(spaces.sample_window_model(count=40), 8, 1.0)
+    assert small.stabilized and small.limit_elements == [0] and small.table.tolist() == [[0]]
+    big = spaces.sample_window_model(count=2000)
+    start = time.perf_counter()
+    with pytest.raises(envelope.EnvelopeBudgetError, match="snapping 2000 window rows"):
+        approx_envelope(big, 8, 1.0)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_stabilization_square_and_identity():
     sq = spaces.load_example("square-map")
     diag = stabilization_diagnostic(sq, [10, 20, 40, 60], 1e-3)
@@ -289,8 +301,44 @@ def per_horizon_counts(model, horizons, tau, power_range):
     (spaces.load_example("annulus-skew", radial=4, grid=24), [8, 16, 24], 0.05, "two-sided"),
 ], ids=["square-map", "neg-cube", "neg-cube-forward", "window", "annulus-skew"])
 def test_stabilization_counts_match_per_horizon_envelopes(model, horizons, tau, power_range):
+    oracle = per_horizon_counts(model, horizons, tau, power_range)
     diag = stabilization_diagnostic(model, horizons, tau, power_range)
-    assert diag["counts"] == per_horizon_counts(model, horizons, tau, power_range)
+    assert diag["counts"] == oracle
+    # a closed envelope at a longer horizon is read, not clustered again: it
+    # counts the main-loop clusters only, not the iterates past its horizon
+    # nor the composites (origin 0) that its table closure appended
+    env = approx_envelope(model, horizons[-1] + 4, tau, power_range, max_elements=80)
+    assert stabilization_diagnostic(model, horizons, tau, power_range, env) == diag
+
+
+def test_stabilization_reads_only_a_matching_envelope(monkeypatch):
+    model = spaces.sample_window_model(count=12, radius=6, seed=1)
+    env = approx_envelope(model, 12, 0.5, "forward")
+    # the closure appended a composite of origin 0, which no horizon counts
+    assert [e.provenance for e in env.elements[env.main_count:]] == ["composite"]
+    counts = per_horizon_counts(model, [4, 12], 0.5, "forward")
+    assert [sum(abs(e.origin) <= h for e in env.elements) for h in (4, 12)] != counts
+    calls = []
+    real = envelope.approx_envelope
+    monkeypatch.setattr(envelope, "approx_envelope",
+                        lambda *a, **kw: calls.append(a[1:4]) or real(*a, **kw))
+    assert stabilization_diagnostic(model, [4, 12], 0.5, "forward", env)["counts"] == counts
+    assert calls == []
+    twin = spaces.sample_window_model(count=12, radius=6, seed=1)
+    for other_model, horizons, tau, power_range, other_env in [
+            (model, [4, 12], 0.3, "forward", env),       # tau
+            (model, [4, 12], 0.5, "two-sided", env),     # power range
+            (twin, [4, 12], 0.5, "forward", env),        # model object
+            (model, [4, 13], 0.5, "forward", env),       # horizon
+            (model, [4, 12], 0.5, "forward", None)]:
+        calls.clear()
+        diag = stabilization_diagnostic(other_model, horizons, tau, power_range, other_env)
+        assert calls == [(horizons[-1], tau, power_range)]
+        assert diag["counts"] == per_horizon_counts(other_model, horizons, tau, power_range)
+    calls.clear()
+    stack = spaces.load_example("periodic-stack", n=2, truncate=5)
+    stabilization_diagnostic(stack, [4], 0.05, "forward", exact_envelope(stack))
+    assert calls == [(4, 0.05, "forward")]
 
 
 def test_stabilization_validates_horizons():

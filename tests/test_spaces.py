@@ -321,3 +321,53 @@ def test_cycle_structure_matches_per_point_walk(table):
     assert [tail.dtype, length.dtype, root.dtype] == [np.int64] * 3
     got = list(zip(tail.tolist(), length.tolist(), root.tolist()))
     assert got == [walk_to_cycle(table, x) for x in range(len(table))]
+
+
+def take_key_matrix(model, imgs, w):
+    # oracle: gather the window's positions, clipped onto the zero rows, then
+    # the image's sample rows
+    pos = np.arange(imgs.n - w, imgs.n + w + 1) + model.pad + 1
+    return model._columns.take(pos, axis=0, mode="clip").take(imgs.rows, axis=1)
+
+
+@pytest.mark.parametrize("n", [0, 3, -7, 9, -9, 10, -10, 11, 12, -13, 40])
+def test_window_keys_match_the_gather_path(n):
+    # pad = 9, so the windows of |n| near pad reach past the stored rows
+    m = spaces.sample_window_model(count=7, radius=7, seed=3)
+    ident = m.iterate_images(n)
+    rows = np.random.default_rng(n + 50).permutation(m.n_points)
+    for imgs in (ident, m.apply_to_indices(ident, rows)):
+        other = m.iterate_images(n - 2)
+        if imgs is not ident:
+            other = m.apply_to_indices(other, rows)
+        for w in (-1, 0, 1, 4, m.pad):
+            key = m.key_matrix(imgs, w)
+            assert key.shape == (max(2 * w + 1, 0), m.n_points)
+            assert np.array_equal(key, take_key_matrix(m, imgs, w))
+        for tau in (2.0, 0.4, 0.1, 2.0 ** -m.pad):
+            w = m.window_radius(tau)
+            assert m.cluster_key(imgs, tau) == take_key_matrix(m, imgs, w).tobytes()
+        assert np.array_equal(m.image_pair_dist(imgs, other),
+                              m._first_diff(take_key_matrix(m, imgs, m.pad),
+                                            take_key_matrix(m, other, m.pad)))
+    # identity rows whose window fits in the stored rows read a view
+    assert np.shares_memory(m.key_matrix(ident, 1), m._columns) == (abs(n) <= m.pad)
+
+
+def loop_isolated_ones_dist(truncate, a, b):
+    # oracle: the per-pair loop the closed form replaced
+    absj = [abs(j) for j in range(-truncate, truncate + 1)]
+    zero = len(absj)
+    out = []
+    for x, y in zip(a, b):
+        radii = [absj[t] for t in (x, y) if t != zero]
+        out.append(0.0 if x == y else 2.0 ** (-min(radii)))
+    return out
+
+
+@pytest.mark.parametrize("truncate", [1, 3, 12])
+def test_isolated_ones_metric_matches_the_pair_loop(truncate):
+    m = spaces.load_example("isolated-ones-subshift", truncate=truncate)
+    a, b = np.divmod(np.arange(m.n_points ** 2), m.n_points)
+    assert m.point_dist(a, b).tolist() == loop_isolated_ones_dist(truncate, a, b)
+    assert m.point_dist(2, 2).tolist() == [0.0]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ellis import symbolic
+from ellis import properties, symbolic
 from ellis.symbolic import (
     RuleUndefinedError,
     ShiftSpecError,
@@ -13,7 +13,6 @@ from ellis.symbolic import (
     boyle_precondition,
     build_subshift,
     classify_sft,
-    cylinder_hitting,
     cylinder_metric,
     cylinder_tensor,
     entropy_estimates,
@@ -30,6 +29,30 @@ LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
 
 # -- oracles ----------------------------------------------------------------
+
+
+def _overlap_meets(shift, u, v, n):
+    """[u] meets sigma^-n [v] for 0 < n < len(u): v starts inside u, so the
+    two words overlay into one word, which decides."""
+    overlap = u[n:n + len(v)]
+    return v[:len(overlap)] == overlap and shift.word_in_language(u + v[len(overlap):])
+
+
+def cylinder_hitting(shift, u, v, horizon):
+    """n in [1, horizon] such that the shift of cylinder [u] meets [v], one
+    pair at a time: merged words inside u, one frontier walk beyond it."""
+    p = shift.presentation
+    step = p.step
+    out = [n for n in range(1, min(len(u), horizon + 1)) if _overlap_meets(shift, u, v, n)]
+    cur = p.read(p.start, u)
+    for n in range(len(u), horizon + 1):
+        if n > len(u):
+            cur = cur @ step
+        if not cur.any():
+            break
+        if p.read(cur, v).any():
+            out.append(n)
+    return [n for n in out if n >= 1]
 
 
 def fib_counts(n_max):
@@ -381,16 +404,20 @@ def longer_words(shift):
 
 def assert_tensor_matches_cylinder_hitting(shift, extra_words=()):
     # every word up to length 2 over the alphabet, in the language or not,
-    # plus some longer language words so the merged-word region is exercised
+    # plus some longer language words so the merged-word region is exercised;
+    # horizons 1 and 2 stop inside the longer words
     words = ["".join(t) for L in (1, 2) for t in itertools.product(shift.alphabet, repeat=L)]
     words += sorted(w for w in extra_words if w not in words)
-    horizon = 9
-    hits = cylinder_tensor(shift, words, horizon)
-    assert not hits[0].any()
-    for i, u in enumerate(words):
-        for j, v in enumerate(words):
-            assert (list(map(int, hits[:, i, j].nonzero()[0]))
-                    == cylinder_hitting(shift, u, v, horizon)), (u, v)
+    for horizon in (1, 2, 9):
+        hits = cylinder_tensor(shift, words, horizon)
+        assert not hits[0].any()
+        for i, u in enumerate(words):
+            for j, v in enumerate(words):
+                assert (list(map(int, hits[:, i, j].nonzero()[0]))
+                        == cylinder_hitting(shift, u, v, horizon)), (u, v, horizon)
+    # the hitting_set op reads one pair of the same tensor
+    for u, v in zip(words, words[::-1]):
+        assert properties.hitting_set(shift, u, v, 9) == cylinder_hitting(shift, u, v, 9)
 
 
 @given(st.sampled_from(["01", "012"]),
