@@ -255,20 +255,21 @@ def ideal_isomorphism_check(s: FiniteSemigroup, ideal_i, ideal_k) -> dict:
     }
 
 
-def is_group_distal(s: FiniteSemigroup) -> dict:
-    t = s.table
-    n = s.size
-    idem = idempotents(s)
-    has_identity = s.identity is not None
-    is_group = has_identity
-    if has_identity:
-        target = np.arange(n)
-        for i in range(n):
-            if not (np.array_equal(np.sort(t[i]), target)
-                    and np.array_equal(np.sort(t[:, i]), target)):
-                is_group = False
-                break
-    unique = len(idem) == 1 and has_identity and idem[0] == s.identity
+def is_group_distal(s: FiniteSemigroup | MonogenicMonoid) -> dict:
+    """Group test (a table with an identity, whose rows and columns are each
+    a permutation) against the unique-idempotent test.  A monogenic monoid is
+    a group, and its one idempotent the identity, exactly when its index is
+    0: otherwise f^m with m >= index is a second idempotent."""
+    if isinstance(s, MonogenicMonoid):
+        is_group = unique = s.index == 0
+    else:
+        t = s.table
+        idem = idempotents(s)
+        has_identity = s.identity is not None
+        target = np.arange(s.size)
+        is_group = has_identity and bool((np.sort(t, axis=1) == target).all()
+                                         and (np.sort(t, axis=0) == target[:, None]).all())
+        unique = len(idem) == 1 and has_identity and idem[0] == s.identity
     return {
         "is_group": bool(is_group),
         "unique_idempotent_is_identity": bool(unique),
@@ -281,45 +282,49 @@ def is_group_distal(s: FiniteSemigroup) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _collapse_matrix(model, element, tau: float) -> np.ndarray:
-    """Boolean matrix of sample pairs identified by one envelope element
-    (exact envelopes have tau 0, so identified means equal images)."""
-    imgs = element.images
-    n = model.n_points
-    left = model.apply_to_indices(imgs, np.repeat(np.arange(n), n))
-    right = model.apply_to_indices(imgs, np.tile(np.arange(n), n))
-    return model.image_pair_dist(left, right).reshape(n, n) <= tau
-
-
 def proximal_structure(model, env) -> dict:
     """Proximal pairs, per-ideal relations, and the unique-ideal biconditional.
 
     A pair is proximal when some envelope element identifies it (within tau
     for sampled models); the relation attached to a minimal left ideal keeps
     the pairs identified by every element of the ideal.
+
+    On an exact envelope f^m x = f^m y for one m holds for every larger m,
+    so g = f^index identifies every proximal pair, and so does each element
+    of the one minimal ideal, the kernel: proximality is the kernel of g,
+    an equivalence, and its pairs are counted from g's fibre sizes with no
+    N×N matrix.  An approximate envelope holds one N×N collapse matrix per
+    element, refused over ``CELL_BUDGET`` cells.
     """
-    s = from_envelope(env)
-    tau = getattr(env, "tau", 0.0)
+    from .envelope import ExactEnvelope
+
     n = model.n_points
-    collapse = [_collapse_matrix(model, el, tau) for el in env.elements]
-    prox = np.zeros((n, n), dtype=bool)
-    for mat in collapse:
-        prox |= mat
-    ideals = minimal_left_ideals(s)
-    relations = []
-    for ideal in ideals:
-        rel = np.ones((n, n), dtype=bool)
-        for el in ideal:
-            rel &= collapse[el]
-        relations.append(rel)
-    closed = prox | np.eye(n, dtype=bool)
+    if isinstance(env, ExactEnvelope):
+        g = np.arange(n)
+        for _ in range(env.index):
+            g = model.map_table[g]
+        fibres = np.bincount(g)
+        pairs = int((fibres * (fibres - 1)).sum()) // 2
+        return {"pair_count": pairs, "ideal_count": 1, "per_ideal_pair_counts": [pairs],
+                "is_equivalence": True, "theorem_er_consistent": True, "finitely_proximal": True}
+    size = len(env.elements)
+    check_cells((size + 1) * n * n, f"the proximal relation of {size} elements over {n} points")
+    ideals = minimal_left_ideals(from_envelope(env))
+    left, right = np.divmod(np.arange(n * n), n)
+    collapse = np.empty((size, n, n), dtype=bool)
+    for k, el in enumerate(env.elements):
+        d = model.image_pair_dist(model.apply_to_indices(el.images, left),
+                                  model.apply_to_indices(el.images, right))
+        collapse[k] = (d <= env.tau).reshape(n, n)
+    prox = collapse.any(axis=0)
+    off = ~np.eye(n, dtype=bool)
+    closed = prox | ~off
     transitive = not ((closed @ closed) & ~closed).any()
-    nontrivial = int(prox[~np.eye(n, dtype=bool)].sum()) // 2
     return {
-        "pair_count": nontrivial,
-        "proximal": prox,
+        "pair_count": int(prox[off].sum()) // 2,
         "ideal_count": len(ideals),
-        "per_ideal_pair_counts": [int(r[~np.eye(n, dtype=bool)].sum()) // 2 for r in relations],
+        "per_ideal_pair_counts": [int(collapse[list(i)].all(axis=0)[off].sum()) // 2
+                                  for i in ideals],
         "is_equivalence": bool(transitive),
         "theorem_er_consistent": bool((len(ideals) == 1) == transitive),
         "finitely_proximal": True,
@@ -446,7 +451,7 @@ def run_equivalence_corpus(count: int = 500, max_points: int = 8, seed: int = 7,
         no_pairs = prox["pair_count"] == 0
         if not (gd["is_group"] == gd["unique_idempotent_is_identity"] == no_pairs):
             violations.append((trial, "distal-equivalences"))
-        if not prox["theorem_er_consistent"]:
+        if (len(ideals) == 1) != prox["is_equivalence"]:
             violations.append((trial, "unique-ideal-vs-transitivity"))
         for a in range(len(ideals)):
             for b in range(len(ideals)):
@@ -454,7 +459,7 @@ def run_equivalence_corpus(count: int = 500, max_points: int = 8, seed: int = 7,
                 if not res["isomorphic"]:
                     violations.append((trial, f"ideal-isomorphism-{a}-{b}"))
         for pn in power_ns:
-            if not envelope_power_decomposition(model, pn)["equal"]:
+            if not envelope_power_decomposition(model, pn, env)["equal"]:
                 violations.append((trial, f"power-decomposition-{pn}"))
         if no_pairs:
             # distal consequences: every orbit is a cycle and the map is onto

@@ -129,7 +129,7 @@ def _op_stabilization(ctx, horizons, tau, power_range="two-sided"):
 
 
 def _op_power_decomposition(ctx, n):
-    return envelope.envelope_power_decomposition(_require(ctx.model, "a model"), n)
+    return envelope.envelope_power_decomposition(_require(ctx.model, "a model"), n, ctx.env)
 
 
 def _sg(ctx):
@@ -175,10 +175,8 @@ def _op_is_group_distal(ctx):
 
 
 def _op_proximal_structure(ctx):
-    out = algebra.proximal_structure(_require(ctx.model, "a model"),
-                                     _require(ctx.env, "an envelope"))
-    out.pop("proximal", None)
-    return out
+    return algebra.proximal_structure(_require(ctx.model, "a model"),
+                                      _require(ctx.env, "an envelope"))
 
 
 def _op_periodic_elements(ctx):

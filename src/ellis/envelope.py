@@ -16,6 +16,7 @@ the worst snap error is reported.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -123,14 +124,19 @@ class ExactEnvelope(_EnvelopeBase):
         return [f"f^{k}" for k in range(self.monoid.size)]
 
     @cached_property
-    def elements(self) -> list:
+    def maps(self) -> np.ndarray:
+        """The ``(size, N)`` block whose row k is the map f^k."""
         size, n = self.monoid.size, self.model.n_points
         check_cells(size * n, f"the maps of an exact envelope of {size} elements over {n} points")
         maps = np.empty((size, n), dtype=np.int64)
         maps[0] = np.arange(n)
         for k in range(1, size):
             maps[k] = self.model.map_table[maps[k - 1]]
-        return [MapSample(f"f^{k}", maps[k], k, [k], "iterate") for k in range(size)]
+        return maps
+
+    @cached_property
+    def elements(self) -> list:
+        return [MapSample(f"f^{k}", row, k, [k], "iterate") for k, row in enumerate(self.maps)]
 
     @property
     def table(self) -> np.ndarray:
@@ -190,7 +196,10 @@ class _ClusterIndex:
     their representatives.
 
     A carrier that keys its images at tau (finite ids below the resolution,
-    window rows) keys every image or none, and is looked up in one dict.
+    window rows) keys every image or none.  Such a lookup is one dict from
+    the CRC-32 of the key to its clusters; a hash match is confirmed by
+    comparing the key with the key of the cluster's representative, so the
+    index holds no copy of any key, and a window key is often a view.
     Otherwise each representative keeps one row of a ``(capacity, P,
     *point)`` probe block: its images at the probe columns, every 64th sample
     point at first.  The probe's sup distance bounds the full one from below,
@@ -206,11 +215,20 @@ class _ClusterIndex:
         self.reps: list = []
         self.probe = np.arange(0, model.n_points, 64)
         self.rows = None
+        self._hashed = (None, 0)
+
+    def _hash(self, key) -> int:
+        # find and then add hash the same key once
+        if key is not self._hashed[0]:
+            self._hashed = (key, zlib.crc32(np.ascontiguousarray(key)))
+        return self._hashed[1]
 
     def find(self, images, key):
         """Index of the first cluster whose representative is within tau, else None."""
         if key is not None:
-            return self.keys.get(key)
+            return next((i for i in self.keys.get(self._hash(key), ())
+                         if np.array_equal(self.model.cluster_key(self.reps[i], self.tau), key)),
+                        None)
         head = self.model.apply_to_indices(images, self.probe)
         lo = 0
         while lo < len(self.reps):
@@ -229,9 +247,10 @@ class _ClusterIndex:
 
     def add(self, images, key) -> int:
         """Register a new cluster represented by ``images``; its index."""
-        i = len(self.keys) + len(self.reps)
+        i = len(self.reps)
         if key is not None:
-            self.keys[key] = i
+            self.keys.setdefault(self._hash(key), []).append(i)
+            self.reps.append(images)
             return i
         row = self.model.apply_to_indices(images, self.probe)
         if self.rows is None or i == len(self.rows):
@@ -427,33 +446,31 @@ def identity_isolated(env, tau: float | None = None) -> dict:
     return {"isolated": True, "witness": None, "weakly_rigid_up_to_horizon": False}
 
 
-def envelope_power_decomposition(model: FiniteModel, n: int) -> dict:
+def envelope_power_decomposition(model: FiniteModel, n: int, env=None) -> dict:
     """Exact comparison of the envelope with the union of translated
-    n-th-power envelopes."""
+    n-th-power envelopes.
+
+    ``env``, when it is the exact envelope of this model object, is read
+    instead of building it again.  The envelope of f^n is its iterates
+    f^(nk) up to the first repeated map, and the translates f^j f^(nk) for
+    j < n; each map is a row of ``env.maps``, and the union is compared with
+    the envelope map by map."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    env = exact_envelope(model)
-    full = {e.images.tobytes() for e in env.elements}
-    table_n = env.elements[env.fold(n)].images
-    inv_n = env.elements[env.element_of_exponent(-n)].images if model.invertible else None
-    sub = FiniteModel(f"{model.name}^... ", {}, model.coords, model.point_dist,
-                      table_n, inv_n, model.metric_name)
-    env_n = exact_envelope(sub)
-    translate_sizes = []
-    union = set()
-    collisions = 0
-    shift = np.arange(model.n_points, dtype=np.int64)
+    if not (isinstance(env, ExactEnvelope) and env.model is model):
+        env = exact_envelope(model)
+    keys = [row.tobytes() for row in env.maps]
+    sub, key = {}, keys[0]          # the maps f^(nk) and their exponents nk
+    while key not in sub:
+        sub[key] = n * len(sub)
+        key = keys[env.fold(n * len(sub))]
+    translate_sizes, union, collisions = [], set(), 0
     for j in range(n):
-        tr = set()
-        for e in env_n.elements:
-            composed = shift[e.images]
-            key = composed.tobytes()
-            if key in union:
-                collisions += 1
-            tr.add(key)
-            union.add(key)
+        tr = {keys[env.fold(j + m)] for m in sub.values()}
+        collisions += len(tr & union) + len(sub) - len(tr)
         translate_sizes.append(len(tr))
-        shift = model.map_table[shift]
+        union |= tr
+    full = set(keys)
     return {
         "equal": union == full,
         "envelope_size": len(full),

@@ -345,8 +345,12 @@ def _neighbor_pairs(model: CascadeModel, dist: np.ndarray):
     return out
 
 
-def _pair_sup_divergence(model, pairs, horizon):
-    """sup over n <= horizon of d(f^n x, f^n y) for the given index pairs."""
+def _pair_sup_divergence(model, pairs, horizon, dist):
+    """sup over n <= horizon of d(f^n x, f^n y) for the given index pairs.
+
+    A finite carrier's images are point ids, so each distance is read from
+    ``dist``, the model's full distance matrix: the same ``point_dist`` (or
+    ``distance_rows``) floats that ``image_pair_dist`` computes."""
     xs = np.asarray([p[0] for p in pairs], dtype=np.int64)
     ys = np.asarray([p[1] for p in pairs], dtype=np.int64)
     sup = np.zeros(len(pairs))
@@ -354,7 +358,8 @@ def _pair_sup_divergence(model, pairs, horizon):
         imgs = model.iterate_images(n)
         a = model.apply_to_indices(imgs, xs)
         b = model.apply_to_indices(imgs, ys)
-        sup = np.maximum(sup, model.image_pair_dist(a, b))
+        d = dist[a, b] if isinstance(model, FiniteModel) else model.image_pair_dist(a, b)
+        sup = np.maximum(sup, d)
     return sup
 
 
@@ -377,7 +382,7 @@ def equicontinuity_scan(model: CascadeModel, eps_list, horizon: int,
             continue  # isolated at cover scale: vacuously equicontinuous
         for m in mates:
             pairs.append((i, m))
-    sup = _pair_sup_divergence(model, pairs, horizon)
+    sup = _pair_sup_divergence(model, pairs, horizon, dist)
     worst = np.zeros(model.n_points)
     for (i, _m), s in zip(pairs, sup):
         worst[i] = max(worst[i], s)

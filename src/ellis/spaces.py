@@ -225,7 +225,8 @@ class CascadeModel:
         raise NotImplementedError
 
     def cluster_key(self, imgs, tau: float):
-        """Optional hashable that refines sup-distance ``tau`` clustering.
+        """Optional array that refines sup-distance ``tau`` clustering: images
+        whose keys are equal cluster together, compared by value.
 
         ``None`` means callers must fall back to pairwise distances.
         """
@@ -325,7 +326,7 @@ class FiniteModel(CascadeModel):
 
     def cluster_key(self, imgs, tau):
         if tau < self.resolution:
-            return imgs.tobytes()
+            return imgs
         return None
 
     def export_images(self, imgs):
@@ -599,7 +600,7 @@ class WindowSampleModel(CascadeModel):
         return w
 
     def cluster_key(self, imgs, tau):
-        return self.key_matrix(imgs, self.window_radius(tau)).tobytes()
+        return self.key_matrix(imgs, self.window_radius(tau))
 
     def export_images(self, imgs):
         return ["".join(map(str, seq)) for seq in self.key_matrix(imgs, min(self.pad, 8)).T]

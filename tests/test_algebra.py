@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -407,6 +408,156 @@ def test_periodic_union_12_pipeline_reads_no_maps_and_no_table():
     assert (kernel["kernel"][0], len(kernel["kernel"])) == (201, 27720)
     assert kernel["idempotents_per_ideal"] == [[27720]]
     assert report["steps"][1]["result"]["common_period"] == 27720
+
+
+def test_periodic_union_12_group_and_proximal_tests_answer_in_closed_form():
+    # is_group_distal was refused before, for 27921**2 table cells
+    cfg = {"model": {"name": "periodic-union", "params": {"n": 12}}, "pipeline": [
+        {"op": op} for op in ("exact_envelope", "is_group_distal", "proximal_structure")]}
+    tracemalloc.start()
+    try:
+        report, _ = cli.run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["summary"]["ok"], report["steps"]
+    assert peak < 64 * 2**20
+    assert report["steps"][1]["result"] == {
+        "is_group": False, "unique_idempotent_is_identity": False, "agree": True}
+    prox = report["steps"][2]["result"]
+    assert prox["pair_count"] == 1_583_478
+    assert prox["per_ideal_pair_counts"] == [1_583_478]
+
+
+# -- proximality and the group test against the loops they replaced ----------
+
+
+def collapse_proximal_structure(model, env):
+    # oracle: one N x N collapse matrix per element, with the minimal ideals
+    # of the generic table path
+    n = model.n_points
+    exact = isinstance(env, envelope.ExactEnvelope)
+    s = generic_semigroup(env) if exact else from_envelope(env)
+    collapse = []
+    for el in env.elements:
+        left = model.apply_to_indices(el.images, np.repeat(np.arange(n), n))
+        right = model.apply_to_indices(el.images, np.tile(np.arange(n), n))
+        collapse.append(model.image_pair_dist(left, right).reshape(n, n) <= env.tau)
+    off = ~np.eye(n, dtype=bool)
+    prox = np.logical_or.reduce(collapse)
+    ideals = minimal_left_ideals(s)
+    relations = [np.logical_and.reduce([collapse[e] for e in ideal]) for ideal in ideals]
+    closed = prox | ~off
+    transitive = not ((closed @ closed) & ~closed).any()
+    return {
+        "pair_count": int(prox[off].sum()) // 2,
+        "ideal_count": len(ideals),
+        "per_ideal_pair_counts": [int(r[off].sum()) // 2 for r in relations],
+        "is_equivalence": bool(transitive),
+        "theorem_er_consistent": bool((len(ideals) == 1) == transitive),
+        "finitely_proximal": True,
+    }
+
+
+@given(maps_up_to_9)
+@example([0])
+@example([0, 0, 0])
+@example([1, 2, 0])
+def test_proximal_closed_form_matches_collapse_loop_on_random_maps(table):
+    inverse = np.argsort(table) if sorted(table) == list(range(len(table))) else None
+    model = finite(table, inverse)
+    env = envelope.exact_envelope(model)
+    assert proximal_structure(model, env) == collapse_proximal_structure(model, env)
+
+
+# smaller bases for the k = 2 hyperspaces, where the oracle holds N**2 pairs
+# per element
+SMALL_HYPER_BASES = {
+    "dyadic-circle-stack": {"levels": 2, "mult": 2},
+    "dyadic-circle-stack-inward": {"levels": 2, "mult": 2},
+    "periodic-union": {"n": 3, "truncate": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_CASES))
+def test_proximal_closed_form_matches_collapse_loop_on_catalog(name):
+    model = spaces.load_example(name, **FINITE_CASES[name])
+    base = spaces.load_example(name, **SMALL_HYPER_BASES.get(name, FINITE_CASES[name]))
+    for carrier in (model, hyperspace.build_hyper_model(base, 2)):
+        env = envelope.exact_envelope(carrier)
+        assert proximal_structure(carrier, env) == collapse_proximal_structure(carrier, env)
+
+
+@pytest.mark.parametrize("name", ["square-map", "neg-cube"])
+def test_approximate_proximal_structure_is_the_collapse_loop(name):
+    model = spaces.load_example(name, grid=101)
+    env = envelope.approx_envelope(model, 40, 1e-3, "two-sided")
+    assert proximal_structure(model, env) == collapse_proximal_structure(model, env)
+
+
+def test_approximate_proximal_structure_is_refused_over_the_cell_budget():
+    sq = spaces.load_example("square-map", grid=100001)
+    env = envelope.approx_envelope(sq, 4, 1e-3, "two-sided", close_table=False)
+    start = time.perf_counter()
+    with pytest.raises(envelope.EnvelopeBudgetError, match="proximal relation"):
+        proximal_structure(sq, env)
+    assert time.perf_counter() - start < 1.0
+
+
+def loop_is_group_distal(s):
+    # oracle: the row loop, with two sorts per row
+    t, n = s.table, s.size
+    idem = idempotents(s)
+    has_identity = s.identity is not None
+    is_group = has_identity
+    if has_identity:
+        target = np.arange(n)
+        for i in range(n):
+            if not (np.array_equal(np.sort(t[i]), target)
+                    and np.array_equal(np.sort(t[:, i]), target)):
+                is_group = False
+                break
+    unique = len(idem) == 1 and has_identity and idem[0] == s.identity
+    return {"is_group": bool(is_group), "unique_idempotent_is_identity": bool(unique),
+            "agree": bool(is_group == unique)}
+
+
+# Latin squares, so that the group test can pass: Z_n relabelled on rows,
+# columns and values
+latin_tables = st.integers(min_value=1, max_value=7).flatmap(lambda n: st.tuples(
+    *[st.permutations(list(range(n)))] * 3)).map(
+    lambda p: np.asarray(p[2])[np.add.outer(p[0], p[1]) % len(p[0])].tolist())
+
+
+@given(st.one_of(random_tables, latin_tables),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=6)))
+@example([[0, 1], [1, 0]], None)
+def test_is_group_distal_matches_row_loop_on_tables(rows, identity):
+    identity = None if identity is None else identity % len(rows)
+    s = FiniteSemigroup(np.asarray(rows), identity, source="approx")
+    assert is_group_distal(s) == loop_is_group_distal(s)
+
+
+@given(st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=12))
+def test_is_group_distal_on_monoids_matches_row_loop(index, period):
+    m = algebra.MonogenicMonoid(index, period)
+    got = is_group_distal(m)
+    assert "table" not in m.__dict__             # answered without the table
+    assert got == loop_is_group_distal(FiniteSemigroup(m.table, 0, m.generator, "exact"))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_equivalence_corpus_at_three_seeds(seed):
+    assert run_equivalence_corpus(500, 8, seed) == {"count": 500, "violations": [], "ok": True}
+
+
+def test_equivalence_corpus_cross_checks_the_closed_form(monkeypatch):
+    # the generic path's one ideal against a closed form that says otherwise
+    real = algebra.proximal_structure
+    monkeypatch.setattr(algebra, "proximal_structure",
+                        lambda model, env: {**real(model, env), "is_equivalence": False})
+    rep = run_equivalence_corpus(count=5, max_points=4, seed=1)
+    assert [v[1] for v in rep["violations"]] == ["unique-ideal-vs-transitivity"] * 5
 
 
 # -- equivariance of the ideal isomorphism against the double loop ------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ellis import algebra, envelope, hyperspace, properties, spaces
+from ellis import algebra, cli, envelope, hyperspace, properties, spaces
 from ellis.envelope import (
     approx_envelope,
     envelope_phase_model,
@@ -116,7 +116,7 @@ def test_exact_envelope_budget_refuses_before_allocating():
     big = exact_envelope(spaces.load_example("periodic-union", n=11))
     assert (big.index, big.period) == (201, 27720)
     assert len(big.element_names()) == 27921
-    for read in ("table", "elements"):
+    for read in ("table", "maps", "elements"):
         start = time.perf_counter()
         with pytest.raises(envelope.EnvelopeBudgetError, match="27921 elements"):
             getattr(big, read)
@@ -364,7 +364,7 @@ class LoopIndex:
 
     def find(self, images, key):
         if key is not None:
-            return self.keys.get(key)
+            return self.keys.get(key.tobytes())
         model = self.model
         probe = np.arange(0, model.n_points, 64)
         head = model.apply_to_indices(images, probe)
@@ -376,7 +376,7 @@ class LoopIndex:
 
     def add(self, images, key):
         if key is not None:
-            self.keys[key] = len(self.reps)
+            self.keys[key.tobytes()] = len(self.reps)
         self.reps.append(images)
         return len(self.reps) - 1
 
@@ -465,6 +465,31 @@ def test_cluster_index_matches_the_scan_across_a_limit_swap():
         check_index_against_scan(model, 10, 0.03, "two-sided", close_table)
 
 
+@pytest.mark.parametrize("collide", [False, True])
+def test_keyed_cluster_index_matches_the_scan_and_keeps_no_key_bytes(monkeypatch, collide):
+    window = spaces.sample_window_model(count=60, radius=30, seed=4)
+    ids = finite(np.random.default_rng(2).integers(0, 40, 40))
+    cases = [(window, 0.4), (window, 2.0 ** -6), (ids, ids.resolution / 2)]
+    if collide:
+        # every key hashes alike: the compared symbols alone decide
+        monkeypatch.setattr(envelope.zlib, "crc32", lambda key: 0)
+    for model, tau in cases:
+        assert model.cluster_key(model.iterate_images(0), tau) is not None
+        args = (model, 40, tau, "two-sided" if model.invertible else "forward")
+        close = model is not window
+        assert clustering(approx_envelope(*args, close_table=close)) == \
+            clustering(envelope_with(LoopIndex, *args, close_table=close))
+    index = envelope._ClusterIndex(window, 0.4)
+    for n in range(-50, 51):
+        images = window.iterate_images(n)
+        key = window.cluster_key(images, 0.4)
+        if index.find(images, key) is None:
+            index.add(images, key)
+    # the dict holds hashes and cluster indices, no key bytes
+    assert all(type(h) is int for h in index.keys)
+    assert sorted(i for ids in index.keys.values() for i in ids) == list(range(len(index.reps)))
+
+
 def test_cluster_index_tau_is_inclusive():
     # integer coordinates, so f and f^2 of x -> x + 1 lie exactly tau = 1 and
     # 2 from the identity, on the probe as everywhere else
@@ -542,6 +567,67 @@ def test_power_decomposition_examples():
             assert envelope_power_decomposition(model, n)["equal"] == \
                 brute_power_decomposition([int(v) for v in table], n)
             assert envelope_power_decomposition(model, n)["equal"]
+
+
+def loop_power_decomposition(model, n):
+    # oracle: the envelope of f^n built from its own map table, and each
+    # translate composed map by map
+    env = exact_envelope(model)
+    full = {e.images.tobytes() for e in env.elements}
+    sub = finite(env.elements[env.fold(n)].images)
+    translate_sizes, union, collisions = [], set(), 0
+    shift = np.arange(model.n_points, dtype=np.int64)
+    for _ in range(n):
+        tr = set()
+        for e in exact_envelope(sub).elements:
+            key = shift[e.images].tobytes()
+            collisions += key in union
+            tr.add(key)
+            union.add(key)
+        translate_sizes.append(len(tr))
+        shift = model.map_table[shift]
+    return {"equal": union == full, "envelope_size": len(full), "union_size": len(union),
+            "translate_sizes": translate_sizes, "multiset_collisions": collisions}
+
+
+maps_with_constants = st.integers(min_value=1, max_value=9).flatmap(
+    lambda n: st.one_of(
+        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n),
+        st.permutations(list(range(n))),
+        st.integers(min_value=0, max_value=n - 1).map(lambda c: [c] * n)))
+
+
+@given(maps_with_constants, st.integers(min_value=1, max_value=5))
+def test_power_decomposition_with_env_matches_the_loops(table, n):
+    inverse = np.argsort(table) if sorted(table) == list(range(len(table))) else None
+    model = finite(table, inverse)
+    env = exact_envelope(model)
+    got = envelope_power_decomposition(model, n, env)
+    assert got == envelope_power_decomposition(model, n)
+    assert got == loop_power_decomposition(model, n)
+    assert got["equal"] == brute_power_decomposition(table, n)
+    assert np.array_equal([e.images for e in env.elements], env.maps)
+
+
+def test_power_decomposition_reads_only_the_envelope_of_its_model(monkeypatch):
+    calls = []
+    real = envelope.exact_envelope
+    monkeypatch.setattr(envelope, "exact_envelope", lambda m: calls.append(m) or real(m))
+    model = finite([1, 2, 0, 0], name="m")
+    twin = finite([1, 2, 0, 0], name="m")
+    env = real(model)
+    for other_env, expected in ((env, []), (real(twin), [model]), (None, [model]),
+                                (approx_envelope(model, 4, 0.1, "forward"), [model])):
+        calls.clear()
+        assert envelope_power_decomposition(model, 2, other_env) == \
+            loop_power_decomposition(model, 2)
+        assert calls == expected
+    # the op passes the context's envelope
+    calls.clear()
+    report, _ = cli.run_experiment({
+        "model": {"name": "periodic-stack", "params": {"n": 2, "truncate": 4}},
+        "pipeline": [{"op": "exact_envelope"}, {"op": "power_decomposition", "params": {"n": 3}}]})
+    assert report["summary"]["ok"] and len(calls) == 1
 
 
 # -- hyperspace interplay ----------------------------------------------------------

@@ -468,6 +468,64 @@ def test_equicontinuity_scan_holds_about_one_distance_matrix():
     assert peak < 16 * 2 ** 20
 
 
+def loop_pair_sup_divergence(model, pairs, horizon):
+    # oracle: every iterate's pairs through image_pair_dist, as before finite
+    # carriers read the distance matrix
+    xs, ys = (np.asarray([p[i] for p in pairs], dtype=np.int64) for i in (0, 1))
+    sup = np.zeros(len(pairs))
+    for n in range(horizon + 1):
+        imgs = model.iterate_images(n)
+        sup = np.maximum(sup, model.image_pair_dist(model.apply_to_indices(imgs, xs),
+                                                    model.apply_to_indices(imgs, ys)))
+    return sup
+
+
+# every catalog model with an exact map table, hyperspaces of some, and a
+# sampled model, which keeps the image_pair_dist path
+DIVERGENCE_CASES = {
+    "identity": lambda: spaces.load_example("identity", n=5),
+    "rotation-48": lambda: spaces.load_example("irrational-rotation", grid=48),
+    "double-circle": lambda: spaces.load_example("double-circle-rotation", grid=8),
+    "dyadic-stack": lambda: spaces.load_example("dyadic-circle-stack", levels=3, mult=2),
+    "dyadic-inward": lambda: spaces.load_example("dyadic-circle-stack-inward", levels=3, mult=2),
+    "triadic-stack": lambda: spaces.load_example("triadic-circle-stack", levels=2, mult=1),
+    "periodic-stack": lambda: spaces.load_example("periodic-stack", n=2, truncate=6),
+    "periodic-union": lambda: spaces.load_example("periodic-union", n=3, truncate=4),
+    "isolated-ones": lambda: spaces.load_example("isolated-ones-subshift", truncate=6),
+    "hyper-rotation-24": lambda: build_hyper_model(
+        spaces.load_example("irrational-rotation", grid=24), 2),
+    "hyper-periodic-union": lambda: build_hyper_model(
+        spaces.load_example("periodic-union", n=3, truncate=1), 2),
+    "hyper-isolated-ones": lambda: build_hyper_model(
+        spaces.load_example("isolated-ones-subshift", truncate=4), 3),
+    "square-map": lambda: spaces.load_example("square-map", grid=101),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIVERGENCE_CASES))
+def test_divergence_from_the_distance_matrix_is_bitwise_the_pair_path(name):
+    model = DIVERGENCE_CASES[name]()
+    dist = properties.full_distance_matrix(model)
+    n = model.n_points
+    rng = np.random.default_rng(n)
+    pairs = [(i, m) for i, mates in properties._neighbor_pairs(model, dist) for m in mates]
+    pairs += list(zip(rng.integers(0, n, 200).tolist(), rng.integers(0, n, 200).tolist()))
+    got = properties._pair_sup_divergence(model, pairs, 40, dist)
+    assert got.tobytes() == loop_pair_sup_divergence(model, pairs, 40).tobytes()
+
+
+@given(st.integers(min_value=1, max_value=30).flatmap(lambda n: st.one_of(
+    st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n),
+    st.permutations(list(range(n))))))
+def test_divergence_from_the_distance_matrix_on_random_maps(table):
+    model = finite(table)
+    dist = properties.full_distance_matrix(model)
+    n = model.n_points
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    got = properties._pair_sup_divergence(model, pairs, 2 * n, dist)
+    assert got.tobytes() == loop_pair_sup_divergence(model, pairs, 2 * n).tobytes()
+
+
 # -- rigidity ---------------------------------------------------------------------------
 
 
