@@ -213,12 +213,19 @@ def _is_group_on(t, members, identity) -> bool:
                 and ((sub == identity) & (sub.T == identity)).any(axis=1).all())
 
 
-def ideal_isomorphism_check(s: FiniteSemigroup, ideal_i, ideal_k) -> dict:
+def ideal_isomorphism_check(s: FiniteSemigroup | MonogenicMonoid, ideal_i, ideal_k) -> dict:
     """Pair an idempotent of I with its partner in K and verify that right
     multiplication by the partner is an equivariant bijection I -> K.
 
     Both pairing orientations are searched and the successful one recorded.
+    A monogenic monoid's one minimal ideal, its kernel, pairs with itself
+    through its identity f^m, u = v = m: the first orientation holds, and
+    p -> p f^m is the identity map, equivariant by associativity.
     """
+    if isinstance(s, MonogenicMonoid) and tuple(ideal_i) == tuple(ideal_k) == s.kernel:
+        m = s.cycle_idempotent
+        return {"isomorphic": True, "pairing": {"u": m, "v": m, "orientation": "uv=v,vu=u"},
+                "bijective": True, "equivariance_violations": []}
     t = s.table
     set_i, set_k = set(ideal_i), set(ideal_k)
     js_i = [u for u in idempotents(s) if u in set_i]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -39,6 +40,9 @@ BLOCK_CELLS = 1 << 14
 # cells the int64 maps or the table of one exact envelope, one float64
 # distance matrix, or one window snap may hold: 1 GiB
 CELL_BUDGET = 2 ** 27
+
+# bytes of iterates one model keeps memoized, past its two newest entries
+ITERATE_CACHE_BYTES = 2 ** 23
 
 
 class EnvelopeBudgetError(RuntimeError):
@@ -128,7 +132,14 @@ class CascadeModel:
       so deep shifts stay exact.
 
     Models are immutable after construction; the iterate cache only
-    memoizes pure results.
+    memoizes pure results.  It holds at most ``ITERATE_CACHE_BYTES`` of
+    iterates, or more only while it holds two entries: past the budget it
+    drops the least recently used entries, and the two newest stay, since
+    two-sided sweeps alternate n and -n.  A miss steps from n's neighbour
+    toward 0 when that is cached, else from the nearest cached exponent
+    between 0 and n, or from the identity: never across 0 and never
+    backwards.  So f^n is always f applied n times to the identity (f^-1
+    |n| times for n < 0), and an evicted iterate comes back bitwise equal.
     """
 
     name: str = "anonymous"
@@ -138,7 +149,8 @@ class CascadeModel:
     metric_name: str = "euclidean"
 
     def __init__(self):
-        self._iter_cache: dict[int, object] = {}
+        self._iter_cache: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._iter_bytes = 0
 
     # -- metric ------------------------------------------------------------
 
@@ -185,19 +197,25 @@ class CascadeModel:
     def iterate_images(self, n: int):
         if n < 0 and not self.invertible:
             raise NegativePowerError(f"negative power {n} on non-invertible model")
-        if n not in self._iter_cache:
-            base = 0
-            for m in self._iter_cache:
-                if (m <= n and base <= m) if n >= 0 else (n <= m <= base):
-                    base = m
-            if base not in self._iter_cache:       # then base is 0
-                self._iter_cache[0] = self._identity_images()
-            img = self._iter_cache[base]
-            step = 1 if n >= base else -1
-            for _ in range(abs(n - base)):
-                img = self._advance(img, step)
-            self._iter_cache[n] = img
-        return self._iter_cache[n]
+        cache = self._iter_cache
+        if n in cache:
+            cache.move_to_end(n)
+            return cache[n]
+        near = n - 1 if n > 0 else n + 1
+        if n and near in cache:
+            base = near
+        elif n > 0:
+            base = max((m for m in cache if 0 <= m < n), default=0)
+        else:
+            base = min((m for m in cache if n < m <= 0), default=0)
+        img = cache[base] if base in cache else self._identity_images()
+        for _ in range(abs(n - base)):
+            img = self._advance(img, 1 if n > 0 else -1)
+        cache[n] = img
+        self._iter_bytes += img.nbytes
+        while self._iter_bytes > ITERATE_CACHE_BYTES and len(cache) > 2:
+            self._iter_bytes -= cache.popitem(last=False)[1].nbytes
+        return img
 
     def _identity_images(self):
         raise NotImplementedError
@@ -1034,15 +1052,26 @@ def sample_window_model(count=64, radius=64, seed=0, density=0.5,
     """Seeded sample of finite-support sequences from the full 2-shift."""
     if count < 1 or radius < 1:
         raise InvalidParameterError("count and radius must be >= 1")
-    rng = np.random.default_rng(seed)
-    # drawn in row blocks: the same stream as one (count, width) draw, without
-    # its float64 temporary
-    width = 2 * radius + 1
-    bits = np.empty((count, width), dtype=np.uint8)
-    for rows in row_blocks(count, width):
-        bits[rows[0]:rows[-1] + 1] = rng.random((len(rows), width)) < density
-    pad = radius + pad_extra
-    return WindowSampleModel(
+    width, pad = 2 * radius + 1, radius + pad_extra
+    # all-zero sequences, whose columns then take the draw block by block
+    model = WindowSampleModel(
         name, {"count": count, "radius": radius, "seed": seed, "density": density},
-        bits, radius, pad,
+        np.empty((count, 0), dtype=np.uint8), radius, pad,
     )
+    # rng.random() < density read off the raw words: random() is
+    # (word >> 11) * 2^-53, below density exactly when word >> 11 < T for
+    # T = ceil(density * 2^53) clamped to [0, 2^53], so when word < T * 2^11
+    top = 2 ** 53
+    cut = 0 if not density > 0 else top if density >= 1 else math.ceil(density * top)
+    if cut:
+        rng = np.random.default_rng(seed)
+        below = np.uint64(cut * 2 ** 11 - 1)
+        columns = model._columns[pad - radius + 1:pad + radius + 2].view(bool)
+        # rows per block: 512 KiB of words, so that each column takes runs
+        # of 16 symbols at width 4003 (runs of 4, from BLOCK_CELLS, ran slower)
+        step = max(1, 2 ** 16 // width)
+        for lo in range(0, count, step):
+            hi = min(count, lo + step)
+            words = rng.bit_generator.random_raw((hi - lo) * width).reshape(hi - lo, width)
+            np.less_equal(words.T, below, out=columns[:, lo:hi])
+    return model

@@ -546,6 +546,34 @@ def test_is_group_distal_on_monoids_matches_row_loop(index, period):
     assert got == loop_is_group_distal(FiniteSemigroup(m.table, 0, m.generator, "exact"))
 
 
+@given(st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=12))
+@example(0, 1)
+def test_ideal_isomorphism_on_monoids_matches_the_table_path(index, period):
+    m = algebra.MonogenicMonoid(index, period)
+    got = ideal_isomorphism_check(m, m.kernel, m.kernel)
+    assert "table" not in m.__dict__             # answered without the table
+    assert got == ideal_isomorphism_check(FiniteSemigroup(m.table, 0, m.generator, "exact"),
+                                          m.kernel, m.kernel)
+    assert got["isomorphic"] and got["pairing"]["u"] == m.cycle_idempotent
+
+
+def test_ideal_isomorphism_on_a_monoid_reads_other_member_lists_off_the_table():
+    m = algebra.MonogenicMonoid(3, 4)
+    s = FiniteSemigroup(m.table, 0, m.generator, "exact")
+    for ideal_i, ideal_k in [((0,), (0,)), (m.kernel, (3, 4)), (tuple(range(m.size)), m.kernel)]:
+        assert ideal_isomorphism_check(m, ideal_i, ideal_k) == ideal_isomorphism_check(
+            s, ideal_i, ideal_k)
+
+
+def test_ideal_isomorphism_op_answers_on_periodic_union_12():
+    # 27,921 elements: the table would hold 779,582,241 cells
+    report, _ = cli.run_experiment({"seed": 0, "model": {"name": "periodic-union", "params": {"n": 12}},
+                                    "pipeline": [{"op": "exact_envelope", "params": {}},
+                                                 {"op": "ideal_isomorphism", "params": {"i": 0, "k": 0}}]})
+    assert report["summary"]["ok"]
+    assert report["steps"][1]["result"]["isomorphic"] is True
+
+
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_equivalence_corpus_at_three_seeds(seed):
     assert run_equivalence_corpus(500, 8, seed) == {"count": 500, "violations": [], "ok": True}

@@ -518,6 +518,41 @@ def test_cluster_index_adds_witness_columns():
     check_index_against_scan(model, 20, 1e-3, "two-sided", True)
 
 
+# -- the byte-bounded iterate cache ------------------------------------------
+
+
+def envelope_under_budget(budget, name, grid, horizon, power_range):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "ITERATE_CACHE_BYTES", budget)
+        return approx_envelope(spaces.load_example(name, grid=grid), horizon, 1e-3, power_range)
+
+
+@pytest.mark.parametrize("name,grid,horizon", [("square-map", 2001, 60), ("neg-cube", 2001, 80),
+                                               ("neg-cube", 501, 30)])
+@pytest.mark.parametrize("power_range", ["two-sided", "forward"])
+def test_envelope_is_the_same_under_every_cache_budget(name, grid, horizon, power_range):
+    bounded, unbounded = (envelope_under_budget(b, name, grid, horizon, power_range)
+                          for b in (0, 2 ** 62))
+    assert clustering(bounded) == clustering(unbounded)
+    for a, b in zip(bounded.elements, unbounded.elements):
+        assert a.images.tobytes() == b.images.tobytes()
+
+
+@pytest.mark.parametrize("budget", [0, None])
+def test_square_map_envelope_makes_one_step_per_exponent(monkeypatch, budget):
+    # grid 1e5 holds 800 KB iterates, so the default budget evicts
+    if budget is not None:
+        monkeypatch.setattr(spaces, "ITERATE_CACHE_BYTES", budget)
+    model = spaces.load_example("square-map", grid=100001)
+    steps = []
+    real = model._advance
+    monkeypatch.setattr(model, "_advance", lambda img, d: steps.append(d) or real(img, d))
+    env = approx_envelope(model, 60, 1e-3)
+    assert len(steps) == 2 * 60
+    assert len(env.elements) == 35
+    assert model._iter_bytes <= max(spaces.ITERATE_CACHE_BYTES, 2 * model.points.nbytes)
+
+
 # -- power decomposition ---------------------------------------------------------
 
 

@@ -44,11 +44,23 @@ def test_catalog_determinism():
 @pytest.mark.parametrize("count,radius,seed,density", [
     (1, 1, 0, 0.5),
     (12, 8, 5, 0.5),
-    (500, 20, 1, 0.1),       # two blocks of rows
-    (40, 300, 11, 0.7),      # blocks of 27 rows
-    (3, 9000, 2, 0.5),       # rows wider than a block: one row per block
+    (500, 20, 1, 0.1),       # one block
+    (900, 80, 1, 0.1),       # blocks of 407 rows
+    (40, 300, 11, 0.7),
+    (3, 9000, 2, 0.5),
+    (3, 33000, 2, 0.5),      # rows wider than a block: one row per block
+    (301, 301, 4, 0.0),      # odd count and radius: blocks of 108 rows
+    (301, 301, 4, 0.3),
+    (301, 301, 4, 0.5),
+    (301, 301, 4, 1.0),
+    (301, 301, 4, -0.25),
+    (301, 301, 4, 1.5),
+    (301, 301, 4, math.nan),
+    (301, 301, 4, 2.0 ** -60),   # only a word below 2^11 falls under it
+    (301, 301, 4, 1 - 2.0 ** -53),
 ])
 def test_window_sample_bits_are_one_draw_in_row_blocks(count, radius, seed, density):
+    # the oracle: rng.random over the whole window, compared with density
     m = spaces.sample_window_model(count=count, radius=radius, seed=seed, density=density)
     whole = np.random.default_rng(seed).random((count, 2 * radius + 1)) < density
     drawn = m.bits[:, m.pad - radius:m.pad + radius + 1]
@@ -371,3 +383,72 @@ def test_isolated_ones_metric_matches_the_pair_loop(truncate):
     a, b = np.divmod(np.arange(m.n_points ** 2), m.n_points)
     assert m.point_dist(a, b).tolist() == loop_isolated_ones_dist(truncate, a, b)
     assert m.point_dist(2, 2).tolist() == [0.0]
+
+
+# -- the byte-bounded iterate cache -------------------------------------------
+
+
+def replayed_iterate(m, n):
+    # oracle: f applied n times to the identity (f^-1 |n| times for n < 0)
+    img = m._identity_images()
+    for _ in range(abs(n)):
+        img = m._advance(img, 1 if n > 0 else -1)
+    return img
+
+
+invertible_sampled = {
+    "neg-cube": {"grid": 201},
+    "square-map": {"grid": 101},
+    "annulus-skew": {"radial": 3, "grid": 12},
+}
+
+
+@given(st.sampled_from(sorted(invertible_sampled)),
+       st.lists(st.integers(min_value=-25, max_value=25), min_size=1, max_size=40))
+def test_iterates_are_bitwise_equal_under_every_cache_budget(name, exponents):
+    got = {}
+    for budget in (0, 2 ** 62):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spaces, "ITERATE_CACHE_BYTES", budget)
+            m = spaces.load_example(name, **invertible_sampled[name])
+            got[budget] = [m.iterate_images(n).copy() for n in exponents]
+    fresh = spaces.load_example(name, **invertible_sampled[name])
+    for n, a, b in zip(exponents, got[0], got[2 ** 62]):
+        assert a.tobytes() == b.tobytes() == replayed_iterate(fresh, n).tobytes()
+
+
+@given(st.sampled_from([0, 1, 3, 7]),
+       st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=60))
+def test_cached_bytes_stay_under_the_budget_or_two_newest_entries(entries, exponents):
+    m = spaces.load_example("neg-cube", grid=201)
+    entry = m.points.nbytes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "ITERATE_CACHE_BYTES", entries * entry)
+        for n in exponents:
+            m.iterate_images(n)
+            cache = m._iter_cache
+            held = sum(v.nbytes for v in cache.values())
+            newest = sum(cache[k].nbytes for k in list(cache)[-2:])
+            assert m._iter_bytes == held <= max(entries * entry, newest)
+            assert list(cache)[-1] == n
+            assert len(cache) <= max(2, entries)
+
+
+def test_a_sweep_steps_once_per_exponent_from_its_neighbour(monkeypatch):
+    monkeypatch.setattr(spaces, "ITERATE_CACHE_BYTES", 0)
+    m = spaces.load_example("irrational-rotation", grid=48)
+    steps = []
+    real = m._advance
+    monkeypatch.setattr(m, "_advance", lambda img, d: steps.append(d) or real(img, d))
+    for n in range(1, 401):
+        m.iterate_images(n)
+        m.iterate_images(-n)
+    assert steps == [1, -1] * 400
+    assert sorted(m._iter_cache) == [-400, 400]
+    # a miss whose neighbour is gone steps from the nearest exponent between
+    # 0 and n, never across 0 and never backwards
+    steps.clear()
+    fresh = spaces.load_example("irrational-rotation", grid=48)
+    for n in (405, -3, 2):
+        assert np.array_equal(m.iterate_images(n), replayed_iterate(fresh, n))
+    assert steps == [1] * 5 + [-1] * 3 + [1] * 2
