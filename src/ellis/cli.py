@@ -79,6 +79,12 @@ def _require(value, what):
     return value
 
 
+def _target(ctx):
+    """The shift when a shift and no model is loaded, else the model."""
+    target = ctx.shift if ctx.shift is not None and ctx.model is None else ctx.model
+    return _require(target, "a model or shift")
+
+
 def _op_load_example(ctx, name, params=None):
     ctx.model = spaces.load_example(name, **(params or {}))
     return {"model": ctx.model.name, "points": ctx.model.n_points,
@@ -204,8 +210,7 @@ def _op_hyper_export(ctx):
 
 def _op_hitting_matrix(ctx, horizon, cylinder_length=2, granularity=None):
     """Membership matrix of every N(U, V) over the cover, CSV-friendly."""
-    target = ctx.shift if ctx.shift is not None and ctx.model is None else ctx.model
-    target = _require(target, "a model or shift")
+    target = _target(ctx)
     sets = properties.transitivity_cover(target, cylinder_length, granularity)
     hits = properties.hitting_tensor(target, sets, horizon)
     rows = [{"u": u.label(), "v": v.label(), "membership": hits[1:, i, j].astype(int).tolist()}
@@ -252,7 +257,7 @@ def _op_build_subshift(ctx, spec):
 
 
 def _op_language(ctx, n):
-    return {"n": n, "words": sorted(_require(ctx.shift, "a shift").words(n))}
+    return {"n": n, "words": sorted(symbolic.language(_require(ctx.shift, "a shift"), n))}
 
 
 def _op_entropy(ctx, n_max):
@@ -287,10 +292,8 @@ def _op_verify_factor(ctx, n, code=None):
 
 
 def _op_classify_transitivity(ctx, horizon, cylinder_length=3, granularity=None):
-    target = ctx.shift if ctx.shift is not None and ctx.model is None else ctx.model
     out = properties.classify_transitivity(
-        _require(target, "a model or shift"), horizon,
-        cylinder_length=cylinder_length, granularity=granularity)
+        _target(ctx), horizon, cylinder_length=cylinder_length, granularity=granularity)
     return {
         "verdicts": {k: v.to_json() for k, v in out["verdicts"].items()},
         "chain_ok": out["chain_ok"],
@@ -337,7 +340,7 @@ def _op_distal_semiflow(ctx):
 
 
 def _op_hitting_set(ctx, u, v, horizon):
-    target = ctx.shift if ctx.shift is not None and ctx.model is None else ctx.model
+    target = _target(ctx)
     if isinstance(target, symbolic.Subshift):
         return {"times": properties.hitting_set(target, u, v, horizon)}
     uset = properties.ball(u["center"], u["radius"])
@@ -615,13 +618,12 @@ def main(argv=None) -> int:
         spec = json.loads(Path(args.spec).read_text())
         shift = symbolic.build_subshift(spec)
         if args.op == "language":
-            result = {"words": sorted(shift.words(args.n))}
+            result = {"words": sorted(symbolic.language(shift, args.n))}
         elif args.op == "entropy":
             result = symbolic.entropy_estimates(shift, args.n)
             if args.format == "csv":
                 Path(args.out).mkdir(parents=True, exist_ok=True)
-                (Path(args.out) / "entropy.csv").write_text(
-                    symbolic.emit_language_csv(shift, args.n))
+                (Path(args.out) / "entropy.csv").write_text(symbolic.entropy_csv(result))
         elif args.op == "classify":
             result = symbolic.classify_sft(shift)
         else:

@@ -296,22 +296,27 @@ class _ClusterIndex:
 
 def approx_envelope(model: CascadeModel, horizon: int, tau: float,
                     power_range: str = "two-sided", close_table: bool = True,
-                    max_elements: int | None = None, tail_fraction: float = 0.5,
-                    limit_witnesses: int = 3) -> ApproxEnvelope:
-    """Tolerance-clustered envelope of a sampled (or finite) model."""
+                    max_elements: int | None = None) -> ApproxEnvelope:
+    """Tolerance-clustered envelope of a sampled (or finite) model.
+
+    The tail is the exponents with |n| > horizon / 2, and a cluster with at
+    least three tail members is a limit element, represented by its first
+    member of largest |n|; the main loop keeps that image as it goes, since
+    a bounded iterate cache may have dropped it by the end."""
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
     if tau <= 0:
         raise InvalidParameterError("tau must be positive")
-    if power_range not in ("two-sided", "forward", "forward-only"):
+    if power_range not in ("two-sided", "forward"):
         raise InvalidParameterError(f"unknown power range {power_range!r}")
     two_sided = power_range == "two-sided"
     if two_sided and not model.invertible:
         raise NegativePowerError("two-sided range requires an exact inverse evaluator")
     exponents = _exponent_order(horizon, two_sided)
-    tail_start = horizon * tail_fraction
+    tail_start = horizon / 2
 
     elements: list[MapSample] = []
+    deepest = []                     # per cluster, its first member of largest |n|
     exponent_map: dict[int, int] = {}
     index = _ClusterIndex(model, tau)
 
@@ -322,6 +327,9 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
         if hit is None:
             hit = index.add(images, key)
             elements.append(MapSample("", images, n, [], "iterate"))
+            deepest.append(images)
+        elif abs(n) > abs(elements[hit].exponents[-1]):
+            deepest[hit] = images
         el = elements[hit]
         el.exponents.append(n)
         if abs(n) > tail_start:
@@ -331,7 +339,7 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
 
     lim_counter = 0
     for i, el in enumerate(elements):
-        el.is_limit = el.tail_count >= limit_witnesses
+        el.is_limit = el.tail_count >= 3
         if el.is_limit and abs(el.origin) > tail_start:
             el.name = f"lim#{lim_counter}"
             el.provenance = "limit"
@@ -340,9 +348,9 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
             el.name = f"f^{el.origin}"
         if el.is_limit:
             # represent a limit by its most converged member
-            deepest = max(el.exponents, key=abs)
-            el.images = model.iterate_images(deepest)
+            el.images = deepest[i]
             index.replace(i, el.images)
+    del deepest                      # free the deeper members of the other clusters
 
     stabilized = True
     max_snap = 0.0

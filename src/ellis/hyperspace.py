@@ -59,26 +59,6 @@ def hausdorff_distance(model: CascadeModel, a, b) -> float:
     return float(_hausdorff(d.reshape(len(ia), len(ib), 1))[0])
 
 
-def vietoris_member(model: CascadeModel, a, basis) -> bool:
-    """Membership of A in the basic open set <V1..Vk> of metric balls.
-
-    Each ball is a ``(center point id, radius)`` pair; membership needs
-    A inside the union and A meeting every ball.
-    """
-    if not basis:
-        raise InvalidParameterError("empty Vietoris basis")
-    a = canonical(a)
-    ia = np.asarray(a, dtype=np.int64)
-    inside = np.zeros(len(a), dtype=bool)
-    for center, radius in basis:
-        d = model.point_dist(ia, np.full(len(a), center, dtype=np.int64))
-        hit = d < radius
-        if not hit.any():
-            return False
-        inside |= hit
-    return bool(inside.all())
-
-
 class HyperCascadeModel(CascadeModel):
     """Enumeration of all subsets of size <= max_cardinality of a base model.
 
@@ -285,15 +265,6 @@ class SampledHyperModel(HyperCascadeModel):
 
     def apply_to_indices(self, imgs, idx):
         return imgs[idx]
-
-
-def induced_step(hyper: HyperCascadeModel, a) -> HyperPoint:
-    """Image of a hyperpoint under the induced map, in canonical form."""
-    a = canonical(a)
-    base = hyper.base
-    raw = base.apply_to_indices(base.iterate_images(1), np.asarray(a, dtype=np.int64))
-    snapped, _ = base.snap_images(raw)
-    return canonical(snapped)
 
 
 def build_hyper_model(base: CascadeModel, k: int = 3, budget: int = 250_000) -> HyperCascadeModel:

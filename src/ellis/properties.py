@@ -16,6 +16,7 @@ import numpy as np
 from .spaces import CascadeModel, FiniteModel, InvalidParameterError, cycle_structure, row_blocks
 from .symbolic import Subshift, cylinder_tensor
 from .hyperspace import build_hyper_model
+from .algebra import proximal_structure
 from . import envelope as envelope_mod
 
 
@@ -131,12 +132,11 @@ def hitting_set(target, u, v, horizon: int) -> list[int]:
     return out
 
 
-def default_cover(model: CascadeModel, granularity: float | None = None,
-                  max_sets: int = 360) -> list[OpenSet]:
+def default_cover(model: CascadeModel, granularity: float | None = None) -> list[OpenSet]:
     if granularity is None:
         granularity = min(4.0 * model.resolution, model.diameter / 4.0)
     g = granularity
-    stride = max(1, model.n_points // max_sets)
+    stride = max(1, model.n_points // 360)
     centers = list(range(0, model.n_points, stride))
     cover = [ball(c, g) for c in centers]
     # coverage check: every sample point inside some ball
@@ -226,7 +226,7 @@ def _first_disjoint_pair(masks: np.ndarray):
     return None
 
 
-def classify_transitivity(target, horizon: int, cover=None, cylinder_length: int = 3,
+def classify_transitivity(target, horizon: int, cylinder_length: int = 3,
                           thick_run: int = 10, granularity: float | None = None) -> dict:
     """Transitive / weakly mixing / mixing verdicts over a finite open cover.
 
@@ -242,7 +242,7 @@ def classify_transitivity(target, horizon: int, cover=None, cylinder_length: int
     chunked products of the mask matrix with its transpose the first
     disjoint pair of the weak-mixing test.
     """
-    sets = cover if cover is not None else transitivity_cover(target, cylinder_length, granularity)
+    sets = transitivity_cover(target, cylinder_length, granularity)
     labels = [s.label() for s in sets]
     k = len(sets)
     keys = [(i, j) for i in range(k) for j in range(k)]
@@ -278,13 +278,12 @@ def classify_transitivity(target, horizon: int, cover=None, cylinder_length: int
     return {"verdicts": verdicts, "chain_ok": chain_ok, "tails": tails}
 
 
-def strong_transitivity_check(model: CascadeModel, horizon: int, cover=None) -> dict:
+def strong_transitivity_check(model: CascadeModel, horizon: int) -> dict:
     """Backward-orbit density of every point, cross-checked against
     minimality (forward-orbit density) for invertible models."""
     if not isinstance(model, FiniteModel):
         raise InvalidParameterError("strong transitivity needs enumerable preimages")
-    sets = cover if cover is not None else default_cover(model)
-    set_idx = [frozenset(int(i) for i in s.resolve(model)) for s in sets]
+    set_idx = [frozenset(int(i) for i in s.resolve(model)) for s in default_cover(model)]
     n = model.n_points
     pre = [[] for _ in range(n)]
     for x in range(n):
@@ -363,17 +362,16 @@ def _pair_sup_divergence(model, pairs, horizon, dist):
     return sup
 
 
-def equicontinuity_scan(model: CascadeModel, eps_list, horizon: int,
-                        granularity: float | None = None) -> dict:
+def equicontinuity_scan(model: CascadeModel, eps_list, horizon: int) -> dict:
     """Per-epsilon equicontinuity points at nearest-neighbor scale.
 
     A point passes for epsilon when every nearest neighbor stays within
     epsilon along the whole horizon; almost equicontinuity asks the passing
-    set to be dense at cover granularity, and sensitivity is the absence of
-    passing points at the smallest epsilon.
+    set to be dense at the model's granularity, and sensitivity is the absence
+    of passing points at the smallest epsilon.
     """
     eps_list = sorted(eps_list)
-    g = model.granularity if granularity is None else granularity
+    g = model.granularity
     dist = full_distance_matrix(model)
     neighbor = _neighbor_pairs(model, dist)
     pairs = []
@@ -407,10 +405,10 @@ def equicontinuity_scan(model: CascadeModel, eps_list, horizon: int,
 
 
 def hyper_equicontinuity_crosscheck(base_model: CascadeModel, k: int, eps_list,
-                                    horizon: int, budget: int = 250_000) -> dict:
+                                    horizon: int) -> dict:
     """Almost-equicontinuity agreement between a model and its finite-subset
     hyperspace at cardinality k."""
-    hyper = build_hyper_model(base_model, k, budget=budget)
+    hyper = build_hyper_model(base_model, k)
     base = equicontinuity_scan(base_model, eps_list, horizon)
     hyp = equicontinuity_scan(hyper, eps_list, horizon)
     return {
@@ -465,16 +463,18 @@ def orbit_closure_equicontinuity(base_model: FiniteModel, members, eps: float,
 # ---------------------------------------------------------------------------
 
 
+UNIFORM_WITNESSES = 3      # full returns that uniform rigidity asks for
+
+
 def rigidity_battery(model: CascadeModel, horizon: int, tau: float,
-                     tuple_size: int = 3, n_tuples: int = 32, seed: int = 0,
-                     uniform_witnesses: int = 3) -> dict:
+                     tuple_size: int = 3) -> dict:
     """Weak / pointwise / uniform rigidity at tolerance tau.
 
-    Weak rigidity samples tuples (all singletons plus seeded tuples) and asks
-    each for a common return time; pointwise rigidity asks one return time
-    for the whole sample; uniform rigidity asks for recurring full returns
-    (at least ``uniform_witnesses`` of them), the finite shadow of a
-    sequence of uniform returns marching to infinity.
+    Weak rigidity samples tuples (all singletons plus 32 tuples drawn with
+    seed 0) and asks each for a common return time; pointwise rigidity asks
+    one return time for the whole sample; uniform rigidity asks for
+    recurring full returns (at least ``UNIFORM_WITNESSES`` of them), the
+    finite shadow of a sequence of uniform returns marching to infinity.
     """
     if tau <= 0:
         raise InvalidParameterError("tau must be positive")
@@ -483,11 +483,11 @@ def rigidity_battery(model: CascadeModel, horizon: int, tau: float,
     # full-sample simultaneous returns
     full = np.nonzero(r[1:].all(axis=1))[0] + 1
     rigid = full.size >= 1
-    uniform = full.size >= uniform_witnesses
+    uniform = full.size >= UNIFORM_WITNESSES
     # tuple tests
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     tuples = [(i,) for i in range(n_pts)]
-    for _ in range(n_tuples):
+    for _ in range(32):
         size = int(rng.integers(2, max(3, tuple_size + 1)))
         tuples.append(tuple(int(v) for v in rng.integers(0, n_pts, size)))
     weak_fail = None
@@ -507,8 +507,8 @@ def rigidity_battery(model: CascadeModel, horizon: int, tau: float,
             witnesses=[int(v) for v in full[:4]]),
         "uniformly_rigid": PropertyVerdict(
             "uniformly_rigid", "holds" if uniform else "fails", horizon,
-            {"tau": tau, "required_witnesses": uniform_witnesses},
-            witnesses=[int(v) for v in full[:uniform_witnesses]]),
+            {"tau": tau, "required_witnesses": UNIFORM_WITNESSES},
+            witnesses=[int(v) for v in full[:UNIFORM_WITNESSES]]),
         "full_return_times": [int(v) for v in full],
         "chain_ok": chain_ok,
     }
@@ -621,11 +621,12 @@ def wap_proxy_check(model: CascadeModel, env, eps_grid=None) -> dict:
 def distal_semiflow_check(model: FiniteModel) -> dict:
     """Distality of a finite semicascade and the theorem consequences:
     pointwise almost periodicity and surjectivity must follow exactly.
+
+    Distal means no proximal pair: every envelope map f^k is injective,
+    which on a finite set holds exactly when f^index is, so the kernel of
+    ``algebra.proximal_structure`` answers with no envelope map built.
     Models without an exact map table are refused by ``exact_envelope``."""
-    env = envelope_mod.exact_envelope(model)
-    distal = all(
-        len(set(int(v) for v in el.images)) == model.n_points for el in env.elements
-    )
+    distal = proximal_structure(model, envelope_mod.exact_envelope(model))["pair_count"] == 0
     table = model.map_table
     surjective = len(set(int(v) for v in table)) == model.n_points
     pap = bool((cycle_structure(table)[0] == 0).all())

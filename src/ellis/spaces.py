@@ -805,52 +805,19 @@ def build_triadic_circle_stack(levels=3, mult=2):
     )
 
 
-def _stack_points(n, truncate):
-    # one component: k in {-T..T, inf} crossed with labels 1..n
+def _periodic_stacks(name, params, sizes, truncate):
+    """Disjoint periodic stacks, one per size c, their metric 3 larger across
+    stacks.  Stack c holds the points (k, l), k in -truncate..truncate plus
+    infinity and l in 1..c, k-major; f moves k one step toward infinity and
+    l to l mod c + 1."""
+    if not sizes or min(sizes) < 1 or truncate < 1:
+        raise InvalidParameterError(f"{name} needs n >= 1 and truncate >= 1")
     ks = list(range(-truncate, truncate + 1)) + [None]  # None = infinity
-    pts = [(k, l) for k in ks for l in range(1, n + 1)]
-    return ks, pts
-
-
-def _stack_karc(k):
-    return 1.0 if k is None else k / (1.0 + abs(k))
-
-
-def build_periodic_stack(n=3, truncate=100):
-    if n < 1 or truncate < 1:
-        raise InvalidParameterError("periodic-stack needs n >= 1 and truncate >= 1")
-    _, pts = _stack_points(n, truncate)
+    pts = [(c, k, l) for c in sizes for k in ks for l in range(1, c + 1)]
     index = {p: i for i, p in enumerate(pts)}
-    arc = np.asarray([_stack_karc(k) for k, _ in pts])
-    lab = np.asarray([l for _, l in pts])
-
-    def dist(a, b):
-        return _circ2(arc[a], arc[b]) + (lab[a] != lab[b]).astype(float)
-
-    fwd = []
-    for k, l in pts:
-        k2 = None if (k is None or k >= truncate) else k + 1
-        l2 = l % n + 1
-        fwd.append(index[(k2, l2)])
-    labels = [{"n": n, "k": "inf" if k is None else k, "l": l} for k, l in pts]
-    return FiniteModel(
-        "periodic-stack", {"n": n, "truncate": truncate}, None, dist, fwd, None,
-        "compactified-line-plus-label", point_labels=labels,
-    )
-
-
-def build_periodic_union(n=3, truncate=100):
-    if n < 1 or truncate < 1:
-        raise InvalidParameterError("periodic-union needs n >= 1 and truncate >= 1")
-    pts, comps = [], []
-    for comp in range(1, n + 1):
-        _, p = _stack_points(comp, truncate)
-        pts.extend((comp, k, l) for k, l in p)
-        comps.extend([comp] * len(p))
-    index = {p: i for i, p in enumerate(pts)}
-    arc = np.asarray([_stack_karc(k) for _, k, _ in pts])
+    arc = np.asarray([1.0 if k is None else k / (1.0 + abs(k)) for _, k, _ in pts])
     lab = np.asarray([l for _, _, l in pts])
-    comp_arr = np.asarray(comps)
+    comp_arr = np.asarray([c for c, _, _ in pts])
 
     def dist(a, b):
         return (
@@ -859,15 +826,20 @@ def build_periodic_union(n=3, truncate=100):
             + (lab[a] != lab[b]).astype(float)
         )
 
-    fwd = []
-    for comp, k, l in pts:
-        k2 = None if (k is None or k >= truncate) else k + 1
-        fwd.append(index[(comp, k2, l % comp + 1)])
+    fwd = [index[(c, None if (k is None or k >= truncate) else k + 1, l % c + 1)]
+           for c, k, l in pts]
     labels = [{"n": c, "k": "inf" if k is None else k, "l": l} for c, k, l in pts]
-    return FiniteModel(
-        "periodic-union", {"n": n, "truncate": truncate}, None, dist, fwd, None,
-        "compactified-line-plus-label", point_labels=labels,
-    )
+    return FiniteModel(name, params, None, dist, fwd, None, "compactified-line-plus-label",
+                       point_labels=labels)
+
+
+def build_periodic_stack(n=3, truncate=100):
+    return _periodic_stacks("periodic-stack", {"n": n, "truncate": truncate}, [n], truncate)
+
+
+def build_periodic_union(n=3, truncate=100):
+    return _periodic_stacks("periodic-union", {"n": n, "truncate": truncate},
+                            list(range(1, n + 1)), truncate)
 
 
 def build_isolated_ones_subshift(truncate=12):
@@ -1047,15 +1019,14 @@ def snap_to_finite(model: SampledModel, name: str | None = None) -> FiniteModel:
     )
 
 
-def sample_window_model(count=64, radius=64, seed=0, density=0.5,
-                        name="two-shift-window", pad_extra=2) -> WindowSampleModel:
+def sample_window_model(count=64, radius=64, seed=0, density=0.5) -> WindowSampleModel:
     """Seeded sample of finite-support sequences from the full 2-shift."""
     if count < 1 or radius < 1:
         raise InvalidParameterError("count and radius must be >= 1")
-    width, pad = 2 * radius + 1, radius + pad_extra
+    width, pad = 2 * radius + 1, radius + 2
     # all-zero sequences, whose columns then take the draw block by block
     model = WindowSampleModel(
-        name, {"count": count, "radius": radius, "seed": seed, "density": density},
+        "two-shift-window", {"count": count, "radius": radius, "seed": seed, "density": density},
         np.empty((count, 0), dtype=np.uint8), radius, pad,
     )
     # rng.random() < density read off the raw words: random() is

@@ -558,32 +558,6 @@ def golden_to_even_code() -> SlidingBlockCode:
                             rule={"00": "1", "01": "0", "10": "0"})
 
 
-def cylinder_metric(x_word: str, y_word: str) -> dict:
-    """Sequence metric restricted to two central windows of equal odd length.
-
-    A disagreement at the center (radius-0 window) already differs, giving
-    distance 1; windows that agree everywhere are flagged indistinguishable
-    at this horizon and given distance 0.
-    """
-    if len(x_word) != len(y_word):
-        raise ShiftSpecError("central words must have equal length")
-    if len(x_word) % 2 == 0:
-        raise ShiftSpecError("central words must have odd length")
-    r = len(x_word) // 2
-
-    def sym(w, pos):
-        return w[pos + r]
-
-    k = None
-    for radius in range(r + 1):
-        if sym(x_word, -radius) != sym(y_word, -radius) or sym(x_word, radius) != sym(y_word, radius):
-            k = radius - 1
-            break
-    if k is None:
-        return {"distance": 0.0, "indistinguishable_at_horizon": True, "window_radius": r}
-    return {"distance": 2.0 ** (-(k + 1)), "indistinguishable_at_horizon": False, "window_radius": r}
-
-
 # ---------------------------------------------------------------------------
 # cylinder hitting sets (used by the property checkers on shift models)
 # ---------------------------------------------------------------------------
@@ -674,10 +648,6 @@ def window_model(shift: Subshift, count: int, radius: int, seed: int = 0,
         name or f"window({count})", {"count": count, "radius": radius, "seed": seed},
         bits, radius, pad,
     )
-
-
-def emit_language_csv(shift: Subshift, n_max: int) -> str:
-    return entropy_csv(entropy_estimates(shift, n_max))
 
 
 def entropy_csv(est: dict) -> str:

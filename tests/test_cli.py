@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ellis import cli
+from ellis import cli, symbolic
 
 
 def run_cli(args):
@@ -115,11 +115,30 @@ def test_shift_subcommand(tmp_path):
     r = run_cli(["--out", str(tmp_path), "--format", "csv", "shift", str(path),
                  "entropy", "--n", "10"])
     assert r.returncode == 0
-    csv = (tmp_path / "entropy.csv").read_text().splitlines()
-    assert csv[0] == "n,count,log_count_over_n"
-    assert csv[1].startswith("1,2,")
+    csv = (tmp_path / "entropy.csv").read_text()
+    # the CSV is written from the printed estimates, not from a second pass
+    assert csv == symbolic.entropy_csv(json.loads(r.stdout))
+    assert csv.splitlines()[0] == "n,count,log_count_over_n"
+    assert csv.splitlines()[1].startswith("1,2,")
     r2 = run_cli(["shift", str(path), "classify"])
     assert json.loads(r2.stdout)["mixing"]
+
+
+def test_language_rejects_a_negative_length(tmp_path):
+    spec = {"kind": "forbidden", "alphabet": ["0", "1"], "forbidden": ["11"]}
+    report, _ = cli.run_experiment({"pipeline": [
+        {"op": "build_subshift", "params": {"spec": spec}},
+        {"op": "language", "params": {"n": -1}},
+        {"op": "language", "params": {"n": 2}},
+    ]})
+    steps = report["steps"]
+    assert [s["status"] for s in steps] == ["ok", "error", "ok"]
+    assert steps[1]["error"].startswith("ShiftSpecError")
+    assert steps[2]["result"]["words"] == ["00", "01", "10"]
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps(spec))
+    r = run_cli(["shift", str(path), "language", "--n", "-1"])
+    assert r.returncode != 0 and "ShiftSpecError" in r.stderr
 
 
 def test_props_subcommand():

@@ -553,6 +553,20 @@ def test_square_map_envelope_makes_one_step_per_exponent(monkeypatch, budget):
     assert model._iter_bytes <= max(spaces.ITERATE_CACHE_BYTES, 2 * model.points.nbytes)
 
 
+def test_limits_are_not_recomputed_after_eviction(monkeypatch):
+    # neg-cube has four limit clusters at H = 80; at budget 0 the cache holds
+    # only the two newest iterates, so each limit's deepest member must come
+    # from the main loop and not be stepped again from the identity (320 steps)
+    monkeypatch.setattr(spaces, "ITERATE_CACHE_BYTES", 0)
+    model = spaces.load_example("neg-cube", grid=2001)
+    steps = []
+    real = model._advance
+    monkeypatch.setattr(model, "_advance", lambda img, d: steps.append(d) or real(img, d))
+    env = approx_envelope(model, 80, 1e-3)
+    assert len(env.limit_elements) == 4
+    assert len(steps) == 2 * 80
+
+
 # -- power decomposition ---------------------------------------------------------
 
 

@@ -11,8 +11,6 @@ from ellis.hyperspace import (
     build_hyper_model,
     canonical,
     hausdorff_distance,
-    induced_step,
-    vietoris_member,
 )
 
 
@@ -84,17 +82,6 @@ def test_convergent_inclusions_force_inclusion():
     assert set(a_seq[-1]) <= set(b_seq[-1])
 
 
-def test_vietoris_membership(grid11):
-    whole = [(5, 10.0)]
-    assert vietoris_member(grid11, (0, 3, 9), whole)
-    assert not vietoris_member(grid11, (0,), [(9, 0.05)])
-    both_ends = [(0, 0.15), (10, 0.15)]
-    assert vietoris_member(grid11, (0, 10), both_ends)
-    assert not vietoris_member(grid11, (0, 5, 10), both_ends)  # 0.5 not covered
-    with pytest.raises(spaces.InvalidParameterError):
-        vietoris_member(grid11, (0,), [])
-
-
 def test_build_counts():
     m3 = spaces.load_example("identity", n=3)
     assert build_hyper_model(m3, 3).n_points == 7  # 2^3 - 1
@@ -115,6 +102,14 @@ def test_window_base_is_refused():
     window = spaces.sample_window_model(count=5, radius=3)
     with pytest.raises(spaces.InvalidParameterError, match="window carrier"):
         build_hyper_model(window, 2)
+
+
+def induced_step(hyper, a):
+    # the carrier's own step: the snapped first iterate, which over a finite
+    # base is the induced map table
+    (i,) = hyper.hyper_ids([canonical(a)])
+    img = hyper.apply_to_indices(hyper.iterate_images(1), [i])
+    return tuple(hyper.point_data(int(hyper.snap_images(img)[0][0])))
 
 
 def test_induced_step_examples():

@@ -750,6 +750,30 @@ def test_distal_semiflow_check():
         assert rep3["distal"] and rep3["consequences_hold"]
 
 
+def distal_by_every_map(model):
+    # oracle: distal when every envelope map f^k is injective
+    env = envelope.exact_envelope(model)
+    return all(len(set(int(v) for v in el.images)) == model.n_points for el in env.elements)
+
+
+@given(st.integers(min_value=1, max_value=9).flatmap(
+    lambda n: st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n)))
+def test_distal_semiflow_check_matches_every_map_injective(table):
+    model = finite(table)
+    rep = distal_semiflow_check(model)
+    assert rep["distal"] == distal_by_every_map(model)
+    assert rep["consequences_hold"]
+
+
+def test_distal_semiflow_reads_no_envelope_map(monkeypatch):
+    # periodic-union n = 12 has index 201 and period 27720: its maps would
+    # hold 439,923,276 cells, so the answer must come from f^index alone
+    monkeypatch.setattr(envelope.ExactEnvelope, "maps", property(lambda self: pytest.fail()))
+    rep = distal_semiflow_check(spaces.load_example("periodic-union", n=12))
+    assert rep == {"distal": False, "pointwise_almost_periodic": False, "surjective": False,
+                   "consequences_hold": True}
+
+
 def test_distal_model_envelope_group_and_equicontinuous():
     for name, params in (
         ("irrational-rotation", {"grid": 18}),

@@ -123,6 +123,26 @@ def test_step_periodic_stack_formula():
     assert m.point_data(nxt) == {"n": 3, "k": 1, "l": 2}
 
 
+@pytest.mark.parametrize("n,truncate", [(1, 1), (3, 5), (4, 9)])
+def test_periodic_stack_is_the_last_component_of_periodic_union(n, truncate):
+    stack = spaces.load_example("periodic-stack", n=n, truncate=truncate)
+    union = spaces.load_example("periodic-union", n=n, truncate=truncate)
+    size = stack.n_points
+    offset = union.n_points - size
+    assert size == (2 * truncate + 2) * n
+    labels = [stack.point_data(i) for i in range(size)]
+    assert labels == [union.point_data(offset + i) for i in range(size)]
+    assert np.array_equal(union.map_table[offset:], stack.map_table + offset)
+    a, b = np.divmod(np.arange(size * size), size)
+    d = stack.point_dist(a, b)
+    assert d.tobytes() == union.point_dist(a + offset, b + offset).tobytes()
+    # oracle: the one-stack metric, arc distance of k/(1+|k|) plus label change
+    arc = np.asarray([1.0 if p["k"] == "inf" else p["k"] / (1.0 + abs(p["k"])) for p in labels])
+    lab = np.asarray([p["l"] for p in labels])
+    gap = np.abs(arc[a] - arc[b])
+    assert d.tobytes() == (np.minimum(gap, 2.0 - gap) + (lab[a] != lab[b])).tobytes()
+
+
 def test_orbit_segment_identity_and_stack():
     ident = spaces.load_example("identity", n=5)
     assert spaces.orbit_segment(ident, 3, 0, 4) == [3, 3, 3, 3, 3]

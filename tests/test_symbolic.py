@@ -13,7 +13,6 @@ from ellis.symbolic import (
     boyle_precondition,
     build_subshift,
     classify_sft,
-    cylinder_metric,
     cylinder_tensor,
     entropy_estimates,
     even_shift,
@@ -376,19 +375,6 @@ def test_verify_factor_matches_per_word_oracle(dom_spec, cod_spec, data):
     assert verify_factor(code, domain, codomain, n) == expected
 
 
-def test_cylinder_metric():
-    same = cylinder_metric("01010", "01010")
-    assert same["distance"] == 0.0 and same["indistinguishable_at_horizon"]
-    center = cylinder_metric("010", "000")
-    assert center["distance"] == 1.0  # disagreement at the center
-    off2 = cylinder_metric("01010", "01011")
-    assert off2["distance"] == 0.25  # agree on [-1,1], differ at +2
-    with pytest.raises(ShiftSpecError):
-        cylinder_metric("01", "10")
-    with pytest.raises(ShiftSpecError):
-        cylinder_metric("010", "01010")
-
-
 def test_cylinder_hitting_full_shift():
     # oracle: any placement works once the windows stop overlapping
     full2 = full_shift(2)
@@ -452,7 +438,7 @@ def test_one_sided_flag_recorded():
 
 
 def test_language_csv():
-    csv = symbolic.emit_language_csv(golden_mean_shift(), 6)
+    csv = symbolic.entropy_csv(entropy_estimates(golden_mean_shift(), 6))
     lines = csv.strip().splitlines()
     assert lines[0] == "n,count,log_count_over_n"
     assert lines[1].startswith("1,2,")
