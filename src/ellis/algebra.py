@@ -307,10 +307,7 @@ def proximal_structure(model, env) -> dict:
 
     n = model.n_points
     if isinstance(env, ExactEnvelope):
-        g = np.arange(n)
-        for _ in range(env.index):
-            g = model.map_table[g]
-        fibres = np.bincount(g)
+        fibres = np.bincount(model.iterate_images(env.index))
         pairs = int((fibres * (fibres - 1)).sum()) // 2
         return {"pair_count": pairs, "ideal_count": 1, "per_ideal_pair_counts": [pairs],
                 "is_equivalence": True, "theorem_er_consistent": True, "finitely_proximal": True}

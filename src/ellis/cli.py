@@ -316,8 +316,8 @@ def _op_equicontinuity(ctx, eps_list, horizon):
     return {"ae": out["ae"], "sensitive": out["sensitive"], "per_epsilon": slim}
 
 
-def _op_rigidity(ctx, horizon, tau, tuple_size=3):
-    out = properties.rigidity_battery(_require(ctx.model, "a model"), horizon, tau, tuple_size)
+def _op_rigidity(ctx, horizon, tau):
+    out = properties.rigidity_battery(_require(ctx.model, "a model"), horizon, tau)
     return {
         "weakly_rigid": out["weakly_rigid"].to_json(),
         "rigid": out["rigid"].to_json(),
@@ -330,9 +330,9 @@ def _op_recurrence(ctx, horizon, tau):
     return properties.recurrence_report(_require(ctx.model, "a model"), horizon, tau)
 
 
-def _op_wap_proxy(ctx, eps_grid=None):
+def _op_wap_proxy(ctx):
     return properties.wap_proxy_check(_require(ctx.model, "a model"),
-                                      _require(ctx.env, "an envelope"), eps_grid)
+                                      _require(ctx.env, "an envelope"))
 
 
 def _op_distal_semiflow(ctx):

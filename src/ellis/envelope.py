@@ -102,9 +102,12 @@ class _EnvelopeBase:
 class ExactEnvelope(_EnvelopeBase):
     """Iterate monoid {f^n} of a finite-exact model, in closed form: index =
     longest tail of f's functional graph, period = lcm of its cycle lengths,
-    f^i f^j = f^fold(i+j).  Construction costs one O(N) pass; the maps and
-    the table are built when first read, each refused with
-    ``EnvelopeBudgetError`` before allocating over ``CELL_BUDGET`` cells."""
+    f^i f^j = f^fold(i+j).  Index and period are the least ones, so the
+    elements f^0 .. f^(size-1) are pairwise distinct maps and an exponent
+    names its map.  Construction costs one O(N) pass; the element images
+    (from the model's ``iterate_images``) and the table are built when first
+    read, each refused with ``EnvelopeBudgetError`` before allocating over
+    ``CELL_BUDGET`` cells."""
 
     def __init__(self, model):
         if getattr(model, "map_table", None) is None:
@@ -124,19 +127,11 @@ class ExactEnvelope(_EnvelopeBase):
         return [f"f^{k}" for k in range(self.monoid.size)]
 
     @cached_property
-    def maps(self) -> np.ndarray:
-        """The ``(size, N)`` block whose row k is the map f^k."""
+    def elements(self) -> list:
         size, n = self.monoid.size, self.model.n_points
         check_cells(size * n, f"the maps of an exact envelope of {size} elements over {n} points")
-        maps = np.empty((size, n), dtype=np.int64)
-        maps[0] = np.arange(n)
-        for k in range(1, size):
-            maps[k] = self.model.map_table[maps[k - 1]]
-        return maps
-
-    @cached_property
-    def elements(self) -> list:
-        return [MapSample(f"f^{k}", row, k, [k], "iterate") for k, row in enumerate(self.maps)]
+        return [MapSample(f"f^{k}", self.model.iterate_images(k), k, [k], "iterate")
+                for k in range(size)]
 
     @property
     def table(self) -> np.ndarray:
@@ -438,11 +433,10 @@ def identity_isolated(env, tau: float | None = None) -> dict:
             if env.index == 0:
                 return {"isolated": False, "witness": env.period, "weakly_rigid_up_to_horizon": True}
             return {"isolated": True, "witness": None, "weakly_rigid_up_to_horizon": False}
-        ident = env.elements[0].images
-        top = env.index + env.period
-        for n in range(1, top + 1):
-            el = env.elements[env.fold(n)]
-            if env.model.image_sup_dist(el.images, ident) < tau or env.fold(n) == 0:
+        model = env.model
+        ident = model.iterate_images(0)
+        for n in range(1, env.index + env.period + 1):
+            if model.image_sup_dist(model.iterate_images(n), ident) < tau or env.fold(n) == 0:
                 return {"isolated": False, "witness": n, "weakly_rigid_up_to_horizon": True}
         return {"isolated": True, "witness": None, "weakly_rigid_up_to_horizon": False}
     if tau is not None and tau != env.tau:
@@ -461,24 +455,23 @@ def envelope_power_decomposition(model: FiniteModel, n: int, env=None) -> dict:
     ``env``, when it is the exact envelope of this model object, is read
     instead of building it again.  The envelope of f^n is its iterates
     f^(nk) up to the first repeated map, and the translates f^j f^(nk) for
-    j < n; each map is a row of ``env.maps``, and the union is compared with
-    the envelope map by map."""
+    j < n.  Distinct folded exponents are distinct maps, so each map is
+    compared by its folded exponent and none is built."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
     if not (isinstance(env, ExactEnvelope) and env.model is model):
         env = exact_envelope(model)
-    keys = [row.tobytes() for row in env.maps]
-    sub, key = {}, keys[0]          # the maps f^(nk) and their exponents nk
-    while key not in sub:
-        sub[key] = n * len(sub)
-        key = keys[env.fold(n * len(sub))]
+    sub, nk = {}, 0                 # fold(nk) -> nk for the maps f^(nk)
+    while env.fold(nk) not in sub:
+        sub[env.fold(nk)] = nk
+        nk += n
     translate_sizes, union, collisions = [], set(), 0
     for j in range(n):
-        tr = {keys[env.fold(j + m)] for m in sub.values()}
+        tr = {env.fold(j + m) for m in sub.values()}
         collisions += len(tr & union) + len(sub) - len(tr)
         translate_sizes.append(len(tr))
         union |= tr
-    full = set(keys)
+    full = set(range(env.monoid.size))
     return {
         "equal": union == full,
         "envelope_size": len(full),

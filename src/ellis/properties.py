@@ -134,7 +134,8 @@ def hitting_set(target, u, v, horizon: int) -> list[int]:
 
 def default_cover(model: CascadeModel, granularity: float | None = None) -> list[OpenSet]:
     if granularity is None:
-        granularity = min(4.0 * model.resolution, model.diameter / 4.0)
+        # a one-point sample has diameter 0, and a ball of radius 0 is empty
+        granularity = min(4.0 * model.resolution, model.diameter / 4.0) or model.resolution
     g = granularity
     stride = max(1, model.n_points // 360)
     centers = list(range(0, model.n_points, stride))
@@ -280,38 +281,29 @@ def classify_transitivity(target, horizon: int, cylinder_length: int = 3,
 
 def strong_transitivity_check(model: CascadeModel, horizon: int) -> dict:
     """Backward-orbit density of every point, cross-checked against
-    minimality (forward-orbit density) for invertible models."""
+    minimality (forward-orbit density) for invertible models.
+
+    With member[y, j] = [y in V_j] over the default cover, back[x, j] marks
+    some y in V_j with f^t y = x, and fwd[x, j] some f^t x in V_j, for
+    t <= horizon (forward orbits stop after N steps); one pass over the
+    iterates fills both."""
     if not isinstance(model, FiniteModel):
         raise InvalidParameterError("strong transitivity needs enumerable preimages")
-    set_idx = [frozenset(int(i) for i in s.resolve(model)) for s in default_cover(model)]
+    cover = default_cover(model)
     n = model.n_points
-    pre = [[] for _ in range(n)]
-    for x in range(n):
-        pre[int(model.map_table[x])].append(x)
-    failures = []
-    for x in range(n):
-        seen = {x}
-        frontier = {x}
-        for _ in range(horizon):
-            frontier = {p for y in frontier for p in pre[y]} - seen
-            if not frontier:
-                break
-            seen |= frontier
-        if any(not (seen & s) for s in set_idx):
-            failures.append(x)
+    member = np.zeros((n, len(cover)), dtype=bool)
+    for j, s in enumerate(cover):
+        member[s.resolve(model), j] = True
+    ys, js = np.nonzero(member)
+    back, fwd = member.copy(), member.copy()
+    for t in range(1, horizon + 1):
+        imgs = model.iterate_images(t)
+        back[imgs[ys], js] = True
+        if t <= n:
+            fwd |= member[imgs]
+    failures = np.flatnonzero(~back.all(axis=1)).tolist()
     strongly = not failures
-    minimal = None
-    if model.invertible:
-        fails_fwd = []
-        for x in range(n):
-            orbit = {x}
-            cur = x
-            for _ in range(min(horizon, n)):
-                cur = int(model.map_table[cur])
-                orbit.add(cur)
-            if any(not (orbit & s) for s in set_idx):
-                fails_fwd.append(x)
-        minimal = not fails_fwd
+    minimal = bool(fwd.all()) if model.invertible else None
     return {
         "strongly_transitive": PropertyVerdict(
             "strongly_transitive", "holds" if strongly else "fails", horizon,
@@ -464,10 +456,10 @@ def orbit_closure_equicontinuity(base_model: FiniteModel, members, eps: float,
 
 
 UNIFORM_WITNESSES = 3      # full returns that uniform rigidity asks for
+TUPLE_SIZE = 3             # largest sampled tuple of the weak rigidity test
 
 
-def rigidity_battery(model: CascadeModel, horizon: int, tau: float,
-                     tuple_size: int = 3) -> dict:
+def rigidity_battery(model: CascadeModel, horizon: int, tau: float) -> dict:
     """Weak / pointwise / uniform rigidity at tolerance tau.
 
     Weak rigidity samples tuples (all singletons plus 32 tuples drawn with
@@ -488,7 +480,7 @@ def rigidity_battery(model: CascadeModel, horizon: int, tau: float,
     rng = np.random.default_rng(0)
     tuples = [(i,) for i in range(n_pts)]
     for _ in range(32):
-        size = int(rng.integers(2, max(3, tuple_size + 1)))
+        size = int(rng.integers(2, TUPLE_SIZE + 1))
         tuples.append(tuple(int(v) for v in rng.integers(0, n_pts, size)))
     weak_fail = None
     for t in tuples:
@@ -500,7 +492,7 @@ def rigidity_battery(model: CascadeModel, horizon: int, tau: float,
     return {
         "weakly_rigid": PropertyVerdict(
             "weakly_rigid", "holds" if weakly else "fails", horizon,
-            {"tau": tau, "tuple_size": tuple_size},
+            {"tau": tau, "tuple_size": TUPLE_SIZE},
             counterexamples=[] if weakly else [list(weak_fail)]),
         "rigid": PropertyVerdict(
             "rigid", "holds" if rigid else "fails", horizon, {"tau": tau},
@@ -568,7 +560,7 @@ def recurrence_report(model: CascadeModel, horizon: int, tau: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def wap_proxy_check(model: CascadeModel, env, eps_grid=None) -> dict:
+def wap_proxy_check(model: CascadeModel, env) -> dict:
     """Discrete continuity modulus of the envelope's adherence elements.
 
     Iterates of the generator are continuous by construction, so only the
@@ -576,10 +568,9 @@ def wap_proxy_check(model: CascadeModel, env, eps_grid=None) -> dict:
     flag: the cycle part of an exact envelope, the limit and composite
     clusters of an approximate one.  An element is flagged when its modulus
     collapses to the sample resolution while neighbors map at least eps
-    apart.
+    apart, for eps a quarter and an eighth of the diameter.
     """
-    if eps_grid is None:
-        eps_grid = [model.diameter / 4.0, model.diameter / 8.0]
+    eps_grid = [model.diameter / 4.0, model.diameter / 8.0]
     dist = full_distance_matrix(model)
     n = model.n_points
     iu = np.triu_indices(n, k=1)

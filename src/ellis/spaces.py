@@ -15,12 +15,11 @@ snapping once at the end, so discretization error does not compound.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 

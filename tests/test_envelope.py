@@ -111,12 +111,12 @@ def test_exact_envelope_matches_iteration_until_repeat(table):
 def test_exact_envelope_budget_refuses_before_allocating():
     ok = exact_envelope(spaces.load_example("periodic-union", n=8))
     assert (ok.index, ok.period) == (201, 840)
-    # the envelope itself is index and period; only reading its maps or its
-    # table allocates, and each is refused over the budget
+    # the envelope itself is index and period; only reading its element
+    # images or its table allocates, and each is refused over the budget
     big = exact_envelope(spaces.load_example("periodic-union", n=11))
     assert (big.index, big.period) == (201, 27720)
     assert len(big.element_names()) == 27921
-    for read in ("table", "maps", "elements"):
+    for read in ("table", "elements"):
         start = time.perf_counter()
         with pytest.raises(envelope.EnvelopeBudgetError, match="27921 elements"):
             getattr(big, read)
@@ -655,7 +655,6 @@ def test_power_decomposition_with_env_matches_the_loops(table, n):
     assert got == envelope_power_decomposition(model, n)
     assert got == loop_power_decomposition(model, n)
     assert got["equal"] == brute_power_decomposition(table, n)
-    assert np.array_equal([e.images for e in env.elements], env.maps)
 
 
 def test_power_decomposition_reads_only_the_envelope_of_its_model(monkeypatch):
@@ -677,6 +676,33 @@ def test_power_decomposition_reads_only_the_envelope_of_its_model(monkeypatch):
         "model": {"name": "periodic-stack", "params": {"n": 2, "truncate": 4}},
         "pipeline": [{"op": "exact_envelope"}, {"op": "power_decomposition", "params": {"n": 3}}]})
     assert report["summary"]["ok"] and len(calls) == 1
+
+
+def element_loop_identity_isolated(env, tau):
+    # oracle: the walk over the envelope's element images
+    ident = env.elements[0].images
+    for n in range(1, env.index + env.period + 1):
+        el = env.elements[env.fold(n)]
+        if env.model.image_sup_dist(el.images, ident) < tau or env.fold(n) == 0:
+            return {"isolated": False, "witness": n, "weakly_rigid_up_to_horizon": True}
+    return {"isolated": True, "witness": None, "weakly_rigid_up_to_horizon": False}
+
+
+def test_exact_envelope_ops_read_no_element_images(monkeypatch):
+    union8 = spaces.load_example("periodic-union", n=8)
+    expected = element_loop_identity_isolated(exact_envelope(union8), 0.5)
+    monkeypatch.setattr(envelope.ExactEnvelope, "elements", property(lambda self: pytest.fail()))
+    assert identity_isolated(exact_envelope(union8), 0.5) == expected
+    # periodic-union n = 12: its element images would hold 439,923,276 cells
+    report, _ = cli.run_experiment({
+        "model": {"name": "periodic-union", "params": {"n": 12}},
+        "pipeline": [{"op": "exact_envelope"}, {"op": "power_decomposition", "params": {"n": 2}},
+                     {"op": "proximal_structure"}, {"op": "distal_semiflow"}]})
+    assert report["summary"]["ok"], report["steps"]
+    power = report["steps"][1]["result"]
+    assert (power["equal"], power["envelope_size"], power["union_size"]) == (True, 27921, 27921)
+    assert report["steps"][2]["result"]["pair_count"] == 1_583_478
+    assert report["steps"][3]["result"]["distal"] is False
 
 
 # -- hyperspace interplay ----------------------------------------------------------

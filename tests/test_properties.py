@@ -284,6 +284,59 @@ def test_hitting_tensor_rejects_point_sets_without_point_ids():
 # -- strong transitivity --------------------------------------------------------------
 
 
+def set_bfs_strong_transitivity(model, horizon):
+    # oracle: a set BFS over preimage lists from each point, and each point's
+    # forward orbit for minimality
+    set_idx = [frozenset(int(i) for i in s.resolve(model))
+               for s in properties.default_cover(model)]
+    n = model.n_points
+    pre = [[] for _ in range(n)]
+    for x in range(n):
+        pre[int(model.map_table[x])].append(x)
+    failures = []
+    for x in range(n):
+        seen = {x}
+        frontier = {x}
+        for _ in range(horizon):
+            frontier = {p for y in frontier for p in pre[y]} - seen
+            if not frontier:
+                break
+            seen |= frontier
+        if any(not (seen & s) for s in set_idx):
+            failures.append(x)
+    minimal = None
+    if model.invertible:
+        fails_fwd = []
+        for x in range(n):
+            orbit, cur = {x}, x
+            for _ in range(min(horizon, n)):
+                cur = int(model.map_table[cur])
+                orbit.add(cur)
+            if any(not (orbit & s) for s in set_idx):
+                fails_fwd.append(x)
+        minimal = not fails_fwd
+    return ("fails" if failures else "holds", failures[:4], minimal,
+            None if minimal is None else (not failures) == minimal)
+
+
+def strong_transitivity_summary(model, horizon):
+    out = strong_transitivity_check(model, horizon)
+    verdict = out["strongly_transitive"]
+    return verdict.verdict, verdict.counterexamples, out["minimal"], out["agrees_with_minimality"]
+
+
+@given(st.integers(min_value=1, max_value=9).flatmap(lambda n: st.tuples(
+    st.one_of(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n),
+              st.permutations(list(range(n)))),
+    st.integers(min_value=0, max_value=2 * n + 1))))
+def test_strong_transitivity_matches_the_set_bfs_on_random_maps(case):
+    table, horizon = case
+    inverse = np.argsort(table) if sorted(table) == list(range(len(table))) else None
+    model = finite(table, inverse)
+    assert strong_transitivity_summary(model, horizon) == \
+        set_bfs_strong_transitivity(model, horizon)
+
+
 def test_strong_transitivity_cycle_and_square():
     cyc = finite([1, 2, 0], [2, 0, 1])
     out = strong_transitivity_check(cyc, 10)
@@ -293,6 +346,14 @@ def test_strong_transitivity_cycle_and_square():
     sq = spaces.snap_to_finite(spaces.load_example("square-map", grid=51))
     out2 = strong_transitivity_check(sq, 60)
     assert out2["strongly_transitive"].verdict == "fails"
+    assert strong_transitivity_summary(sq, 60) == set_bfs_strong_transitivity(sq, 60)
+
+
+def test_one_point_model_is_covered_by_its_resolution_ball():
+    # diameter 0 made the default granularity 0, and the ball d < 0 empty
+    one = spaces.load_example("identity", n=1)
+    assert classify_transitivity(one, 5)["verdicts"]["transitive"].verdict == "holds"
+    assert strong_transitivity_check(one, 5)["strongly_transitive"].verdict == "holds"
 
 
 def test_strong_transitivity_equals_minimality_on_invertible():
@@ -768,7 +829,7 @@ def test_distal_semiflow_check_matches_every_map_injective(table):
 def test_distal_semiflow_reads_no_envelope_map(monkeypatch):
     # periodic-union n = 12 has index 201 and period 27720: its maps would
     # hold 439,923,276 cells, so the answer must come from f^index alone
-    monkeypatch.setattr(envelope.ExactEnvelope, "maps", property(lambda self: pytest.fail()))
+    monkeypatch.setattr(envelope.ExactEnvelope, "elements", property(lambda self: pytest.fail()))
     rep = distal_semiflow_check(spaces.load_example("periodic-union", n=12))
     assert rep == {"distal": False, "pointwise_almost_periodic": False, "surjective": False,
                    "consequences_hold": True}
