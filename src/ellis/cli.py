@@ -336,7 +336,7 @@ def _op_wap_proxy(ctx):
 
 
 def _op_distal_semiflow(ctx):
-    return properties.distal_semiflow_check(_require(ctx.model, "a model"))
+    return properties.distal_semiflow_check(_require(ctx.model, "a model"), ctx.env)
 
 
 def _op_hitting_set(ctx, u, v, horizon):

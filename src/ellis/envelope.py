@@ -196,19 +196,20 @@ class _ClusterIndex:
     comparing the key with the key of the cluster's representative, so the
     index holds no copy of any key, and a window key is often a view.
     Otherwise each representative keeps one row of a ``(capacity, P,
-    *point)`` probe block: its images at the probe columns, every 64th sample
-    point at first.  The probe's sup distance bounds the full one from below,
-    so a lookup is one vectorized distance over the block, in row blocks of
-    at most ``SUP_CHUNK`` cells, and only clusters within tau on the probe get
-    a full test.  A failed full test adds the point where it first exceeded
-    tau to the probe.  The answer is the first cluster in element order
-    within tau of the image, as a scan of the representatives would give."""
+    *point)`` probe block: its images at the probe columns, at first every
+    ``max(64, isqrt(N))``-th of the N sample points.  The probe's sup
+    distance bounds the full one from below, so a lookup is one vectorized
+    distance over the block, in row blocks of at most ``SUP_CHUNK`` cells,
+    and only clusters within tau on the probe get a full test.  A failed
+    full test adds the point where it first exceeded tau to the probe.  The
+    answer is the first cluster in element order within tau of the image,
+    as a scan of the representatives would give."""
 
     def __init__(self, model: CascadeModel, tau: float):
         self.model, self.tau = model, tau
         self.keys: dict = {}
         self.reps: list = []
-        self.probe = np.arange(0, model.n_points, 64)
+        self.probe = np.arange(0, model.n_points, max(64, math.isqrt(model.n_points)))
         self.rows = None
         self._hashed = (None, 0)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .spaces import CascadeModel, FiniteModel, InvalidParameterError, cycle_structure, row_blocks
+from .spaces import CascadeModel, FiniteModel, InvalidParameterError, row_blocks
 from .symbolic import Subshift, cylinder_tensor
 from .hyperspace import build_hyper_model
 from .algebra import proximal_structure
@@ -374,8 +374,7 @@ def equicontinuity_scan(model: CascadeModel, eps_list, horizon: int) -> dict:
             pairs.append((i, m))
     sup = _pair_sup_divergence(model, pairs, horizon, dist)
     worst = np.zeros(model.n_points)
-    for (i, _m), s in zip(pairs, sup):
-        worst[i] = max(worst[i], s)
+    np.maximum.at(worst, np.asarray([i for i, _m in pairs], dtype=np.int64), sup)
     result = {}
     for eps in eps_list:
         passing = worst < eps
@@ -609,18 +608,22 @@ def wap_proxy_check(model: CascadeModel, env) -> dict:
             "elements": report}
 
 
-def distal_semiflow_check(model: FiniteModel) -> dict:
+def distal_semiflow_check(model: FiniteModel, env=None) -> dict:
     """Distality of a finite semicascade and the theorem consequences:
     pointwise almost periodicity and surjectivity must follow exactly.
 
-    Distal means no proximal pair: every envelope map f^k is injective,
-    which on a finite set holds exactly when f^index is, so the kernel of
-    ``algebra.proximal_structure`` answers with no envelope map built.
-    Models without an exact map table are refused by ``exact_envelope``."""
-    distal = proximal_structure(model, envelope_mod.exact_envelope(model))["pair_count"] == 0
-    table = model.map_table
-    surjective = len(set(int(v) for v in table)) == model.n_points
-    pap = bool((cycle_structure(table)[0] == 0).all())
+    ``env``, when it is the exact envelope of this model object, is read
+    instead of building it again.  Distal means no proximal pair: every
+    envelope map f^k is injective, which on a finite set holds exactly when
+    f^index is, so the kernel of ``algebra.proximal_structure`` answers with
+    no envelope map built.  Every point is periodic exactly when every tail
+    of the functional graph is 0, that is when the index is 0.  Models
+    without an exact map table are refused by ``exact_envelope``."""
+    if not (isinstance(env, envelope_mod.ExactEnvelope) and env.model is model):
+        env = envelope_mod.exact_envelope(model)
+    distal = proximal_structure(model, env)["pair_count"] == 0
+    surjective = len(set(int(v) for v in model.map_table)) == model.n_points
+    pap = env.index == 0
     return {
         "distal": distal,
         "pointwise_almost_periodic": pap,

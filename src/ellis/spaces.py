@@ -687,7 +687,7 @@ def build_square_map(grid=1001):
 def build_neg_cube(grid=2001):
     return _interval_model(
         "neg-cube", {"grid": grid}, -1.0, 1.0, grid,
-        fwd=lambda x: -(x ** 3), inv=lambda x: -np.cbrt(x),
+        fwd=lambda x: -(x * x * x), inv=lambda x: -np.cbrt(x),
     )
 
 

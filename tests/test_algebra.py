@@ -46,6 +46,43 @@ def test_table_validation():
         FiniteSemigroup(np.asarray([[1, 0], [0, 0]]))
 
 
+def corrupted_cyclic(n, seed):
+    # Z/n addition with one cell moved to another element
+    rng = np.random.default_rng(seed)
+    table = np.add.outer(np.arange(n), np.arange(n)) % n
+    i, j = rng.integers(0, n, 2)
+    table[i, j] = (table[i, j] + rng.integers(1, n)) % n
+    return table
+
+
+def test_strict_table_with_one_corrupted_cell_is_refused():
+    # a sample of 4096 of the 8,000,000 triples misses the corrupted cell
+    # in most trials; a strict table checks every triple
+    for seed in range(50):
+        table = corrupted_cyclic(200, seed)
+        with pytest.raises(TableError, match="associativity violations in a strict table"):
+            FiniteSemigroup(table, source="exact")
+        assert FiniteSemigroup(table, source="approx").size == 200
+    assert FiniteSemigroup(np.add.outer(np.arange(200), np.arange(200)) % 200,
+                           source="exact").associativity_violations == 0
+
+
+def test_strict_table_over_the_cell_budget_cube_is_refused_by_size():
+    # 513**3 triples exceed CELL_BUDGET = 2**27 = 512**3; one row block of
+    # the check would take 6 MB
+    n = 513
+    table = np.zeros((n, n), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(spaces.EnvelopeBudgetError,
+                           match=f"{n}-element table needs {n ** 3} cells"):
+            FiniteSemigroup(table, source="exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_idempotents_examples():
     assert idempotents(cyclic(3)) == [0]
     ef = FiniteSemigroup(np.asarray([[0, 1], [1, 1]]), identity=0, generator=1)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import numpy as np
@@ -504,18 +505,35 @@ def test_cluster_index_tau_is_inclusive():
 
 
 def test_cluster_index_adds_witness_columns():
-    # square-map 20001 at tau 1e-3 fails full checks at points the every-64th
-    # probe never reads
+    # square-map 20001 at tau 1e-3 fails full checks at points the initial
+    # probe, every isqrt(N)-th point, never reads
     model = spaces.load_example("square-map", grid=20001)
     index = envelope._ClusterIndex(model, 1e-3)
+    initial = range(0, model.n_points, max(64, math.isqrt(model.n_points)))
+    assert np.array_equal(index.probe, initial)
     for n in range(-20, 21):
         images = model.iterate_images(n)
         if index.find(images, None) is None:
             index.add(images, None)
-    assert len(index.probe) > len(range(0, model.n_points, 64))
+    assert len(index.probe) > len(initial)
     gathered = [model.apply_to_indices(r, index.probe) for r in index.reps]
     assert np.array_equal(index.rows[:len(index.reps)], np.stack(gathered))
     check_index_against_scan(model, 20, 1e-3, "two-sided", True)
+
+
+def test_neg_cube_step_clusters_as_the_pow_step():
+    # x * x * x and x ** 3 differ by at most 1 ulp on the grid; the clusters
+    # of the catalog model are those of the old pow step
+    grid = 20001
+    model = spaces.load_example("neg-cube", grid=grid)
+    x = model.points
+    step = model._step_raw(x)
+    np.testing.assert_array_max_ulp(step, -(x ** 3), 1)
+    assert (step != -(x ** 3)).any()       # at 5118 of the points with glibc pow
+    pow_model = spaces._interval_model("neg-cube", {"grid": grid}, -1.0, 1.0, grid,
+                                       fwd=lambda x: -(x ** 3), inv=lambda x: -np.cbrt(x))
+    env, oracle = (approx_envelope(m, 80, 1e-3) for m in (model, pow_model))
+    assert clustering(env) == clustering(oracle)
 
 
 # -- the byte-bounded iterate cache ------------------------------------------

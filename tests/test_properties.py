@@ -826,6 +826,26 @@ def test_distal_semiflow_check_matches_every_map_injective(table):
     assert rep["consequences_hold"]
 
 
+def test_distal_semiflow_check_reuses_the_envelope_of_its_model():
+    # a corpus of random maps: the envelope of the model is read, not built
+    # again; one of another model is ignored; pointwise almost periodicity
+    # is every point returning to itself
+    rng = np.random.default_rng(11)
+    other = envelope.exact_envelope(finite([1, 0]))
+    for _ in range(200):
+        n = int(rng.integers(1, 10))
+        table = rng.permutation(n) if rng.random() < 0.5 else rng.integers(0, n, n)
+        model = finite(table)
+        env, rep = envelope.exact_envelope(model), distal_semiflow_check(model)
+        assert distal_semiflow_check(model, other) == rep
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(envelope, "exact_envelope", lambda m: pytest.fail("envelope built again"))
+            assert distal_semiflow_check(model, env) == rep
+        returns = [any(model.iterate_images(k)[x] == x for k in range(1, n + 1)) for x in range(n)]
+        assert rep["pointwise_almost_periodic"] == all(returns)
+        assert rep["surjective"] == (sorted(table.tolist()) == list(range(n)))
+
+
 def test_distal_semiflow_reads_no_envelope_map(monkeypatch):
     # periodic-union n = 12 has index 201 and period 27720: its maps would
     # hold 439,923,276 cells, so the answer must come from f^index alone
