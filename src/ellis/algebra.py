@@ -409,6 +409,32 @@ def recurrent_idempotent_check(env, horizon: int | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _monoid_checks(model, env) -> tuple:
+    """The corpus checks that read only the envelope's monoid, run on the
+    first model of each (index, period): the violation tags that come before
+    and after the proximality checks, the group test, and the ideal count."""
+    from .envelope import envelope_power_decomposition
+
+    # the generic path over the strict table is the oracle of the closed form
+    s = FiniteSemigroup(env.table, env.identity_index, env.generator_index, "exact")
+    idem = idempotents(s)
+    ideals = minimal_left_ideals(s)
+    before, after = [], []
+    if not idem:
+        before.append("nakamura")
+    monoid = from_envelope(env)
+    if idem != idempotents(monoid) or ideals != minimal_left_ideals(monoid):
+        before.append("monogenic-closed-form")
+    for a in range(len(ideals)):
+        for b in range(len(ideals)):
+            if not ideal_isomorphism_check(s, ideals[a], ideals[b])["isomorphic"]:
+                after.append(f"ideal-isomorphism-{a}-{b}")
+    for pn in (2, 3):
+        if not envelope_power_decomposition(model, pn, env)["equal"]:
+            after.append(f"power-decomposition-{pn}")
+    return before, is_group_distal(s), len(ideals), after
+
+
 def run_equivalence_corpus(count: int = 500, max_points: int = 8, seed: int = 7) -> dict:
     """Exercise the theorem equivalences on random finite-exact models.
 
@@ -419,13 +445,22 @@ def run_equivalence_corpus(count: int = 500, max_points: int = 8, seed: int = 7)
     transitive; minimal-ideal pairs isomorphic; power decomposition at
     n = 2 and 3; an idempotent exists; distal consequences (pointwise almost
     periodic orbits and surjectivity).
+
+    The envelope of a finite map is the monogenic monoid of its (index,
+    period), so the random models share a few dozen monoids.  The checks
+    that read only the monoid (the strict table and its associativity scan,
+    the generic idempotents and ideals against the closed forms, the group
+    test, every ideal isomorphism and both power decompositions) run once
+    per distinct monoid, on the first model that has it, and each model
+    repeats their violations; the proximal structure and the distal
+    consequences are checked on every model.
     """
-    from .envelope import envelope_power_decomposition, exact_envelope
+    from .envelope import exact_envelope
     from .properties import distal_semiflow_check
     from .spaces import FiniteModel
 
     rng = np.random.default_rng(seed)
-    violations = []
+    metrics, per_monoid, violations = {}, {}, []
     for trial in range(count):
         n = int(rng.integers(2, max_points + 1))
         invertible = bool(rng.random() < 0.5)
@@ -435,39 +470,24 @@ def run_equivalence_corpus(count: int = 500, max_points: int = 8, seed: int = 7)
         else:
             table = rng.integers(0, n, n)
             inverse = np.argsort(table) if sorted(table) == list(range(n)) else None
-        coords = np.linspace(0.0, 1.0, n)
-
-        def dist(a, b, coords=coords):
-            return np.abs(coords[np.asarray(a)] - coords[np.asarray(b)])
-
-        model = FiniteModel(f"corpus-{trial}", {"seed": seed}, coords, dist,
+        if n not in metrics:
+            coords = np.linspace(0.0, 1.0, n)
+            metrics[n] = coords, lambda a, b, coords=coords: np.abs(
+                coords[np.asarray(a)] - coords[np.asarray(b)])
+        model = FiniteModel(f"corpus-{trial}", {"seed": seed}, *metrics[n],
                             table, inverse, "interval")
         env = exact_envelope(model)
-        # the generic path over the table is the oracle of the closed form
-        s = FiniteSemigroup(env.table, env.identity_index, env.generator_index, "exact")
-        idem = idempotents(s)
-        ideals = minimal_left_ideals(s)
-        if not idem:
-            violations.append((trial, "nakamura"))
-        monoid = from_envelope(env)
-        if idem != idempotents(monoid) or ideals != minimal_left_ideals(monoid):
-            violations.append((trial, "monogenic-closed-form"))
-        gd = is_group_distal(s)
+        if env.monoid not in per_monoid:
+            per_monoid[env.monoid] = _monoid_checks(model, env)
+        before, gd, ideal_count, after = per_monoid[env.monoid]
+        violations += [(trial, tag) for tag in before]
         prox = proximal_structure(model, env)
         no_pairs = prox["pair_count"] == 0
         if not (gd["is_group"] == gd["unique_idempotent_is_identity"] == no_pairs):
             violations.append((trial, "distal-equivalences"))
-        if (len(ideals) == 1) != prox["is_equivalence"]:
+        if (ideal_count == 1) != prox["is_equivalence"]:
             violations.append((trial, "unique-ideal-vs-transitivity"))
-        for a in range(len(ideals)):
-            for b in range(len(ideals)):
-                res = ideal_isomorphism_check(s, ideals[a], ideals[b])
-                if not res["isomorphic"]:
-                    violations.append((trial, f"ideal-isomorphism-{a}-{b}"))
-        for pn in (2, 3):
-            if not envelope_power_decomposition(model, pn, env)["equal"]:
-                violations.append((trial, f"power-decomposition-{pn}"))
+        violations += [(trial, tag) for tag in after]
         if no_pairs and not distal_semiflow_check(model, env)["consequences_hold"]:
             violations.append((trial, "distal-semiflow-consequences"))
     return {"count": count, "violations": violations, "ok": not violations}
-

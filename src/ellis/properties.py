@@ -180,12 +180,15 @@ def hitting_tensor(target, sets, horizon: int) -> np.ndarray:
     applies ``hitting_set``'s own comparison, so every bit agrees with it;
     on finite-exact carriers, whose images are point ids, V_n is a row
     gather from one table of the identity.  Shift spaces go to
-    ``symbolic.cylinder_tensor``.
+    ``symbolic.cylinder_tensor``.  Refused with ``EnvelopeBudgetError``,
+    before anything is allocated, over ``CELL_BUDGET`` cells.
     """
+    k = len(sets)
+    envelope_mod.check_cells((horizon + 1) * k * k,
+                             f"the hitting tensor of {k} sets at horizon {horizon}")
     if isinstance(target, Subshift):
         return cylinder_tensor(target, [s.word for s in sets], horizon)
     model = target
-    k = len(sets)
     member = np.zeros((k, model.n_points), dtype=np.float32)
     for i, u in enumerate(sets):
         member[i, u.resolve(model)] = 1.0
@@ -246,8 +249,8 @@ def classify_transitivity(target, horizon: int, cylinder_length: int = 3,
     sets = transitivity_cover(target, cylinder_length, granularity)
     labels = [s.label() for s in sets]
     k = len(sets)
-    keys = [(i, j) for i in range(k) for j in range(k)]
     hits = hitting_tensor(target, sets, horizon)
+    keys = [(i, j) for i in range(k) for j in range(k)]
     masks = np.ascontiguousarray(hits.reshape(horizon + 1, k * k).T)
     run = min(thick_run, max(2, horizon // 4))
     hit_any = masks.any(axis=1)
@@ -319,32 +322,32 @@ def strong_transitivity_check(model: CascadeModel, horizon: int) -> dict:
 
 
 def _neighbor_pairs(model: CascadeModel, dist: np.ndarray):
-    """Per point: its nearest other points (ties included), none when that
-    distance is not finite; a lone point is its own neighbor."""
+    """(point, mate) index arrays, row-major: each point's nearest other
+    points (ties included), none when that distance is not finite; a lone
+    point is its own neighbor."""
     n = model.n_points
     if n == 1:
-        return [(0, [0])]
-    out = []
+        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    xs, ys = [], []
     for rows in row_blocks(n, n):
         block = dist[rows]
         block[np.arange(len(rows)), rows] = np.inf
         nn = block.min(axis=1)
         r, mates = np.nonzero(block <= (nn * (1 + 1e-12))[:, None])
-        per_row = np.split(mates, np.searchsorted(r, np.arange(1, len(rows))))
-        out.extend((int(i), m.tolist() if math.isfinite(d) else [])
-                   for i, m, d in zip(rows, per_row, nn))
-    return out
+        keep = np.isfinite(nn)[r]
+        xs.append(rows[r[keep]])
+        ys.append(mates[keep])
+    return (np.concatenate(xs).astype(np.int64, copy=False),
+            np.concatenate(ys).astype(np.int64, copy=False))
 
 
-def _pair_sup_divergence(model, pairs, horizon, dist):
-    """sup over n <= horizon of d(f^n x, f^n y) for the given index pairs.
+def _pair_sup_divergence(model, xs, ys, horizon, dist):
+    """sup over n <= horizon of d(f^n x, f^n y) for the index pairs (xs, ys).
 
     A finite carrier's images are point ids, so each distance is read from
     ``dist``, the model's full distance matrix: the same ``point_dist`` (or
     ``distance_rows``) floats that ``image_pair_dist`` computes."""
-    xs = np.asarray([p[0] for p in pairs], dtype=np.int64)
-    ys = np.asarray([p[1] for p in pairs], dtype=np.int64)
-    sup = np.zeros(len(pairs))
+    sup = np.zeros(len(xs))
     for n in range(horizon + 1):
         imgs = model.iterate_images(n)
         a = model.apply_to_indices(imgs, xs)
@@ -365,16 +368,17 @@ def equicontinuity_scan(model: CascadeModel, eps_list, horizon: int) -> dict:
     eps_list = sorted(eps_list)
     g = model.granularity
     dist = full_distance_matrix(model)
-    neighbor = _neighbor_pairs(model, dist)
-    pairs = []
-    for i, mates in neighbor:
-        if mates and dist[i, mates[0]] > g:
-            continue  # isolated at cover scale: vacuously equicontinuous
-        for m in mates:
-            pairs.append((i, m))
-    sup = _pair_sup_divergence(model, pairs, horizon, dist)
+    xs, ys = _neighbor_pairs(model, dist)
+    # a point whose first mate (in column order) is beyond the granularity is
+    # isolated at cover scale: vacuously equicontinuous
+    rows, first = np.unique(xs, return_index=True)
+    isolated = np.zeros(model.n_points, dtype=bool)
+    isolated[rows] = dist[rows, ys[first]] > g
+    keep = ~isolated[xs]
+    xs, ys = xs[keep], ys[keep]
+    sup = _pair_sup_divergence(model, xs, ys, horizon, dist)
     worst = np.zeros(model.n_points)
-    np.maximum.at(worst, np.asarray([i for i, _m in pairs], dtype=np.int64), sup)
+    np.maximum.at(worst, xs, sup)
     result = {}
     for eps in eps_list:
         passing = worst < eps

@@ -58,10 +58,11 @@ class _Presentation:
     the block graph of an SFT, or the essential NFA of a labeled graph.  A
     word w acts as the relation R_w = M_w1 ... M_wk, and R_wa = R_w M_a
     (the transition monoid; Lind & Marcus 1995, Ch. 3), so every language
-    question is one ``read``.  ``adjacency`` is the graph that counting,
-    classification and entropy use: the block graph itself for an SFT, whose
+    question is one ``read``.  ``adjacency`` is the graph that word counts
+    and the spectral entropy use: the block graph itself for an SFT, whose
     words of length >= ``block_length`` fix their path, and the subset
-    automaton (start state 0) for a labeled graph.
+    automaton (start state 0) for a labeled graph.  Classification reads
+    ``step``, the essential graph itself.
     """
 
     n_states: int            # walked states
@@ -400,14 +401,20 @@ def _graph_period(adj: np.ndarray) -> int:
 
 
 def classify_sft(shift: Subshift) -> dict:
-    adj = shift.presentation.adjacency
-    irreducible = _strongly_connected(adj)
-    period = _graph_period(adj)
-    return {
-        "irreducible": irreducible,
-        "mixing": bool(irreducible and period == 1),
-        "period": period,
-    }
+    """Irreducibility, mixing and period read off the essential graph of the
+    presentation, ``step``.  An SFT's block graph decides all three.  On a
+    labeled graph an irreducible presentation proves the shift irreducible,
+    and an irreducible aperiodic one proves it mixing (Lind & Marcus 1995,
+    Sections 3.3 and 4.5); a reducible or periodic one proves neither, so
+    those answers are ``None``, inconclusive."""
+    step = shift.presentation.step
+    irreducible = _strongly_connected(step)
+    period = _graph_period(step)
+    mixing = bool(irreducible and period == 1)
+    if shift.presentation.block_length:
+        return {"irreducible": irreducible, "mixing": mixing, "period": period}
+    return {"irreducible": irreducible or None, "mixing": mixing or None,
+            "period": 1 if mixing else None}
 
 
 def entropy_estimates(shift: Subshift, n_max: int) -> dict:
@@ -418,9 +425,8 @@ def entropy_estimates(shift: Subshift, n_max: int) -> dict:
     ratio = (
         math.log(counts[-1] / counts[-2]) if counts[-1] and counts[-2] else -math.inf
     )
-    adj = shift.presentation.adjacency
-    irreducible = _strongly_connected(adj)
-    lam = dominant_eigenvalue(adj)
+    irreducible = _strongly_connected(shift.presentation.step)
+    lam = dominant_eigenvalue(shift.presentation.adjacency)
     return {
         "counts": counts,
         "sequence": seq,

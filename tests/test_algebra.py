@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ellis import algebra, cli, envelope, hyperspace, spaces
+from ellis import algebra, cli, envelope, hyperspace, properties, spaces
 from ellis.algebra import (
     FiniteSemigroup,
     TableError,
@@ -614,6 +614,134 @@ def test_ideal_isomorphism_op_answers_on_periodic_union_12():
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_equivalence_corpus_at_three_seeds(seed):
     assert run_equivalence_corpus(500, 8, seed) == {"count": 500, "violations": [], "ok": True}
+
+
+def reference_equivalence_corpus(count, max_points, seed):
+    # oracle: every check on every model, the corpus before it ran the
+    # monoid's checks once per (index, period); module lookups, so that
+    # injected faults reach it as they reach the corpus
+    rng = np.random.default_rng(seed)
+    violations = []
+    for trial in range(count):
+        n = int(rng.integers(2, max_points + 1))
+        invertible = bool(rng.random() < 0.5)
+        if invertible:
+            table = rng.permutation(n)
+            inverse = np.argsort(table)
+        else:
+            table = rng.integers(0, n, n)
+            inverse = np.argsort(table) if sorted(table) == list(range(n)) else None
+        coords = np.linspace(0.0, 1.0, n)
+
+        def dist(a, b, coords=coords):
+            return np.abs(coords[np.asarray(a)] - coords[np.asarray(b)])
+
+        model = spaces.FiniteModel(f"corpus-{trial}", {"seed": seed}, coords, dist,
+                                   table, inverse, "interval")
+        env = envelope.exact_envelope(model)
+        s = generic_semigroup(env)
+        idem = algebra.idempotents(s)
+        ideals = algebra.minimal_left_ideals(s)
+        if not idem:
+            violations.append((trial, "nakamura"))
+        monoid = from_envelope(env)
+        if idem != algebra.idempotents(monoid) or ideals != algebra.minimal_left_ideals(monoid):
+            violations.append((trial, "monogenic-closed-form"))
+        gd = algebra.is_group_distal(s)
+        prox = algebra.proximal_structure(model, env)
+        no_pairs = prox["pair_count"] == 0
+        if not (gd["is_group"] == gd["unique_idempotent_is_identity"] == no_pairs):
+            violations.append((trial, "distal-equivalences"))
+        if (len(ideals) == 1) != prox["is_equivalence"]:
+            violations.append((trial, "unique-ideal-vs-transitivity"))
+        for a in range(len(ideals)):
+            for b in range(len(ideals)):
+                if not algebra.ideal_isomorphism_check(s, ideals[a], ideals[b])["isomorphic"]:
+                    violations.append((trial, f"ideal-isomorphism-{a}-{b}"))
+        for pn in (2, 3):
+            if not envelope.envelope_power_decomposition(model, pn, env)["equal"]:
+                violations.append((trial, f"power-decomposition-{pn}"))
+        if no_pairs and not properties.distal_semiflow_check(model, env)["consequences_hold"]:
+            violations.append((trial, "distal-semiflow-consequences"))
+    return {"count": count, "violations": violations, "ok": not violations}
+
+
+CORPUS_SIZES = [(500, 8), (300, 12)]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("count,max_points", CORPUS_SIZES)
+def test_equivalence_corpus_matches_the_per_model_loop(seed, count, max_points):
+    assert run_equivalence_corpus(count, max_points, seed) == reference_equivalence_corpus(
+        count, max_points, seed)
+
+
+def _split_ideal_of_size(size):
+    # a generic path that splits the kernel of every strict table of one size
+    real = algebra.minimal_left_ideals
+
+    def faulty(s):
+        ideals = real(s)
+        if isinstance(s, FiniteSemigroup) and s.size == size and len(ideals[0]) > 1:
+            return [ideals[0][:1], ideals[0][1:]] + ideals[1:]
+        return ideals
+    return faulty
+
+
+def _reject_cross_pairs(s, ideal_i, ideal_k):
+    # distinct ideals are never isomorphic, and a kernel of odd order not
+    # isomorphic to itself
+    if tuple(ideal_i) != tuple(ideal_k) or len(ideal_i) % 2:
+        return {"isomorphic": False, "reason": "injected"}
+    return {"isomorphic": True}
+
+
+def _fail_power_decomposition(real):
+    def faulty(model, n, env=None):
+        rep = real(model, n, env)
+        return {**rep, "equal": False} if env.period % n == 0 else rep
+    return faulty
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("fault", ["minimal_left_ideals", "ideal_isomorphism_check",
+                                   "envelope_power_decomposition"])
+def test_equivalence_corpus_matches_the_per_model_loop_under_faults(monkeypatch, fault, seed):
+    if fault == "minimal_left_ideals":
+        monkeypatch.setattr(algebra, fault, _split_ideal_of_size(4))
+        monkeypatch.setattr(algebra, "ideal_isomorphism_check", _reject_cross_pairs)
+    elif fault == "ideal_isomorphism_check":
+        monkeypatch.setattr(algebra, fault, _reject_cross_pairs)
+    else:
+        monkeypatch.setattr(envelope, fault,
+                            _fail_power_decomposition(envelope.envelope_power_decomposition))
+    got = run_equivalence_corpus(300, 8, seed)
+    assert not got["ok"]
+    assert got == reference_equivalence_corpus(300, 8, seed)
+
+
+def test_equivalence_corpus_runs_the_generic_oracle_once_per_monoid(monkeypatch):
+    monoids, generic_calls = [], {"minimal_left_ideals": 0, "is_group_distal": 0,
+                                  "ideal_isomorphism_check": 0}
+    real_envelope = envelope.exact_envelope
+
+    def recording_envelope(model):
+        env = real_envelope(model)
+        monoids.append((env.index, env.period))
+        return env
+    monkeypatch.setattr(envelope, "exact_envelope", recording_envelope)
+    for name in generic_calls:
+        def counting(s, *args, _real=getattr(algebra, name), _name=name):
+            if isinstance(s, FiniteSemigroup):
+                generic_calls[_name] += 1
+            return _real(s, *args)
+        monkeypatch.setattr(algebra, name, counting)
+    assert run_equivalence_corpus(500, 8, 41)["ok"]
+    distinct = len(set(monoids))
+    assert len(monoids) == 500 and distinct < 50
+    # each monoid's one minimal ideal pairs with itself once
+    assert generic_calls == {"minimal_left_ideals": distinct, "is_group_distal": distinct,
+                             "ideal_isomorphism_check": distinct}
 
 
 def test_equivalence_corpus_cross_checks_the_closed_form(monkeypatch):

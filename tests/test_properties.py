@@ -475,6 +475,17 @@ def reference_neighbor_pairs(model, dist):
     return out
 
 
+def as_pair_arrays(per_row):
+    # (point, mate) arrays, row-major, from per-row mate lists
+    return (np.asarray([i for i, mates in per_row for _ in mates], dtype=np.int64),
+            np.asarray([m for _, mates in per_row for m in mates], dtype=np.int64))
+
+
+def assert_same_pairs(got, want):
+    assert all(a.dtype == np.int64 for a in got)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 NEIGHBOR_CARRIERS = {
     "rotation": lambda: spaces.load_example("irrational-rotation", grid=36),
     "window": lambda: spaces.sample_window_model(count=60, radius=4, seed=5),
@@ -491,7 +502,8 @@ NEIGHBOR_CARRIERS = {
 def test_neighbor_pairs_match_per_row_scan(name):
     model = NEIGHBOR_CARRIERS[name]()
     dist = properties.full_distance_matrix(model)
-    assert properties._neighbor_pairs(model, dist) == reference_neighbor_pairs(model, dist)
+    assert_same_pairs(properties._neighbor_pairs(model, dist),
+                      as_pair_arrays(reference_neighbor_pairs(model, dist)))
 
 
 @given(st.integers(min_value=1, max_value=12).flatmap(lambda n: st.tuples(
@@ -504,15 +516,30 @@ def test_neighbor_pairs_match_per_row_scan_on_random_finite_models(model_data):
     model = spaces.FiniteModel("m", {}, c, lambda a, b: np.abs(c[np.asarray(a)] - c[np.asarray(b)]),
                                table, None, "interval")
     dist = properties.full_distance_matrix(model)
-    got = properties._neighbor_pairs(model, dist)
-    assert got == reference_neighbor_pairs(model, dist)
-    json.dumps(got)                  # plain Python ints
+    assert_same_pairs(properties._neighbor_pairs(model, dist),
+                      as_pair_arrays(reference_neighbor_pairs(model, dist)))
 
 
 def test_neighbor_pairs_leave_non_finite_rows_empty():
     model = finite([0, 1, 2])
     dist = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, np.inf], [np.inf, np.inf, 0.0]])
-    assert properties._neighbor_pairs(model, dist) == [(0, [1]), (1, [0]), (2, [])]
+    assert_same_pairs(properties._neighbor_pairs(model, dist),
+                      as_pair_arrays([(0, [1]), (1, [0]), (2, [])]))
+
+
+def test_equicontinuity_skip_reads_the_first_mate_not_the_nearest_distance():
+    # resolution 1/16, granularity 1/4: point 0 has the tied mates 1 (at
+    # 1/4 + 1e-13, first in column order) and 2 (at 1/4), so it is isolated
+    # at cover scale although its nearest distance is the granularity
+    c = np.array([0.5, 0.25 - 1e-13, 0.75, 1.0, 1.0625])
+    model = spaces.FiniteModel("m", {}, c, lambda a, b: np.abs(c[np.asarray(a)] - c[np.asarray(b)]),
+                               [0, 1, 3, 3, 4], None, "interval")
+    dist = properties.full_distance_matrix(model)
+    assert model.granularity == 0.25
+    assert_same_pairs(properties._neighbor_pairs(model, dist),
+                      (np.array([0, 0, 1, 2, 2, 3, 4]), np.array([1, 2, 0, 0, 3, 4, 3])))
+    assert equicontinuity_scan(model, [0.3], 4)["per_epsilon"][0.3]["equicontinuity_points"] == [
+        0, 1, 3, 4]
 
 
 def test_equicontinuity_scan_holds_about_one_distance_matrix():
@@ -529,11 +556,10 @@ def test_equicontinuity_scan_holds_about_one_distance_matrix():
     assert peak < 16 * 2 ** 20
 
 
-def loop_pair_sup_divergence(model, pairs, horizon):
+def loop_pair_sup_divergence(model, xs, ys, horizon):
     # oracle: every iterate's pairs through image_pair_dist, as before finite
     # carriers read the distance matrix
-    xs, ys = (np.asarray([p[i] for p in pairs], dtype=np.int64) for i in (0, 1))
-    sup = np.zeros(len(pairs))
+    sup = np.zeros(len(xs))
     for n in range(horizon + 1):
         imgs = model.iterate_images(n)
         sup = np.maximum(sup, model.image_pair_dist(model.apply_to_indices(imgs, xs),
@@ -569,10 +595,11 @@ def test_divergence_from_the_distance_matrix_is_bitwise_the_pair_path(name):
     dist = properties.full_distance_matrix(model)
     n = model.n_points
     rng = np.random.default_rng(n)
-    pairs = [(i, m) for i, mates in properties._neighbor_pairs(model, dist) for m in mates]
-    pairs += list(zip(rng.integers(0, n, 200).tolist(), rng.integers(0, n, 200).tolist()))
-    got = properties._pair_sup_divergence(model, pairs, 40, dist)
-    assert got.tobytes() == loop_pair_sup_divergence(model, pairs, 40).tobytes()
+    xs, ys = properties._neighbor_pairs(model, dist)
+    xs = np.concatenate([xs, rng.integers(0, n, 200)])
+    ys = np.concatenate([ys, rng.integers(0, n, 200)])
+    got = properties._pair_sup_divergence(model, xs, ys, 40, dist)
+    assert got.tobytes() == loop_pair_sup_divergence(model, xs, ys, 40).tobytes()
 
 
 @given(st.integers(min_value=1, max_value=30).flatmap(lambda n: st.one_of(
@@ -582,9 +609,9 @@ def test_divergence_from_the_distance_matrix_on_random_maps(table):
     model = finite(table)
     dist = properties.full_distance_matrix(model)
     n = model.n_points
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    got = properties._pair_sup_divergence(model, pairs, 2 * n, dist)
-    assert got.tobytes() == loop_pair_sup_divergence(model, pairs, 2 * n).tobytes()
+    xs, ys = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    got = properties._pair_sup_divergence(model, xs, ys, 2 * n, dist)
+    assert got.tobytes() == loop_pair_sup_divergence(model, xs, ys, 2 * n).tobytes()
 
 
 # -- rigidity ---------------------------------------------------------------------------
@@ -867,3 +894,20 @@ def test_distal_model_envelope_group_and_equicontinuous():
         scan = equicontinuity_scan(model, [model.diameter / 4], 64)
         eps = model.diameter / 4
         assert len(scan["per_epsilon"][eps]["equicontinuity_points"]) == model.n_points
+
+
+def test_hitting_tensor_is_refused_over_the_cell_budget():
+    # 3000 balls after the cover fallback: at horizon 40 the tensor would hold
+    # 41 * 3000**2 booleans, and its K x N products ran out of memory; the
+    # K**2 pair keys are not built before the refusal either
+    rot = spaces.load_example("irrational-rotation", grid=3000)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(envelope.EnvelopeBudgetError, match="3000 sets at horizon 40"):
+            classify_transitivity(rot, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 10.0
+    assert peak < 16 * 2 ** 20

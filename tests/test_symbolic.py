@@ -257,6 +257,22 @@ def test_classify_examples():
     assert cls["irreducible"] and not cls["mixing"] and cls["period"] == 2
 
 
+def test_classify_labeled_graphs_on_the_essential_graph():
+    # the even shift is irreducible and mixing; its subset automaton, whose
+    # all-states start is transient, is not
+    assert classify_sft(even_shift()) == {"irreducible": True, "mixing": True, "period": 1}
+    assert not entropy_estimates(even_shift(), 8)["reducible_warning"]
+    # a reducible presentation and a periodic one prove nothing: two fixed
+    # points, and the one fixed point a^infinity on a 2-cycle
+    two_loops = build_subshift({"kind": "labeled-graph", "states": ["A", "B"],
+                                "edges": [["A", "a", "A"], ["B", "b", "B"]]})
+    assert classify_sft(two_loops) == {"irreducible": None, "mixing": None, "period": None}
+    assert entropy_estimates(two_loops, 4)["reducible_warning"]
+    cycle = build_subshift({"kind": "labeled-graph", "states": ["A", "B"],
+                            "edges": [["A", "a", "B"], ["B", "a", "A"]]})
+    assert classify_sft(cycle) == {"irreducible": True, "mixing": None, "period": None}
+
+
 def test_golden_primitivity_by_squaring():
     # oracle: [[1,1],[1,0]]^2 > 0
     a = [[1, 1], [1, 0]]
