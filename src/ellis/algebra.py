@@ -8,7 +8,7 @@ period determine its idempotents, minimal left ideals, kernel and groups
 something reads it.  ``FiniteSemigroup`` analyses an explicit composition
 table: approximate envelopes, whose snap error can break associativity at
 the resolution boundary, run every check in report mode; user tables are
-validated strictly.
+validated strictly.  Each envelope holds its own as ``env.semigroup``.
 """
 
 from __future__ import annotations
@@ -123,16 +123,6 @@ class MonogenicMonoid:
         np.remainder(table, self.period, out=table, where=table >= 0)
         table += self.index
         return table
-
-
-def from_envelope(env) -> FiniteSemigroup | MonogenicMonoid:
-    from .envelope import ExactEnvelope
-
-    if isinstance(env, ExactEnvelope):
-        return env.monoid
-    if env.table is None or (env.table < 0).any():
-        raise TableError("envelope has no closed composition table")
-    return FiniteSemigroup(env.table, env.identity_index, env.generator_index, "approx")
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +281,7 @@ def is_group_distal(s: FiniteSemigroup | MonogenicMonoid) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def proximal_structure(model, env) -> dict:
+def proximal_structure(env) -> dict:
     """Proximal pairs, per-ideal relations, and the unique-ideal biconditional.
 
     A pair is proximal when some envelope element identifies it (within tau
@@ -307,6 +297,7 @@ def proximal_structure(model, env) -> dict:
     """
     from .envelope import ExactEnvelope
 
+    model = env.model
     n = model.n_points
     if isinstance(env, ExactEnvelope):
         fibres = np.bincount(model.iterate_images(env.index))
@@ -315,7 +306,7 @@ def proximal_structure(model, env) -> dict:
                 "is_equivalence": True, "theorem_er_consistent": True, "finitely_proximal": True}
     size = len(env.elements)
     check_cells((size + 1) * n * n, f"the proximal relation of {size} elements over {n} points")
-    ideals = minimal_left_ideals(from_envelope(env))
+    ideals = minimal_left_ideals(env.semigroup)
     left, right = np.divmod(np.arange(n * n), n)
     collapse = np.empty((size, n, n), dtype=bool)
     for k, el in enumerate(env.elements):
@@ -356,7 +347,7 @@ def periodic_element_analysis(env) -> dict:
     """Periodic points of the envelope under left multiplication by the
     generator: their common period, whether each orbit is a minimal left
     ideal, and the 2n count bound."""
-    s = from_envelope(env)
+    s = env.semigroup
     if s.generator is None:
         raise TableError("envelope has no generator element")
     ideals = {frozenset(i) for i in minimal_left_ideals(s)}
@@ -386,7 +377,7 @@ def recurrent_idempotent_check(env, horizon: int | None = None) -> dict:
     isolated identity is exempted (it is a limit of no nontrivial iterate)."""
     from .envelope import identity_isolated
 
-    s = from_envelope(env)
+    s = env.semigroup
     if s.generator is None:
         raise TableError("envelope has no generator element")
     horizon = horizon or s.size + 1
@@ -409,7 +400,7 @@ def recurrent_idempotent_check(env, horizon: int | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _monoid_checks(model, env) -> tuple:
+def _monoid_checks(env) -> tuple:
     """The corpus checks that read only the envelope's monoid, run on the
     first model of each (index, period): the violation tags that come before
     and after the proximality checks, the group test, and the ideal count."""
@@ -422,7 +413,7 @@ def _monoid_checks(model, env) -> tuple:
     before, after = [], []
     if not idem:
         before.append("nakamura")
-    monoid = from_envelope(env)
+    monoid = env.semigroup
     if idem != idempotents(monoid) or ideals != minimal_left_ideals(monoid):
         before.append("monogenic-closed-form")
     for a in range(len(ideals)):
@@ -430,7 +421,7 @@ def _monoid_checks(model, env) -> tuple:
             if not ideal_isomorphism_check(s, ideals[a], ideals[b])["isomorphic"]:
                 after.append(f"ideal-isomorphism-{a}-{b}")
     for pn in (2, 3):
-        if not envelope_power_decomposition(model, pn, env)["equal"]:
+        if not envelope_power_decomposition(env, pn)["equal"]:
             after.append(f"power-decomposition-{pn}")
     return before, is_group_distal(s), len(ideals), after
 
@@ -477,17 +468,17 @@ def run_equivalence_corpus(count: int = 500, max_points: int = 8, seed: int = 7)
         model = FiniteModel(f"corpus-{trial}", {"seed": seed}, *metrics[n],
                             table, inverse, "interval")
         env = exact_envelope(model)
-        if env.monoid not in per_monoid:
-            per_monoid[env.monoid] = _monoid_checks(model, env)
-        before, gd, ideal_count, after = per_monoid[env.monoid]
+        if env.semigroup not in per_monoid:
+            per_monoid[env.semigroup] = _monoid_checks(env)
+        before, gd, ideal_count, after = per_monoid[env.semigroup]
         violations += [(trial, tag) for tag in before]
-        prox = proximal_structure(model, env)
+        prox = proximal_structure(env)
         no_pairs = prox["pair_count"] == 0
         if not (gd["is_group"] == gd["unique_idempotent_is_identity"] == no_pairs):
             violations.append((trial, "distal-equivalences"))
         if (ideal_count == 1) != prox["is_equivalence"]:
             violations.append((trial, "unique-ideal-vs-transitivity"))
         violations += [(trial, tag) for tag in after]
-        if no_pairs and not distal_semiflow_check(model, env)["consequences_hold"]:
+        if no_pairs and not distal_semiflow_check(env)["consequences_hold"]:
             violations.append((trial, "distal-semiflow-consequences"))
     return {"count": count, "violations": violations, "ok": not violations}

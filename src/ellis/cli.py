@@ -70,7 +70,12 @@ class StepContext:
         self.hyper_env = None
         self.shift = None
         self.shift_other = None
-        self.semigroup = None
+
+    def load(self, model):
+        """Make ``model`` current and drop the envelopes and hyper model built
+        from the previous one."""
+        self.model, self.env, self.hyper, self.hyper_env = model, None, None, None
+        return model
 
 
 def _require(value, what):
@@ -86,16 +91,16 @@ def _target(ctx):
 
 
 def _op_load_example(ctx, name, params=None):
-    ctx.model = spaces.load_example(name, **(params or {}))
-    return {"model": ctx.model.name, "points": ctx.model.n_points,
-            "kind": ctx.model.kind, "invertible": ctx.model.invertible}
+    model = ctx.load(spaces.load_example(name, **(params or {})))
+    return {"model": model.name, "points": model.n_points,
+            "kind": model.kind, "invertible": model.invertible}
 
 
 def _op_window_model(ctx, count=64, radius=64, seed=None, density=0.5):
-    ctx.model = spaces.sample_window_model(
+    model = ctx.load(spaces.sample_window_model(
         count=count, radius=radius, seed=ctx.seed if seed is None else seed,
-        density=density)
-    return {"model": ctx.model.name, "points": ctx.model.n_points}
+        density=density))
+    return {"model": model.name, "points": model.n_points}
 
 
 def _op_exact_envelope(ctx):
@@ -135,25 +140,20 @@ def _op_stabilization(ctx, horizons, tau, power_range="two-sided"):
 
 
 def _op_power_decomposition(ctx, n):
-    return envelope.envelope_power_decomposition(_require(ctx.model, "a model"), n, ctx.env)
-
-
-def _sg(ctx):
-    if ctx.semigroup is None:
-        ctx.semigroup = algebra.from_envelope(_require(ctx.env, "an envelope"))
-    return ctx.semigroup
+    return envelope.envelope_power_decomposition(_require(ctx.env, "an envelope"), n)
 
 
 def _op_idempotents(ctx):
-    return {"idempotents": algebra.idempotents(_sg(ctx))}
+    return {"idempotents": algebra.idempotents(_require(ctx.env, "an envelope").semigroup)}
 
 
 def _op_minimal_left_ideals(ctx):
-    return {"ideals": [list(i) for i in algebra.minimal_left_ideals(_sg(ctx))]}
+    ideals = algebra.minimal_left_ideals(_require(ctx.env, "an envelope").semigroup)
+    return {"ideals": [list(i) for i in ideals]}
 
 
 def _op_kernel_and_groups(ctx):
-    dec = algebra.kernel_and_groups(_sg(ctx))
+    dec = algebra.kernel_and_groups(_require(ctx.env, "an envelope").semigroup)
     return {
         "minimal_left_ideals": [list(i) for i in dec.minimal_left_ideals],
         "idempotents_per_ideal": [list(j) for j in dec.idempotents_per_ideal],
@@ -163,26 +163,20 @@ def _op_kernel_and_groups(ctx):
     }
 
 
-def _index(value, size, name):
-    """``value`` as an index into ``size`` items; no wrapping, no clamping."""
-    if not 0 <= int(value) < size:
-        raise spaces.InvalidParameterError(f"{name}={value} outside [0, {size})")
-    return int(value)
-
-
 def _op_ideal_isomorphism(ctx, i=0, k=1):
-    ideals = algebra.minimal_left_ideals(_sg(ctx))
-    i, k = (_index(v, len(ideals), f"ideal index {n}") for n, v in (("i", i), ("k", k)))
-    return algebra.ideal_isomorphism_check(_sg(ctx), ideals[i], ideals[k])
+    s = _require(ctx.env, "an envelope").semigroup
+    ideals = algebra.minimal_left_ideals(s)
+    i, k = (spaces.check_index(v, len(ideals), f"ideal index {n}")
+            for n, v in (("i", i), ("k", k)))
+    return algebra.ideal_isomorphism_check(s, ideals[i], ideals[k])
 
 
 def _op_is_group_distal(ctx):
-    return algebra.is_group_distal(_sg(ctx))
+    return algebra.is_group_distal(_require(ctx.env, "an envelope").semigroup)
 
 
 def _op_proximal_structure(ctx):
-    return algebra.proximal_structure(_require(ctx.model, "a model"),
-                                      _require(ctx.env, "an envelope"))
+    return algebra.proximal_structure(_require(ctx.env, "an envelope"))
 
 
 def _op_periodic_elements(ctx):
@@ -201,6 +195,7 @@ def _op_equivalence_corpus(ctx, count=500, max_points=8, seed=None):
 
 def _op_build_hyper(ctx, k=2, budget=250_000):
     ctx.hyper = hyperspace.build_hyper_model(_require(ctx.model, "a model"), k, budget=budget)
+    ctx.hyper_env = None
     return {"hyperpoints": ctx.hyper.n_points, "max_cardinality": k}
 
 
@@ -229,20 +224,15 @@ def _op_hyper_envelope(ctx, horizon=None, tau=None, power_range="two-sided"):
 
 def _op_theta_check(ctx):
     return envelope.theta_check(_require(ctx.env, "a base envelope"),
-                                _require(ctx.hyper_env, "a hyper envelope"),
-                                _require(ctx.hyper, "a hyper model"))
+                                _require(ctx.hyper_env, "a hyper envelope"))
 
 
 def _op_inducibility(ctx, element=None):
     henv = _require(ctx.hyper_env, "a hyper envelope")
     targets = range(len(henv.elements))
     if element is not None:
-        targets = [_index(element, len(targets), "element")]
-    out = {}
-    for idx in targets:
-        out[henv.elements[idx].name] = envelope.inducibility_check(
-            henv, ctx.hyper, idx)
-    return out
+        targets = [spaces.check_index(element, len(targets), "element")]
+    return {henv.elements[idx].name: envelope.inducibility_check(henv, idx) for idx in targets}
 
 
 def _op_hyper_equicontinuity(ctx, k, eps_list, horizon):
@@ -331,21 +321,18 @@ def _op_recurrence(ctx, horizon, tau):
 
 
 def _op_wap_proxy(ctx):
-    return properties.wap_proxy_check(_require(ctx.model, "a model"),
-                                      _require(ctx.env, "an envelope"))
+    return properties.wap_proxy_check(_require(ctx.env, "an envelope"))
 
 
 def _op_distal_semiflow(ctx):
-    return properties.distal_semiflow_check(_require(ctx.model, "a model"), ctx.env)
+    return properties.distal_semiflow_check(_require(ctx.env, "an envelope"))
 
 
 def _op_hitting_set(ctx, u, v, horizon):
     target = _target(ctx)
-    if isinstance(target, symbolic.Subshift):
-        return {"times": properties.hitting_set(target, u, v, horizon)}
-    uset = properties.ball(u["center"], u["radius"])
-    vset = properties.ball(v["center"], v["radius"])
-    return {"times": properties.hitting_set(target, uset, vset, horizon)}
+    if not isinstance(target, symbolic.Subshift):   # balls on a model, words on a shift
+        u, v = (properties.ball(s["center"], s["radius"]) for s in (u, v))
+    return {"times": properties.hitting_set(target, u, v, horizon)}
 
 
 def _op_omega_limit(ctx, x, horizon, tol):
@@ -415,7 +402,7 @@ def run_experiment(config: dict) -> tuple[dict, list[float]]:
     timings = []
     if "model" in config:
         spec = config["model"]
-        ctx.model = spaces.load_example(spec["name"], **spec.get("params", {}))
+        ctx.load(spaces.load_example(spec["name"], **spec.get("params", {})))
     verdict_failures = 0
     errors = 0
     for step in config.get("pipeline", []):
@@ -516,6 +503,39 @@ def _parse_params(pairs):
     return out
 
 
+def _step(op, **params) -> dict:
+    return {"op": op, "params": params}
+
+
+def _pipeline(args) -> list:
+    """The pipeline of an ``envelope``, ``shift`` or ``props`` subcommand."""
+    if args.command == "shift":
+        step = {"language": _step("language", n=args.n),
+                "entropy": _step("entropy", n_max=args.n),
+                "classify": _step("classify_shift"),
+                "periods": _step("periodic_spectrum", n_max=args.n)}[args.op]
+        return [_step("build_subshift", spec=json.loads(Path(args.spec).read_text())), step]
+    load = _step("load_example", name=args.model, params=_parse_params(args.param))
+    if args.command == "envelope":
+        if args.horizon is None:
+            env = _step("exact_envelope")
+        else:
+            env = _step("approx_envelope", horizon=args.horizon, tau=args.tau,
+                        power_range="two-sided" if args.two_sided else "forward")
+        return [load, env, _step("envelope_table")]
+    h, tau, eps = args.horizon, args.tau, [args.tau, 4 * args.tau]
+    return [load, *{
+        "transitivity": [_step("classify_transitivity", horizon=h)],
+        "strong-transitivity": [_step("strong_transitivity", horizon=h)],
+        "equicontinuity": [_step("equicontinuity", eps_list=eps, horizon=h)],
+        "hyper-equicontinuity": [_step("hyper_equicontinuity", k=args.max_card,
+                                       eps_list=eps, horizon=h)],
+        "rigidity": [_step("rigidity_battery", horizon=h, tau=tau)],
+        "recurrence": [_step("recurrence_report", horizon=h, tau=tau)],
+        "distal-semiflow": [_step("exact_envelope"), _step("distal_semiflow")],
+    }[args.prop]]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="ellis",
                                      description="computational topological dynamics")
@@ -584,21 +604,6 @@ def main(argv=None) -> int:
             return 2
         return 0
 
-    if args.command == "envelope":
-        params = _parse_params(args.param)
-        pipeline = [{"op": "load_example", "params": {"name": args.model, "params": params}}]
-        if args.horizon is None:
-            pipeline.append({"op": "exact_envelope", "params": {}})
-        else:
-            pipeline.append({"op": "approx_envelope", "params": {
-                "horizon": args.horizon, "tau": args.tau,
-                "power_range": "two-sided" if args.two_sided else "forward"}})
-        pipeline.append({"op": "envelope_table", "params": {}})
-        report, timings = run_experiment({"pipeline": pipeline})
-        emit_report(report, timings, args.out, [args.format, "json"])
-        print(json.dumps(report["summary"], sort_keys=True))
-        return 0 if report["summary"]["ok"] else 1
-
     if args.command == "semigroup":
         doc = json.loads(Path(args.table).read_text())
         sg = algebra.FiniteSemigroup.from_json(doc)
@@ -614,53 +619,19 @@ def main(argv=None) -> int:
         print(json.dumps(_jsonable(result), indent=2, sort_keys=True))
         return 0
 
-    if args.command == "shift":
-        spec = json.loads(Path(args.spec).read_text())
-        shift = symbolic.build_subshift(spec)
-        if args.op == "language":
-            result = {"words": sorted(symbolic.language(shift, args.n))}
-        elif args.op == "entropy":
-            result = symbolic.entropy_estimates(shift, args.n)
-            if args.format == "csv":
-                Path(args.out).mkdir(parents=True, exist_ok=True)
-                (Path(args.out) / "entropy.csv").write_text(symbolic.entropy_csv(result))
-        elif args.op == "classify":
-            result = symbolic.classify_sft(shift)
-        else:
-            result = symbolic.periodic_spectrum(shift, args.n)
-        print(json.dumps(_jsonable(result), indent=2, sort_keys=True))
-        return 0
-
-    if args.command == "props":
-        params = _parse_params(args.param)
-        model = spaces.load_example(args.model, **params)
-        if args.prop == "transitivity":
-            out = properties.classify_transitivity(model, args.horizon)
-            result = {k: v.to_json() for k, v in out["verdicts"].items()}
-        elif args.prop == "strong-transitivity":
-            out = properties.strong_transitivity_check(model, args.horizon)
-            result = {"strongly_transitive": out["strongly_transitive"].to_json(),
-                      "minimal": out["minimal"]}
-        elif args.prop == "equicontinuity":
-            result = properties.equicontinuity_scan(
-                model, [args.tau, 4 * args.tau], args.horizon)
-            result = {"ae": result["ae"], "sensitive": result["sensitive"]}
-        elif args.prop == "hyper-equicontinuity":
-            out = properties.hyper_equicontinuity_crosscheck(
-                model, args.max_card, [args.tau, 4 * args.tau], args.horizon)
-            result = {"base_ae": out["base_ae"], "hyper_ae": out["hyper_ae"],
-                      "agree": out["agree"]}
-        elif args.prop == "rigidity":
-            out = properties.rigidity_battery(model, args.horizon, args.tau)
-            result = {k: out[k].to_json() for k in ("weakly_rigid", "rigid", "uniformly_rigid")}
-        elif args.prop == "recurrence":
-            result = properties.recurrence_report(model, args.horizon, args.tau)
-        else:
-            result = properties.distal_semiflow_check(model)
-        print(json.dumps(_jsonable(result), indent=2, sort_keys=True))
-        return 0
-
-    return 1
+    # envelope, shift and props: one pipeline through the op dispatch
+    report, timings = run_experiment({"pipeline": _pipeline(args)})
+    emit_report(report, timings, args.out, [args.format, "json"])
+    if args.command == "envelope":
+        print(json.dumps(report["summary"], sort_keys=True))
+        return 0 if report["summary"]["ok"] else 1
+    # shift and props print the last step's result, or the first error
+    failed = [s for s in report["steps"] if s["status"] == "error"]
+    if failed:
+        print(failed[0]["error"], file=sys.stderr)
+        return 1
+    print(json.dumps(report["steps"][-1]["result"], indent=2, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import MonogenicMonoid
+from .algebra import FiniteSemigroup, MonogenicMonoid, TableError
 # CELL_BUDGET, EnvelopeBudgetError and check_cells are re-exported here
 from .spaces import (CELL_BUDGET, SUP_CHUNK, CascadeModel, EnvelopeBudgetError,
                      FiniteModel, InvalidParameterError, NegativePowerError, check_cells,
@@ -102,11 +102,12 @@ class _EnvelopeBase:
 class ExactEnvelope(_EnvelopeBase):
     """Iterate monoid {f^n} of a finite-exact model, in closed form: index =
     longest tail of f's functional graph, period = lcm of its cycle lengths,
-    f^i f^j = f^fold(i+j).  Index and period are the least ones, so the
-    elements f^0 .. f^(size-1) are pairwise distinct maps and an exponent
-    names its map.  Construction costs one O(N) pass; the element images
-    (from the model's ``iterate_images``) and the table are built when first
-    read, each refused with ``EnvelopeBudgetError`` before allocating over
+    f^i f^j = f^fold(i+j); ``semigroup`` is that ``MonogenicMonoid``.  Index
+    and period are the least ones, so the elements f^0 .. f^(size-1) are
+    pairwise distinct maps and an exponent names its map.  Construction
+    costs one O(N) pass; the element images (from the model's
+    ``iterate_images``) and the table are built when first read, each
+    refused with ``EnvelopeBudgetError`` before allocating over
     ``CELL_BUDGET`` cells."""
 
     def __init__(self, model):
@@ -114,31 +115,31 @@ class ExactEnvelope(_EnvelopeBase):
             raise InvalidParameterError("exact envelopes need an exact map table")
         self.model = model
         tail, length, _ = cycle_structure(model.map_table)
-        self.monoid = MonogenicMonoid(int(tail.max()), math.lcm(*set(length.tolist())))
-        self.index, self.period = self.monoid.index, self.monoid.period
-        self.identity_index = self.monoid.identity
-        self.generator_index = self.monoid.generator
+        self.semigroup = MonogenicMonoid(int(tail.max()), math.lcm(*set(length.tolist())))
+        self.index, self.period = self.semigroup.index, self.semigroup.period
+        self.identity_index = self.semigroup.identity
+        self.generator_index = self.semigroup.generator
         self.tau = 0.0
-        self.horizon = self.monoid.size
+        self.horizon = self.semigroup.size
         self.stabilized = True
         self.max_snap_error = 0.0
 
     def element_names(self):
-        return [f"f^{k}" for k in range(self.monoid.size)]
+        return [f"f^{k}" for k in range(self.semigroup.size)]
 
     @cached_property
     def elements(self) -> list:
-        size, n = self.monoid.size, self.model.n_points
+        size, n = self.semigroup.size, self.model.n_points
         check_cells(size * n, f"the maps of an exact envelope of {size} elements over {n} points")
         return [MapSample(f"f^{k}", self.model.iterate_images(k), k, [k], "iterate")
                 for k in range(size)]
 
     @property
     def table(self) -> np.ndarray:
-        return self.monoid.table
+        return self.semigroup.table
 
     def fold(self, m: int) -> int:
-        if m < self.monoid.size:
+        if m < self.semigroup.size:
             return m
         return self.index + (m - self.index) % self.period
 
@@ -176,6 +177,13 @@ class ApproxEnvelope(_EnvelopeBase):
 
     def element_of_exponent(self, n: int):
         return self.exponent_map[n]
+
+    @cached_property
+    def semigroup(self) -> FiniteSemigroup:
+        """The composition table in report mode; refused while it is open."""
+        if self.table is None or (self.table < 0).any():
+            raise TableError("envelope has no closed composition table")
+        return FiniteSemigroup(self.table, self.identity_index, self.generator_index, "approx")
 
     @property
     def limit_elements(self):
@@ -449,19 +457,18 @@ def identity_isolated(env, tau: float | None = None) -> dict:
     return {"isolated": True, "witness": None, "weakly_rigid_up_to_horizon": False}
 
 
-def envelope_power_decomposition(model: FiniteModel, n: int, env=None) -> dict:
-    """Exact comparison of the envelope with the union of translated
-    n-th-power envelopes.
+def envelope_power_decomposition(env: ExactEnvelope, n: int) -> dict:
+    """Exact comparison of an exact envelope with the union of translated
+    n-th-power envelopes; an approximate envelope is refused.
 
-    ``env``, when it is the exact envelope of this model object, is read
-    instead of building it again.  The envelope of f^n is its iterates
-    f^(nk) up to the first repeated map, and the translates f^j f^(nk) for
-    j < n.  Distinct folded exponents are distinct maps, so each map is
-    compared by its folded exponent and none is built."""
+    The envelope of f^n is its iterates f^(nk) up to the first repeated
+    map, and the translates f^j f^(nk) for j < n.  Distinct folded exponents
+    are distinct maps, so each map is compared by its folded exponent and
+    none is built."""
+    if not isinstance(env, ExactEnvelope):
+        raise InvalidParameterError("power decomposition needs an exact envelope")
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    if not (isinstance(env, ExactEnvelope) and env.model is model):
-        env = exact_envelope(model)
     sub, nk = {}, 0                 # fold(nk) -> nk for the maps f^(nk)
     while env.fold(nk) not in sub:
         sub[env.fold(nk)] = nk
@@ -472,7 +479,7 @@ def envelope_power_decomposition(model: FiniteModel, n: int, env=None) -> dict:
         collisions += len(tr & union) + len(sub) - len(tr)
         translate_sizes.append(len(tr))
         union |= tr
-    full = set(range(env.monoid.size))
+    full = set(range(env.semigroup.size))
     return {
         "equal": union == full,
         "envelope_size": len(full),
@@ -536,13 +543,17 @@ def _match_base_element(base_env, base_img, tau: float):
     return None
 
 
-def theta_check(base_env, hyper_env, hyper_model) -> dict:
+def theta_check(base_env, hyper_env) -> dict:
     """Restriction homomorphism from the hyper envelope onto the base envelope.
 
     Reports singleton escapes, unmatched restrictions, failure of
     surjectivity onto the base elements, and table pairs where restriction
-    does not commute with composition.
+    does not commute with composition.  A hyper envelope over another base
+    model than the base envelope's is refused.
     """
+    hyper_model = hyper_env.model
+    if getattr(hyper_model, "base", None) is not base_env.model:
+        raise InvalidParameterError("theta needs a hyper envelope over the base envelope's model")
     tau = getattr(base_env, "tau", 0.0) or hyper_model.base.resolution / 2
     theta = []
     escapes = []
@@ -576,10 +587,11 @@ def _includes(a, b) -> np.ndarray:
     return (a[:, :, None] == b[:, None, :]).any(axis=2).all(axis=1)
 
 
-def inducibility_check(hyper_env, hyper_model, element_index: int) -> dict:
+def inducibility_check(hyper_env, element_index: int) -> dict:
     """Three conditions for a hyper-envelope element to come from a point map:
     singletons to singletons, monotone on inclusions, minimal in the
     pointwise-inclusion order among envelope elements."""
+    hyper_model = hyper_env.model
     members = hyper_model.members
     snapped, _ = hyper_model.snap_images(hyper_env.elements[element_index].images)
     rows = members[snapped]

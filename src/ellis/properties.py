@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .spaces import CascadeModel, FiniteModel, InvalidParameterError, row_blocks
+from .spaces import CascadeModel, FiniteModel, InvalidParameterError, check_index, row_blocks
 from .symbolic import Subshift, cylinder_tensor
 from .hyperspace import build_hyper_model
 from .algebra import proximal_structure
@@ -29,13 +29,13 @@ class OpenSet:
     points: tuple = ()
 
     def resolve(self, model: CascadeModel) -> np.ndarray:
+        n = model.n_points
         if self.kind == "points":
-            idx = np.asarray(sorted(self.points), dtype=np.int64)
+            idx = np.asarray(sorted(check_index(p, n, "point") for p in self.points),
+                             dtype=np.int64)
         elif self.kind == "ball":
-            d = model.point_dist(
-                np.full(model.n_points, self.center, dtype=np.int64),
-                np.arange(model.n_points),
-            )
+            center = check_index(self.center, n, "ball centre")
+            d = model.point_dist(np.full(n, center, dtype=np.int64), np.arange(n))
             idx = np.nonzero(d < self.radius)[0]
         else:
             raise InvalidParameterError("cylinder sets resolve on shift spaces only")
@@ -106,30 +106,11 @@ def _point_return_matrix(model: CascadeModel, horizon: int, tau: float) -> np.nd
 
 
 def hitting_set(target, u, v, horizon: int) -> list[int]:
-    """Times n in [1, horizon] at which the n-th image of U meets V."""
-    if isinstance(target, Subshift):
-        uw = u.word if isinstance(u, OpenSet) else u
-        vw = v.word if isinstance(v, OpenSet) else v
-        hits = cylinder_tensor(target, [uw, vw], max(horizon, 0))[1:, 0, 1]
-        return (np.flatnonzero(hits) + 1).tolist()
-    model = target
-    iu = u.resolve(model)
-    iv = None
-    if v.kind == "points":
-        # images of a finite-exact model are point ids, so membership is exact
-        if not isinstance(model, FiniteModel):
-            raise InvalidParameterError("explicit point sets need a finite-exact model")
-        iv = v.resolve(model)
-    out = []
-    for n in range(1, horizon + 1):
-        sub = model.apply_to_indices(model.iterate_images(n), iu)
-        if iv is not None:
-            hit = np.isin(sub, iv)
-        else:
-            hit = model.image_point_dist(sub, v.center) < v.radius
-        if hit.any():
-            out.append(n)
-    return out
+    """Times n in [1, horizon] at which the n-th image of U meets V: one pair
+    of ``hitting_tensor``.  On a shift space a word names its cylinder."""
+    sets = [cylinder(s) if isinstance(s, str) else s for s in (u, v)]
+    hits = hitting_tensor(target, sets, max(horizon, 0))[1:, 0, 1]
+    return (np.flatnonzero(hits) + 1).tolist()
 
 
 def default_cover(model: CascadeModel, granularity: float | None = None) -> list[OpenSet]:
@@ -160,7 +141,8 @@ def transitivity_cover(target, cylinder_length: int = 3,
 
 
 def _target_membership(model: CascadeModel, sets, imgs) -> np.ndarray:
-    """V[x, j] = 1 when image entry x lies in sets[j], by ``hitting_set``'s test."""
+    """V[x, j] = 1 when image entry x lies in sets[j]: a point set by id, a
+    ball by ``image_point_dist`` to its centre."""
     out = np.empty((model.n_points, len(sets)), dtype=np.float32)
     for j, v in enumerate(sets):
         if v.kind == "points":
@@ -172,16 +154,16 @@ def _target_membership(model: CascadeModel, sets, imgs) -> np.ndarray:
 
 def hitting_tensor(target, sets, horizon: int) -> np.ndarray:
     """Every hitting set of a cover at once: ``hits[n, i, j]`` is true when
-    n is in ``hitting_set(target, sets[i], sets[j], horizon)``.  Row 0
+    the n-th image of sets[i] meets sets[j], for n in [1, horizon].  Row 0
     stays false, so the row index is the time.
 
     On a model, U[i, x] = [x in U_i] and V_n[x, j] = [f^n x in V_j] give
-    ``hits[n] = U @ V_n > 0``, one K x N by N x K product per iterate.  V_n
-    applies ``hitting_set``'s own comparison, so every bit agrees with it;
-    on finite-exact carriers, whose images are point ids, V_n is a row
-    gather from one table of the identity.  Shift spaces go to
-    ``symbolic.cylinder_tensor``.  Refused with ``EnvelopeBudgetError``,
-    before anything is allocated, over ``CELL_BUDGET`` cells.
+    ``hits[n] = U @ V_n > 0``, one K x N by N x K product per iterate.  On
+    finite-exact carriers, whose images are point ids, V_n is a row gather
+    from one table of the identity; explicit point sets need such ids.
+    Shift spaces go to ``symbolic.cylinder_tensor``.  Refused with
+    ``EnvelopeBudgetError``, before anything is allocated, over
+    ``CELL_BUDGET`` cells.
     """
     k = len(sets)
     envelope_mod.check_cells((horizon + 1) * k * k,
@@ -563,7 +545,7 @@ def recurrence_report(model: CascadeModel, horizon: int, tau: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def wap_proxy_check(model: CascadeModel, env) -> dict:
+def wap_proxy_check(env) -> dict:
     """Discrete continuity modulus of the envelope's adherence elements.
 
     Iterates of the generator are continuous by construction, so only the
@@ -573,6 +555,7 @@ def wap_proxy_check(model: CascadeModel, env) -> dict:
     collapses to the sample resolution while neighbors map at least eps
     apart, for eps a quarter and an eighth of the diameter.
     """
+    model = env.model
     eps_grid = [model.diameter / 4.0, model.diameter / 8.0]
     dist = full_distance_matrix(model)
     n = model.n_points
@@ -612,20 +595,21 @@ def wap_proxy_check(model: CascadeModel, env) -> dict:
             "elements": report}
 
 
-def distal_semiflow_check(model: FiniteModel, env=None) -> dict:
-    """Distality of a finite semicascade and the theorem consequences:
-    pointwise almost periodicity and surjectivity must follow exactly.
+def distal_semiflow_check(env) -> dict:
+    """Distality of a finite semicascade, read from its exact envelope, and
+    the theorem consequences: pointwise almost periodicity and surjectivity
+    must follow exactly.
 
-    ``env``, when it is the exact envelope of this model object, is read
-    instead of building it again.  Distal means no proximal pair: every
-    envelope map f^k is injective, which on a finite set holds exactly when
-    f^index is, so the kernel of ``algebra.proximal_structure`` answers with
-    no envelope map built.  Every point is periodic exactly when every tail
-    of the functional graph is 0, that is when the index is 0.  Models
-    without an exact map table are refused by ``exact_envelope``."""
-    if not (isinstance(env, envelope_mod.ExactEnvelope) and env.model is model):
-        env = envelope_mod.exact_envelope(model)
-    distal = proximal_structure(model, env)["pair_count"] == 0
+    Distal means no proximal pair: every envelope map f^k is injective,
+    which on a finite set holds exactly when f^index is, so the kernel of
+    ``algebra.proximal_structure`` answers with no envelope map built.
+    Every point is periodic exactly when every tail of the functional graph
+    is 0, that is when the index is 0.  An approximate envelope is
+    refused."""
+    if not isinstance(env, envelope_mod.ExactEnvelope):
+        raise InvalidParameterError("semiflow distality needs an exact envelope")
+    model = env.model
+    distal = proximal_structure(env)["pair_count"] == 0
     surjective = len(set(int(v) for v in model.map_table)) == model.n_points
     pap = env.index == 0
     return {

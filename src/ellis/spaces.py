@@ -66,6 +66,14 @@ class NegativePowerError(ValueError):
     """Negative iterate requested on a non-invertible model."""
 
 
+def check_index(value, size: int, what: str) -> int:
+    """``value`` as an index into ``size`` items; no wrapping, no clamping,
+    no truncation."""
+    if int(value) != value or not 0 <= value < size:
+        raise InvalidParameterError(f"{what}={value} is not an integer in [0, {size})")
+    return int(value)
+
+
 def _minarc(a, b):
     d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % TWO_PI
     return np.minimum(d, TWO_PI - d)
@@ -983,6 +991,7 @@ def orbit_segment(model: CascadeModel, x: PointId, n_from: int, n_to: int):
         raise InvalidParameterError("n_from must be <= n_to")
     if n_from < 0 and not model.invertible:
         raise NegativePowerError("negative powers need an invertible model")
+    x = check_index(x, model.n_points, "point")
     return [model.orbit_entry(model.iterate_images(n), x) for n in range(n_from, n_to + 1)]
 
 
@@ -990,6 +999,7 @@ def omega_limit_estimate(model: CascadeModel, x: PointId, horizon: int, tol: flo
     """Sample points hit at least twice by the tail half of the orbit."""
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
+    x = check_index(x, model.n_points, "point")
     hits = np.zeros(model.n_points, dtype=np.int64)
     ident = model.iterate_images(0)
     copies_of_x = np.full(model.n_points, x, dtype=np.int64)

@@ -46,7 +46,7 @@ def test_criterion_1_square_map_reproduction():
     assert t[f1, fwd] == fwd and t[f1, back] == back           # f o g_i = g_i
     assert t[fwd, back] == back and t[back, fwd] == fwd        # cross absorption
 
-    sg = algebra.from_envelope(env)
+    sg = env.semigroup
     ideals = algebra.minimal_left_ideals(sg)
     assert ideals == [(fwd,), (back,)] or ideals == [(back,), (fwd,)]
     iso = algebra.ideal_isomorphism_check(sg, ideals[0], ideals[1])
@@ -102,7 +102,7 @@ def test_criterion_2_neg_cube_reproduction():
 def test_criterion_3_periodic_family(n):
     model = spaces.load_example("periodic-stack", n=n, truncate=100)
     env = envelope.exact_envelope(model)
-    sg = algebra.from_envelope(env)
+    sg = env.semigroup
     gen = env.generator_index
     t = env.table
 
@@ -243,7 +243,7 @@ def test_criterion_8_hyperspace_suite():
         base_env = envelope.exact_envelope(model)
         hyper = hyperspace.build_hyper_model(model, 2)
         hyper_env = envelope.exact_envelope(hyper)
-        rep = envelope.theta_check(base_env, hyper_env, hyper)
+        rep = envelope.theta_check(base_env, hyper_env)
         assert rep["well_defined"], name
         assert not rep["homomorphism_violations"], name
 
@@ -252,7 +252,7 @@ def test_criterion_8_hyperspace_suite():
     henv = envelope.approx_envelope(hyper11, 40, 0.05, "two-sided")
     targets = [henv.element_of_exponent(1)] + henv.limit_elements
     for idx in targets:
-        rep = envelope.inducibility_check(henv, hyper11, idx)
+        rep = envelope.inducibility_check(henv, idx)
         assert rep["singletons_ok"] and rep["monotone_ok"] and rep["minimal_ok"]
     _report(8, "AE crosschecks agree, theta clean on 9 models, inducibility holds")
 

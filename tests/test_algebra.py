@@ -11,7 +11,6 @@ from ellis import algebra, cli, envelope, hyperspace, properties, spaces
 from ellis.algebra import (
     FiniteSemigroup,
     TableError,
-    from_envelope,
     ideal_isomorphism_check,
     idempotents,
     is_group_distal,
@@ -95,7 +94,7 @@ def test_minimal_left_ideals_cyclic_group():
 
 def test_minimal_left_ideals_constant_envelope():
     env = envelope.exact_envelope(finite([0, 0, 0]))
-    assert minimal_left_ideals(from_envelope(env)) == [(1,)]
+    assert minimal_left_ideals(env.semigroup) == [(1,)]
 
 
 def test_kernel_and_groups_examples():
@@ -112,7 +111,7 @@ def test_kernel_and_groups_examples():
 def test_kernel_periodic_stack():
     m = spaces.load_example("periodic-stack", n=3, truncate=12)
     env = envelope.exact_envelope(m)
-    sg = from_envelope(env)
+    sg = env.semigroup
     dec = kernel_and_groups(sg)
     assert len(dec.minimal_left_ideals) == 1
     ideal = dec.minimal_left_ideals[0]
@@ -141,7 +140,7 @@ def test_is_group_distal():
 def test_proximal_structure_rotation_distal():
     rot = spaces.load_example("irrational-rotation", grid=18)
     env = envelope.exact_envelope(rot)
-    rep = proximal_structure(rot, env)
+    rep = proximal_structure(env)
     assert rep["pair_count"] == 0
     assert rep["ideal_count"] == 1
     assert rep["is_equivalence"] and rep["theorem_er_consistent"]
@@ -150,7 +149,7 @@ def test_proximal_structure_rotation_distal():
 def test_proximal_structure_square_map():
     sq = spaces.load_example("square-map", grid=101)
     env = envelope.approx_envelope(sq, 40, 1e-3, "two-sided")
-    rep = proximal_structure(sq, env)
+    rep = proximal_structure(env)
     # the forward limit collapses the interior, the backward limit the
     # upper half-open interval: proximality is not transitive, two ideals
     assert rep["ideal_count"] == 2
@@ -162,7 +161,7 @@ def test_proximal_structure_square_map():
 def test_proximal_structure_isolated_ones():
     m = spaces.load_example("isolated-ones-subshift", truncate=8)
     env = envelope.exact_envelope(m)
-    rep = proximal_structure(m, env)
+    rep = proximal_structure(env)
     # the constant limit collapses every pair: one ideal, full relation
     assert rep["ideal_count"] == 1
     n = m.n_points
@@ -284,7 +283,7 @@ def brute_witnesses(s, horizon):
 
 
 def check_envelope_against_orbit_loops(env):
-    s = from_envelope(env)
+    s = env.semigroup
     rep = periodic_element_analysis(env)
     assert rep == brute_periodic_analysis(s)
     json.dumps(rep)                  # plain Python types only
@@ -344,7 +343,7 @@ def test_group_check_matches_set_version_on_near_groups(group, identity):
 
 @given(random_maps)
 def test_ideals_and_groups_match_set_versions_on_exact_envelopes(table):
-    s = from_envelope(envelope.exact_envelope(finite(table)))
+    s = envelope.exact_envelope(finite(table)).semigroup
     assert minimal_left_ideals(s) == brute_minimal_left_ideals(s.table)
     for (_, v), members in kernel_and_groups(s).groups.items():
         assert algebra._is_group_on(s.table, members, v)
@@ -359,7 +358,7 @@ def generic_semigroup(env):
 
 
 def check_monoid_against_generic(env):
-    monoid, s = from_envelope(env), generic_semigroup(env)
+    monoid, s = env.semigroup, generic_semigroup(env)
     assert isinstance(monoid, algebra.MonogenicMonoid)
     assert (monoid.index, monoid.period, monoid.size) == (env.index, env.period, s.size)
     assert idempotents(monoid) == idempotents(s)
@@ -368,7 +367,7 @@ def check_monoid_against_generic(env):
     closed = [periodic_element_analysis(env)]
     closed += [recurrent_idempotent_check(env, h) for h in (None, 1, 2, 3)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(algebra, "from_envelope", generic_semigroup)
+        mp.setattr(env, "semigroup", s)
         generic = [periodic_element_analysis(env)]
         generic += [recurrent_idempotent_check(env, h) for h in (None, 1, 2, 3)]
     assert closed == generic
@@ -469,12 +468,13 @@ def test_periodic_union_12_group_and_proximal_tests_answer_in_closed_form():
 # -- proximality and the group test against the loops they replaced ----------
 
 
-def collapse_proximal_structure(model, env):
+def collapse_proximal_structure(env):
     # oracle: one N x N collapse matrix per element, with the minimal ideals
     # of the generic table path
+    model = env.model
     n = model.n_points
     exact = isinstance(env, envelope.ExactEnvelope)
-    s = generic_semigroup(env) if exact else from_envelope(env)
+    s = generic_semigroup(env) if exact else env.semigroup
     collapse = []
     for el in env.elements:
         left = model.apply_to_indices(el.images, np.repeat(np.arange(n), n))
@@ -504,7 +504,7 @@ def test_proximal_closed_form_matches_collapse_loop_on_random_maps(table):
     inverse = np.argsort(table) if sorted(table) == list(range(len(table))) else None
     model = finite(table, inverse)
     env = envelope.exact_envelope(model)
-    assert proximal_structure(model, env) == collapse_proximal_structure(model, env)
+    assert proximal_structure(env) == collapse_proximal_structure(env)
 
 
 # smaller bases for the k = 2 hyperspaces, where the oracle holds N**2 pairs
@@ -522,14 +522,14 @@ def test_proximal_closed_form_matches_collapse_loop_on_catalog(name):
     base = spaces.load_example(name, **SMALL_HYPER_BASES.get(name, FINITE_CASES[name]))
     for carrier in (model, hyperspace.build_hyper_model(base, 2)):
         env = envelope.exact_envelope(carrier)
-        assert proximal_structure(carrier, env) == collapse_proximal_structure(carrier, env)
+        assert proximal_structure(env) == collapse_proximal_structure(env)
 
 
 @pytest.mark.parametrize("name", ["square-map", "neg-cube"])
 def test_approximate_proximal_structure_is_the_collapse_loop(name):
     model = spaces.load_example(name, grid=101)
     env = envelope.approx_envelope(model, 40, 1e-3, "two-sided")
-    assert proximal_structure(model, env) == collapse_proximal_structure(model, env)
+    assert proximal_structure(env) == collapse_proximal_structure(env)
 
 
 def test_approximate_proximal_structure_is_refused_over_the_cell_budget():
@@ -537,7 +537,7 @@ def test_approximate_proximal_structure_is_refused_over_the_cell_budget():
     env = envelope.approx_envelope(sq, 4, 1e-3, "two-sided", close_table=False)
     start = time.perf_counter()
     with pytest.raises(envelope.EnvelopeBudgetError, match="proximal relation"):
-        proximal_structure(sq, env)
+        proximal_structure(env)
     assert time.perf_counter() - start < 1.0
 
 
@@ -644,11 +644,11 @@ def reference_equivalence_corpus(count, max_points, seed):
         ideals = algebra.minimal_left_ideals(s)
         if not idem:
             violations.append((trial, "nakamura"))
-        monoid = from_envelope(env)
+        monoid = env.semigroup
         if idem != algebra.idempotents(monoid) or ideals != algebra.minimal_left_ideals(monoid):
             violations.append((trial, "monogenic-closed-form"))
         gd = algebra.is_group_distal(s)
-        prox = algebra.proximal_structure(model, env)
+        prox = algebra.proximal_structure(env)
         no_pairs = prox["pair_count"] == 0
         if not (gd["is_group"] == gd["unique_idempotent_is_identity"] == no_pairs):
             violations.append((trial, "distal-equivalences"))
@@ -659,9 +659,9 @@ def reference_equivalence_corpus(count, max_points, seed):
                 if not algebra.ideal_isomorphism_check(s, ideals[a], ideals[b])["isomorphic"]:
                     violations.append((trial, f"ideal-isomorphism-{a}-{b}"))
         for pn in (2, 3):
-            if not envelope.envelope_power_decomposition(model, pn, env)["equal"]:
+            if not envelope.envelope_power_decomposition(env, pn)["equal"]:
                 violations.append((trial, f"power-decomposition-{pn}"))
-        if no_pairs and not properties.distal_semiflow_check(model, env)["consequences_hold"]:
+        if no_pairs and not properties.distal_semiflow_check(env)["consequences_hold"]:
             violations.append((trial, "distal-semiflow-consequences"))
     return {"count": count, "violations": violations, "ok": not violations}
 
@@ -697,8 +697,8 @@ def _reject_cross_pairs(s, ideal_i, ideal_k):
 
 
 def _fail_power_decomposition(real):
-    def faulty(model, n, env=None):
-        rep = real(model, n, env)
+    def faulty(env, n):
+        rep = real(env, n)
         return {**rep, "equal": False} if env.period % n == 0 else rep
     return faulty
 
@@ -748,7 +748,7 @@ def test_equivalence_corpus_cross_checks_the_closed_form(monkeypatch):
     # the generic path's one ideal against a closed form that says otherwise
     real = algebra.proximal_structure
     monkeypatch.setattr(algebra, "proximal_structure",
-                        lambda model, env: {**real(model, env), "is_equivalence": False})
+                        lambda env: {**real(env), "is_equivalence": False})
     rep = run_equivalence_corpus(count=5, max_points=4, seed=1)
     assert [v[1] for v in rep["violations"]] == ["unique-ideal-vs-transitivity"] * 5
 

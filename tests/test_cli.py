@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ellis import cli, symbolic
 
@@ -115,12 +116,13 @@ def test_shift_subcommand(tmp_path):
     r = run_cli(["--out", str(tmp_path), "--format", "csv", "shift", str(path),
                  "entropy", "--n", "10"])
     assert r.returncode == 0
-    csv = (tmp_path / "entropy.csv").read_text()
+    # the entropy op is step 1, after build_subshift
+    csv = (tmp_path / "step1_entropy.csv").read_text()
     # the CSV is written from the printed estimates, not from a second pass
     assert csv == symbolic.entropy_csv(json.loads(r.stdout))
     assert csv.splitlines()[0] == "n,count,log_count_over_n"
     assert csv.splitlines()[1].startswith("1,2,")
-    r2 = run_cli(["shift", str(path), "classify"])
+    r2 = run_cli(["--out", str(tmp_path / "classify"), "shift", str(path), "classify"])
     assert json.loads(r2.stdout)["mixing"]
 
 
@@ -137,18 +139,144 @@ def test_language_rejects_a_negative_length(tmp_path):
     assert steps[2]["result"]["words"] == ["00", "01", "10"]
     path = tmp_path / "shift.json"
     path.write_text(json.dumps(spec))
-    r = run_cli(["shift", str(path), "language", "--n", "-1"])
+    r = run_cli(["--out", str(tmp_path / "o"), "shift", str(path), "language", "--n", "-1"])
     assert r.returncode != 0 and "ShiftSpecError" in r.stderr
 
 
-def test_props_subcommand():
-    r = run_cli(["props", "identity", "distal-semiflow"])
+def test_props_subcommand(tmp_path):
+    r = run_cli(["--out", str(tmp_path / "distal"), "props", "identity", "distal-semiflow"])
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["distal"] and doc["surjective"]
-    r2 = run_cli(["props", "irrational-rotation", "--param", "grid=24",
-                  "rigidity", "--horizon", "96", "--tau", "0.02"])
+    r2 = run_cli(["--out", str(tmp_path / "rigidity"), "props", "irrational-rotation",
+                  "--param", "grid=24", "rigidity", "--horizon", "96", "--tau", "0.02"])
     assert json.loads(r2.stdout)["uniformly_rigid"]["verdict"] == "holds"
+
+
+GOLDEN = {"kind": "forbidden", "alphabet": ["0", "1"], "forbidden": ["11"]}
+
+
+def _load(name, **params):
+    return {"op": "load_example", "params": {"name": name, "params": params}}
+
+
+# a subcommand's arguments and the pipeline that `ellis run` is given, for
+# each of the 7 `props` choices and the 4 `shift` ops
+SUBCOMMAND_CASES = {
+    "props-transitivity": (
+        ["props", "identity", "--param", "n=5", "transitivity", "--horizon", "20"],
+        [_load("identity", n=5), {"op": "classify_transitivity", "params": {"horizon": 20}}]),
+    "props-strong-transitivity": (
+        ["props", "irrational-rotation", "--param", "grid=12", "strong-transitivity",
+         "--horizon", "24"],
+        [_load("irrational-rotation", grid=12),
+         {"op": "strong_transitivity", "params": {"horizon": 24}}]),
+    "props-equicontinuity": (
+        ["props", "irrational-rotation", "--param", "grid=12", "equicontinuity",
+         "--horizon", "24", "--tau", "0.1"],
+        [_load("irrational-rotation", grid=12),
+         {"op": "equicontinuity", "params": {"eps_list": [0.1, 0.4], "horizon": 24}}]),
+    "props-hyper-equicontinuity": (
+        ["props", "irrational-rotation", "--param", "grid=8", "hyper-equicontinuity",
+         "--max-card", "2", "--horizon", "16", "--tau", "0.1"],
+        [_load("irrational-rotation", grid=8),
+         {"op": "hyper_equicontinuity", "params": {"k": 2, "eps_list": [0.1, 0.4],
+                                                   "horizon": 16}}]),
+    "props-rigidity": (
+        ["props", "irrational-rotation", "--param", "grid=12", "rigidity",
+         "--horizon", "48", "--tau", "0.02"],
+        [_load("irrational-rotation", grid=12),
+         {"op": "rigidity_battery", "params": {"horizon": 48, "tau": 0.02}}]),
+    "props-recurrence": (
+        ["props", "square-map", "--param", "grid=21", "recurrence", "--horizon", "16",
+         "--tau", "0.05"],
+        [_load("square-map", grid=21),
+         {"op": "recurrence_report", "params": {"horizon": 16, "tau": 0.05}}]),
+    "props-distal-semiflow": (
+        ["props", "periodic-stack", "--param", "n=2", "--param", "truncate=3",
+         "distal-semiflow"],
+        [_load("periodic-stack", n=2, truncate=3), {"op": "exact_envelope", "params": {}},
+         {"op": "distal_semiflow", "params": {}}]),
+    "shift-language": (
+        ["shift", "SPEC", "language", "--n", "4"],
+        [{"op": "build_subshift", "params": {"spec": GOLDEN}},
+         {"op": "language", "params": {"n": 4}}]),
+    "shift-entropy": (
+        ["shift", "SPEC", "entropy", "--n", "6"],
+        [{"op": "build_subshift", "params": {"spec": GOLDEN}},
+         {"op": "entropy", "params": {"n_max": 6}}]),
+    "shift-classify": (
+        ["shift", "SPEC", "classify"],
+        [{"op": "build_subshift", "params": {"spec": GOLDEN}},
+         {"op": "classify_shift", "params": {}}]),
+    "shift-periods": (
+        ["shift", "SPEC", "periods", "--n", "6"],
+        [{"op": "build_subshift", "params": {"spec": GOLDEN}},
+         {"op": "periodic_spectrum", "params": {"n_max": 6}}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND_CASES))
+def test_subcommand_prints_the_result_of_its_step_in_run(name, tmp_path, capsys):
+    argv, pipeline = SUBCOMMAND_CASES[name]
+    spec = tmp_path / "shift.json"
+    spec.write_text(json.dumps(GOLDEN))
+    argv = [str(spec) if a == "SPEC" else a for a in argv]
+    assert cli.main(["--out", str(tmp_path / "sub"), *argv]) == 0
+    printed = capsys.readouterr().out
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"pipeline": pipeline}))
+    assert cli.main(["--out", str(tmp_path / "run"), "run", str(cfg)]) == 0
+    capsys.readouterr()
+    run, sub = (json.loads((tmp_path / d / "report.json").read_text())["steps"]
+                for d in ("run", "sub"))
+    assert printed == json.dumps(run[-1]["result"], indent=2, sort_keys=True) + "\n"
+    # the subcommand writes the steps of `ellis run` to its own report
+    assert sub == run
+
+
+def test_subcommand_prints_a_step_error_to_stderr(tmp_path, capsys):
+    assert cli.main(["--out", str(tmp_path), "props", "no-such-model", "rigidity"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("UnknownExampleError")
+    assert json.loads((tmp_path / "report.json").read_text())["summary"]["errors"] == 2
+
+
+def test_loading_a_model_drops_the_envelope_of_the_previous_one():
+    # the semigroup of the periodic stack's envelope (index 7, period 2)
+    # used to answer for the rotation's 3-element group
+    report, _ = cli.run_experiment({
+        "model": {"name": "periodic-stack", "params": {"n": 2, "truncate": 3}},
+        "pipeline": [
+            {"op": "exact_envelope"}, {"op": "idempotents"}, {"op": "build_hyper"},
+            {"op": "hyper_envelope"},
+            _load("irrational-rotation", grid=6),
+            {"op": "wap_proxy"}, {"op": "idempotents"}, {"op": "inducibility"},
+            {"op": "exact_envelope"}, {"op": "idempotents"}, {"op": "is_group_distal"},
+            {"op": "kernel_and_groups"}, {"op": "wap_proxy"},
+            {"op": "window_model", "params": {"count": 4, "radius": 2}},
+            {"op": "identity_isolated"},
+        ]})
+    steps = report["steps"]
+    assert steps[1]["result"] == {"idempotents": [0, 8]}
+    for i, what in ((5, "an envelope"), (6, "an envelope"), (7, "a hyper envelope"),
+                    (14, "an envelope")):
+        assert steps[i]["status"] == "error", i
+        assert steps[i]["error"] == f"ValueError: pipeline step needs {what} from an earlier step"
+    assert steps[9]["result"] == {"idempotents": [0]}
+    assert steps[10]["result"]["is_group"] is True
+    assert steps[11]["result"]["kernel"] == [0, 1, 2]
+    assert steps[11]["result"]["minimal_left_ideals"] == [[0, 1, 2]]
+    assert steps[12]["status"] == "ok"
+    assert len(steps[12]["result"]["elements"]) == 3
+
+
+def test_building_a_hyper_model_drops_the_hyper_envelope():
+    report, _ = cli.run_experiment({
+        "model": {"name": "identity", "params": {"n": 3}},
+        "pipeline": [{"op": "build_hyper", "params": {"k": 2}}, {"op": "hyper_envelope"},
+                     {"op": "build_hyper", "params": {"k": 1}}, {"op": "inducibility"}]})
+    assert report["steps"][3]["error"].endswith("needs a hyper envelope from an earlier step")
 
 
 def test_run_experiment_api_matches_cli(tmp_path):

@@ -35,7 +35,7 @@ def test_constant_map_envelope():
     env = exact_envelope(finite([0, 0, 0]))
     assert env.element_names() == ["f^0", "f^1"]
     assert env.index == 1 and env.period == 1
-    sg = algebra.from_envelope(env)
+    sg = env.semigroup
     assert algebra.idempotents(sg) == [0, 1]  # e and the constant map
 
 
@@ -43,7 +43,7 @@ def test_three_cycle_envelope_is_group():
     env = exact_envelope(finite([1, 2, 0], [2, 0, 1]))
     assert env.index == 0 and env.period == 3
     assert env.is_group
-    sg = algebra.from_envelope(env)
+    sg = env.semigroup
     assert algebra.idempotents(sg) == [0]
 
 
@@ -61,7 +61,7 @@ def test_preperiodic_map_envelope():
     env = exact_envelope(finite(table))
     assert (env.index, env.period) == (2, 2)
     assert len(env.elements) == 4
-    sg = algebra.from_envelope(env)
+    sg = env.semigroup
     cycle_idems = [u for u in algebra.idempotents(sg) if u >= env.index]
     assert len(cycle_idems) == 1
 
@@ -137,7 +137,7 @@ def test_invertible_envelope_is_cyclic_group():
     rot = spaces.load_example("irrational-rotation", grid=12)
     env = exact_envelope(rot)
     assert env.index == 0 and env.period == 12
-    gd = algebra.is_group_distal(algebra.from_envelope(env))
+    gd = algebra.is_group_distal(env.semigroup)
     assert gd["is_group"] and gd["unique_idempotent_is_identity"]
 
 
@@ -249,7 +249,7 @@ def test_neg_cube_envelope_structure():
     model = spaces.load_example("neg-cube", grid=401)
     env = approx_envelope(model, 60, 1e-3, "two-sided")
     assert len(env.limit_elements) == 4
-    sg = algebra.from_envelope(env)
+    sg = env.semigroup
     ideals = algebra.minimal_left_ideals(sg)
     assert sorted(len(i) for i in ideals) == [2, 2]
 
@@ -260,7 +260,7 @@ def test_periodic_union_lcm_structure():
     m = spaces.load_example("periodic-union", n=3, truncate=20)
     env = exact_envelope(m)
     assert env.period == 6
-    sg = algebra.from_envelope(env)
+    sg = env.semigroup
     pe = algebra.periodic_element_analysis(env)
     assert pe["common_period"] == 6 and pe["count"] == 6
     assert pe["count_bound_ok"] and pe["all_periods_equal"]
@@ -622,18 +622,18 @@ def brute_power_decomposition(table, n):
 
 def test_power_decomposition_examples():
     cyc = finite([1, 2, 0], [2, 0, 1])
-    rep = envelope_power_decomposition(cyc, 3)
+    rep = envelope_power_decomposition(exact_envelope(cyc), 3)
     assert rep["equal"]
     const = finite([0, 0])
-    assert envelope_power_decomposition(const, 2)["equal"]
+    assert envelope_power_decomposition(exact_envelope(const), 2)["equal"]
     rng = np.random.default_rng(11)
     for _ in range(25):
         table = rng.integers(0, 6, 6)
-        model = finite(table)
+        env = exact_envelope(finite(table))
         for n in (2, 3):
-            assert envelope_power_decomposition(model, n)["equal"] == \
+            assert envelope_power_decomposition(env, n)["equal"] == \
                 brute_power_decomposition([int(v) for v in table], n)
-            assert envelope_power_decomposition(model, n)["equal"]
+            assert envelope_power_decomposition(env, n)["equal"]
 
 
 def loop_power_decomposition(model, n):
@@ -668,9 +668,7 @@ maps_with_constants = st.integers(min_value=1, max_value=9).flatmap(
 def test_power_decomposition_with_env_matches_the_loops(table, n):
     inverse = np.argsort(table) if sorted(table) == list(range(len(table))) else None
     model = finite(table, inverse)
-    env = exact_envelope(model)
-    got = envelope_power_decomposition(model, n, env)
-    assert got == envelope_power_decomposition(model, n)
+    got = envelope_power_decomposition(exact_envelope(model), n)
     assert got == loop_power_decomposition(model, n)
     assert got["equal"] == brute_power_decomposition(table, n)
 
@@ -680,20 +678,21 @@ def test_power_decomposition_reads_only_the_envelope_of_its_model(monkeypatch):
     real = envelope.exact_envelope
     monkeypatch.setattr(envelope, "exact_envelope", lambda m: calls.append(m) or real(m))
     model = finite([1, 2, 0, 0], name="m")
-    twin = finite([1, 2, 0, 0], name="m")
-    env = real(model)
-    for other_env, expected in ((env, []), (real(twin), [model]), (None, [model]),
-                                (approx_envelope(model, 4, 0.1, "forward"), [model])):
-        calls.clear()
-        assert envelope_power_decomposition(model, 2, other_env) == \
-            loop_power_decomposition(model, 2)
-        assert calls == expected
-    # the op passes the context's envelope
-    calls.clear()
+    for env in (real(model), real(finite([1, 2, 0, 0], name="m"))):
+        assert envelope_power_decomposition(env, 2) == loop_power_decomposition(env.model, 2)
+    assert calls == []
+    # an approximate envelope is refused, not replaced by an exact one
+    with pytest.raises(spaces.InvalidParameterError, match="needs an exact envelope"):
+        envelope_power_decomposition(approx_envelope(model, 4, 0.1, "forward"), 2)
+    assert calls == []
+    # the op reads the context's envelope, and needs one
     report, _ = cli.run_experiment({
         "model": {"name": "periodic-stack", "params": {"n": 2, "truncate": 4}},
-        "pipeline": [{"op": "exact_envelope"}, {"op": "power_decomposition", "params": {"n": 3}}]})
-    assert report["summary"]["ok"] and len(calls) == 1
+        "pipeline": [{"op": "power_decomposition", "params": {"n": 3}}, {"op": "exact_envelope"},
+                     {"op": "power_decomposition", "params": {"n": 3}}]})
+    steps = report["steps"]
+    assert [s["status"] for s in steps] == ["error", "ok", "ok"] and len(calls) == 1
+    assert "needs an envelope" in steps[0]["error"]
 
 
 def element_loop_identity_isolated(env, tau):
@@ -731,7 +730,7 @@ def test_theta_trivial_on_identity():
     base_env = exact_envelope(ident)
     hyper = hyperspace.build_hyper_model(ident, 2)
     hyper_env = exact_envelope(hyper)
-    rep = theta_check(base_env, hyper_env, hyper)
+    rep = theta_check(base_env, hyper_env)
     assert rep["well_defined"] and rep["surjective_onto_observed"]
     assert not rep["homomorphism_violations"]
 
@@ -741,7 +740,7 @@ def test_theta_on_isolated_ones_injective():
     base_env = exact_envelope(model)
     hyper = hyperspace.build_hyper_model(model, 2)
     hyper_env = exact_envelope(hyper)
-    rep = theta_check(base_env, hyper_env, hyper)
+    rep = theta_check(base_env, hyper_env)
     assert rep["well_defined"] and rep["injective"]
     assert not rep["homomorphism_violations"]
 
@@ -752,7 +751,7 @@ def test_theta_square_map_limits_cover_base_limits():
     hyper = hyperspace.build_hyper_model(sq, 2)
     base_env = approx_envelope(sq, 40, 0.05, "two-sided")
     hyper_env = approx_envelope(hyper, 40, 0.05, "two-sided")
-    rep = theta_check(base_env, hyper_env, hyper)
+    rep = theta_check(base_env, hyper_env)
     assert rep["well_defined"]
     assert rep["surjective_onto_observed"]
     assert not rep["homomorphism_violations"]
@@ -761,15 +760,37 @@ def test_theta_square_map_limits_cover_base_limits():
     assert base_limits <= imaged
 
 
+def test_theta_refuses_a_hyper_envelope_over_another_model():
+    # the parent compared the envelopes of two different maps in silence
+    base = spaces.load_example("irrational-rotation", grid=6)
+    other = spaces.load_example("irrational-rotation", grid=6)
+    hyper_env = exact_envelope(hyperspace.build_hyper_model(other, 2))
+    with pytest.raises(spaces.InvalidParameterError, match="hyper envelope over"):
+        theta_check(exact_envelope(base), hyper_env)
+    with pytest.raises(spaces.InvalidParameterError, match="hyper envelope over"):
+        theta_check(exact_envelope(base), exact_envelope(base))
+    assert theta_check(exact_envelope(other), hyper_env)["well_defined"]
+    # a reload drops the hyper envelope built over the previous model
+    report, _ = cli.run_experiment({
+        "model": {"name": "periodic-stack", "params": {"n": 2, "truncate": 3}},
+        "pipeline": [{"op": "build_hyper"}, {"op": "hyper_envelope"},
+                     {"op": "load_example", "params": {"name": "identity", "params": {"n": 3}}},
+                     {"op": "exact_envelope"}, {"op": "theta_check"},
+                     {"op": "build_hyper"}, {"op": "theta_check"}]})
+    steps = report["steps"]
+    assert steps[4]["status"] == "error" and "needs a hyper envelope" in steps[4]["error"]
+    assert steps[6]["status"] == "error" and "needs a hyper envelope" in steps[6]["error"]
+
+
 def test_inducibility_of_induced_map_and_limits():
     sq = spaces.load_example("square-map", grid=11)
     hyper = hyperspace.build_hyper_model(sq, 2)
     hyper_env = approx_envelope(hyper, 40, 0.05, "two-sided")
     f1 = hyper_env.element_of_exponent(1)
-    rep = inducibility_check(hyper_env, hyper, f1)
+    rep = inducibility_check(hyper_env, f1)
     assert rep["singletons_ok"] and rep["monotone_ok"] and rep["minimal_ok"]
     for i in hyper_env.limit_elements:
-        rep = inducibility_check(hyper_env, hyper, i)
+        rep = inducibility_check(hyper_env, i)
         assert rep["singletons_ok"] and rep["monotone_ok"] and rep["minimal_ok"]
 
 
@@ -781,7 +802,7 @@ def test_inducibility_detects_singleton_escape():
     forged = envelope.MapSample("forged", np.full(hyper.n_points, hyper.n_points - 1,
                                                   dtype=np.int64), 0)
     env.elements.append(forged)
-    rep = inducibility_check(env, hyper, len(env.elements) - 1)
+    rep = inducibility_check(env, len(env.elements) - 1)
     assert not rep["singletons_ok"]
 
 
@@ -842,7 +863,7 @@ def test_theta_is_the_identity_on_every_catalog_model(name):
         base_env = approx_envelope(model, horizon, tau, "two-sided")
         hyper_env = approx_envelope(hyper, horizon, tau, "two-sided")
     assert hyper_env.element_names() == base_env.element_names()
-    rep = theta_check(base_env, hyper_env, hyper)
+    rep = theta_check(base_env, hyper_env)
     assert rep["theta"] == list(range(len(base_env.elements)))
     assert rep["well_defined"] and rep["injective"] and rep["surjective_onto_observed"]
     assert rep["homomorphism_violations"] == []
@@ -893,7 +914,7 @@ def test_inducibility_matches_set_oracle_on_square_map():
     grown[:11, 1] = 0.0
     hyper_env.elements.append(envelope.MapSample("grown", grown, 0))
     for i in range(len(hyper_env.elements)):
-        assert inducibility_check(hyper_env, hyper, i) == \
+        assert inducibility_check(hyper_env, i) == \
             set_based_inducibility(hyper_env, hyper, i), i
 
 
@@ -915,7 +936,7 @@ def test_inducibility_matches_set_oracle_on_forged_finite_elements():
     # the map induced by x -> min(x, 2) passes all three conditions
     induced = hyper.hyper_ids(np.minimum(hyper.members, 2))
     env.elements.append(envelope.MapSample("induced", induced, 0))
-    results = [inducibility_check(env, hyper, i) for i in range(len(env.elements))]
+    results = [inducibility_check(env, i) for i in range(len(env.elements))]
     assert results == [set_based_inducibility(env, hyper, i) for i in range(len(env.elements))]
     assert [list(r.values()) for r in results[-3:]] == [
         [True, False, True, None], [False, False, False, 0], [True, True, True, None]]

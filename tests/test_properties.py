@@ -38,6 +38,32 @@ def finite(table, inverse=None):
 # -- hitting sets ---------------------------------------------------------------
 
 
+def loop_hitting_set(target, u, v, horizon):
+    # oracle on a model: one iterate at a time, the images of U's points
+    # tested against V (by id for a point set, by image_point_dist to the
+    # centre for a ball); on a shift space hitting_set, whose tensor
+    # tests/test_symbolic.py checks against the per-pair cylinder walk
+    if isinstance(target, symbolic.Subshift):
+        return hitting_set(target, u, v, horizon)
+    model = target
+    iu = u.resolve(model)
+    iv = None
+    if v.kind == "points":
+        if not isinstance(model, spaces.FiniteModel):
+            raise spaces.InvalidParameterError("explicit point sets need a finite-exact model")
+        iv = v.resolve(model)
+    out = []
+    for n in range(1, horizon + 1):
+        sub = model.apply_to_indices(model.iterate_images(n), iu)
+        if iv is not None:
+            hit = np.isin(sub, iv)
+        else:
+            hit = model.image_point_dist(sub, v.center) < v.radius
+        if hit.any():
+            out.append(n)
+    return out
+
+
 def test_hitting_identity():
     ident = spaces.load_example("identity", n=5)
     u = ball(2, 0.05)
@@ -61,6 +87,25 @@ def test_empty_open_set_rejected():
     ident = spaces.load_example("identity", n=5)
     with pytest.raises(spaces.InvalidParameterError):
         ball(0, -1.0).resolve(ident)
+
+
+def test_open_sets_refuse_point_ids_outside_the_sample():
+    # -1 named point N - 1, so a point set {-1} hit like point 5 of grid 6,
+    # and N failed with a bare IndexError; 2.5 was truncated to point 2
+    rot = spaces.load_example("irrational-rotation", grid=6)
+    for bad in (-1, 6, 2.5):
+        refused = rf"={bad} is not an integer in \[0, 6\)"
+        for s in (ball(bad, 0.1), OpenSet("points", points=(0, bad))):
+            with pytest.raises(spaces.InvalidParameterError, match=refused):
+                s.resolve(rot)
+        with pytest.raises(spaces.InvalidParameterError):
+            hitting_set(rot, OpenSet("points", points=(bad,)), ball(0, 0.1), 4)
+        with pytest.raises(spaces.InvalidParameterError):
+            hitting_set(rot, ball(0, 0.1), ball(bad, 0.1), 4)
+    assert ball(5, 0.1).resolve(rot).tolist() == [5]
+    assert OpenSet("points", points=(5, 0)).resolve(rot).tolist() == [0, 5]
+    assert hitting_set(rot, OpenSet("points", points=(5,)), ball(0, 0.1), 6) == \
+        loop_hitting_set(rot, OpenSet("points", points=(5,)), ball(0, 0.1), 6)
 
 
 # -- transitivity ------------------------------------------------------------------
@@ -109,8 +154,9 @@ def _reference_has_run(ns, run):
 
 def reference_classify_transitivity(target, horizon, cover=None, cylinder_length=3,
                                     thick_run=10, granularity=None):
-    """The loop-based classifier: one ``hitting_set`` per pair and a Python
-    scan per verdict.  Returns its output and the first disjoint mask pair."""
+    """The loop-based classifier: one ``loop_hitting_set`` per pair and a
+    Python scan per verdict.  Returns its output and the first disjoint mask
+    pair."""
     if isinstance(target, symbolic.Subshift):
         words = [w for L in range(1, cylinder_length + 1) for w in sorted(target.words(L))]
         sets = [properties.cylinder(w) for w in words]
@@ -120,7 +166,7 @@ def reference_classify_transitivity(target, horizon, cover=None, cylinder_length
     hits = {}
     for i, u in enumerate(sets):
         for j, v in enumerate(sets):
-            hits[(i, j)] = hitting_set(target, u, v, horizon)
+            hits[(i, j)] = loop_hitting_set(target, u, v, horizon)
     run = min(thick_run, max(2, horizon // 4))
     empty = [(labels[i], labels[j]) for (i, j), ns in hits.items() if not ns]
     transitive = not empty
@@ -222,7 +268,7 @@ def test_hitting_matrix_rows_match_hitting_set(model, shift):
     expected = []
     for u in sets:
         for v in sets:
-            ns = set(hitting_set(target, u, v, horizon))
+            ns = set(loop_hitting_set(target, u, v, horizon))
             expected.append({"u": u.label(), "v": v.label(),
                              "membership": [int(n in ns) for n in range(1, horizon + 1)]})
     assert rows == expected
@@ -234,7 +280,9 @@ def assert_tensor_matches_hitting_set(target, sets, horizon):
     assert not hits[0].any()
     for i, u in enumerate(sets):
         for j, v in enumerate(sets):
-            assert np.nonzero(hits[:, i, j])[0].tolist() == hitting_set(target, u, v, horizon)
+            ns = loop_hitting_set(target, u, v, horizon)
+            assert np.nonzero(hits[:, i, j])[0].tolist() == ns
+            assert hitting_set(target, u, v, horizon) == ns
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -279,6 +327,8 @@ def test_hitting_tensor_rejects_point_sets_without_point_ids():
         hitting_set(model, sets[0], sets[1], 3)
     with pytest.raises(spaces.InvalidParameterError):
         hitting_tensor(model, sets, 3)
+    with pytest.raises(spaces.InvalidParameterError):
+        loop_hitting_set(model, sets[0], sets[1], 3)
 
 
 # -- strong transitivity --------------------------------------------------------------
@@ -801,18 +851,18 @@ def test_recurrence_ball_pairs_are_compared_in_bounded_blocks():
 
 def test_wap_proxy_rotation_and_isolated_ones():
     rot = spaces.load_example("irrational-rotation", grid=36)
-    rep = wap_proxy_check(rot, envelope.exact_envelope(rot))
+    rep = wap_proxy_check(envelope.exact_envelope(rot))
     assert rep["all_elements_continuous"]
 
     iso = spaces.load_example("isolated-ones-subshift", truncate=8)
-    rep2 = wap_proxy_check(iso, envelope.exact_envelope(iso))
+    rep2 = wap_proxy_check(envelope.exact_envelope(iso))
     assert rep2["all_elements_continuous"]
 
 
 def test_wap_proxy_square_map_limit_discontinuous():
     sq = spaces.load_example("square-map", grid=101)
     env = envelope.approx_envelope(sq, 40, 1e-2, "two-sided")
-    rep = wap_proxy_check(sq, env)
+    rep = wap_proxy_check(env)
     assert not rep["all_elements_continuous"]
     flagged = {e["element"] for e in rep["elements"]
                if e["adherence"] and not e["continuous"]}
@@ -822,11 +872,11 @@ def test_wap_proxy_square_map_limit_discontinuous():
 
 def test_distal_semiflow_check():
     perm = finite([1, 2, 3, 4, 0], [4, 0, 1, 2, 3])
-    rep = distal_semiflow_check(perm)
+    rep = distal_semiflow_check(envelope.exact_envelope(perm))
     assert rep["distal"] and rep["pointwise_almost_periodic"] and rep["surjective"]
 
     const = finite([0, 0])
-    rep2 = distal_semiflow_check(const)
+    rep2 = distal_semiflow_check(envelope.exact_envelope(const))
     assert not rep2["distal"]
     assert rep2["consequences_hold"]  # vacuous
 
@@ -834,7 +884,7 @@ def test_distal_semiflow_check():
     for _ in range(15):
         n = int(rng.integers(2, 9))
         perm_t = rng.permutation(n)
-        rep3 = distal_semiflow_check(finite(perm_t, np.argsort(perm_t)))
+        rep3 = distal_semiflow_check(envelope.exact_envelope(finite(perm_t, np.argsort(perm_t))))
         assert rep3["distal"] and rep3["consequences_hold"]
 
 
@@ -848,36 +898,38 @@ def distal_by_every_map(model):
     lambda n: st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n)))
 def test_distal_semiflow_check_matches_every_map_injective(table):
     model = finite(table)
-    rep = distal_semiflow_check(model)
+    rep = distal_semiflow_check(envelope.exact_envelope(model))
     assert rep["distal"] == distal_by_every_map(model)
     assert rep["consequences_hold"]
 
 
 def test_distal_semiflow_check_reuses_the_envelope_of_its_model():
     # a corpus of random maps: the envelope of the model is read, not built
-    # again; one of another model is ignored; pointwise almost periodicity
-    # is every point returning to itself
+    # again; pointwise almost periodicity is every point returning to itself
     rng = np.random.default_rng(11)
-    other = envelope.exact_envelope(finite([1, 0]))
     for _ in range(200):
         n = int(rng.integers(1, 10))
         table = rng.permutation(n) if rng.random() < 0.5 else rng.integers(0, n, n)
         model = finite(table)
-        env, rep = envelope.exact_envelope(model), distal_semiflow_check(model)
-        assert distal_semiflow_check(model, other) == rep
+        env = envelope.exact_envelope(model)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(envelope, "exact_envelope", lambda m: pytest.fail("envelope built again"))
-            assert distal_semiflow_check(model, env) == rep
+            rep = distal_semiflow_check(env)
         returns = [any(model.iterate_images(k)[x] == x for k in range(1, n + 1)) for x in range(n)]
         assert rep["pointwise_almost_periodic"] == all(returns)
         assert rep["surjective"] == (sorted(table.tolist()) == list(range(n)))
+    # an approximate envelope is refused, not replaced by an exact one
+    approx = envelope.approx_envelope(finite([1, 2, 0, 0]), 4, 0.1, "forward")
+    with pytest.raises(spaces.InvalidParameterError, match="needs an exact envelope"):
+        distal_semiflow_check(approx)
 
 
 def test_distal_semiflow_reads_no_envelope_map(monkeypatch):
     # periodic-union n = 12 has index 201 and period 27720: its maps would
     # hold 439,923,276 cells, so the answer must come from f^index alone
     monkeypatch.setattr(envelope.ExactEnvelope, "elements", property(lambda self: pytest.fail()))
-    rep = distal_semiflow_check(spaces.load_example("periodic-union", n=12))
+    rep = distal_semiflow_check(envelope.exact_envelope(
+        spaces.load_example("periodic-union", n=12)))
     assert rep == {"distal": False, "pointwise_almost_periodic": False, "surjective": False,
                    "consequences_hold": True}
 
@@ -890,7 +942,7 @@ def test_distal_model_envelope_group_and_equicontinuous():
     ):
         model = spaces.load_example(name, **params)
         env = envelope.exact_envelope(model)
-        assert algebra.is_group_distal(algebra.from_envelope(env))["is_group"]
+        assert algebra.is_group_distal(env.semigroup)["is_group"]
         scan = equicontinuity_scan(model, [model.diameter / 4], 64)
         eps = model.diameter / 4
         assert len(scan["per_epsilon"][eps]["equicontinuity_points"]) == model.n_points

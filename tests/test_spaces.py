@@ -176,6 +176,21 @@ def test_negative_powers_rejected_on_semicascade():
         spaces.orbit_segment(m, 0, -1, 1)
 
 
+def test_orbit_and_omega_limit_refuse_point_ids_outside_the_sample():
+    # -1 named point N - 1: the orbit of -1 was point 5's [5, 3, 1], and N
+    # failed with a bare IndexError; 2.5 was truncated to point 2
+    rot = spaces.load_example("irrational-rotation", grid=6)
+    for bad in (-1, 6, 2.5):
+        refused = rf"point={bad} is not an integer in \[0, 6\)"
+        with pytest.raises(spaces.InvalidParameterError, match=refused):
+            spaces.orbit_segment(rot, bad, 0, 2)
+        with pytest.raises(spaces.InvalidParameterError, match=refused):
+            spaces.omega_limit_estimate(rot, bad, 4, 0.0)
+    assert spaces.orbit_segment(rot, 5, 0, 2) == [5, 3, 1]
+    assert spaces.orbit_segment(rot, 0, 0, 2) == [0, 4, 2]
+    assert spaces.omega_limit_estimate(rot, 5, 12, 0.0) == {1, 3, 5}
+
+
 def test_inverse_roundtrip():
     for name, params in (
         ("irrational-rotation", {"grid": 24}),
