@@ -300,8 +300,7 @@ def proximal_structure(env) -> dict:
     model = env.model
     n = model.n_points
     if isinstance(env, ExactEnvelope):
-        fibres = np.bincount(model.iterate_images(env.index))
-        pairs = int((fibres * (fibres - 1)).sum()) // 2
+        pairs = env.proximal_pair_count
         return {"pair_count": pairs, "ideal_count": 1, "per_ideal_pair_counts": [pairs],
                 "is_equivalence": True, "theorem_er_consistent": True, "finitely_proximal": True}
     size = len(env.elements)

@@ -229,10 +229,11 @@ def _op_theta_check(ctx):
 
 def _op_inducibility(ctx, element=None):
     henv = _require(ctx.hyper_env, "a hyper envelope")
-    targets = range(len(henv.elements))
+    names = henv.element_names()
+    targets = range(len(names))
     if element is not None:
-        targets = [spaces.check_index(element, len(targets), "element")]
-    return {henv.elements[idx].name: envelope.inducibility_check(henv, idx) for idx in targets}
+        targets = [spaces.check_index(element, len(names), "element")]
+    return {names[idx]: envelope.inducibility_check(henv, idx) for idx in targets}
 
 
 def _op_hyper_equicontinuity(ctx, k, eps_list, horizon):

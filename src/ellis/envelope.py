@@ -27,7 +27,7 @@ from .algebra import FiniteSemigroup, MonogenicMonoid, TableError
 # CELL_BUDGET, EnvelopeBudgetError and check_cells are re-exported here
 from .spaces import (CELL_BUDGET, SUP_CHUNK, CascadeModel, EnvelopeBudgetError,
                      FiniteModel, InvalidParameterError, NegativePowerError, check_cells,
-                     cycle_structure)
+                     check_index)
 
 
 @dataclass
@@ -65,8 +65,11 @@ class _EnvelopeBase:
     def element_names(self):
         return [e.name for e in self.elements]
 
+    def element_images(self, i: int):
+        return self.elements[i].images
+
     def sup_distance(self, i: int, j: int) -> float:
-        return self.model.image_sup_dist(self.elements[i].images, self.elements[j].images)
+        return self.model.image_sup_dist(self.element_images(i), self.element_images(j))
 
     def render_table(self) -> str:
         names = self.element_names()
@@ -100,23 +103,21 @@ class _EnvelopeBase:
 
 
 class ExactEnvelope(_EnvelopeBase):
-    """Iterate monoid {f^n} of a finite-exact model, in closed form: index =
-    longest tail of f's functional graph, period = lcm of its cycle lengths,
-    f^i f^j = f^fold(i+j); ``semigroup`` is that ``MonogenicMonoid``.  Index
-    and period are the least ones, so the elements f^0 .. f^(size-1) are
-    pairwise distinct maps and an exponent names its map.  Construction
-    costs one O(N) pass; the element images (from the model's
-    ``iterate_images``) and the table are built when first read, each
-    refused with ``EnvelopeBudgetError`` before allocating over
+    """Iterate monoid {f^n} of a finite-exact model, in closed form: the
+    model's index and period make it the ``MonogenicMonoid`` ``semigroup``,
+    and f^i f^j = f^fold(i+j) with the model's ``fold``.  Index and period
+    are the least ones, so the elements f^0 .. f^(size-1) are pairwise
+    distinct maps and an exponent names its map.  The element images (from
+    the model's ``iterate_images``) and the table are built when first
+    read, each refused with ``EnvelopeBudgetError`` before allocating over
     ``CELL_BUDGET`` cells."""
 
     def __init__(self, model):
         if getattr(model, "map_table", None) is None:
             raise InvalidParameterError("exact envelopes need an exact map table")
         self.model = model
-        tail, length, _ = cycle_structure(model.map_table)
-        self.semigroup = MonogenicMonoid(int(tail.max()), math.lcm(*set(length.tolist())))
-        self.index, self.period = self.semigroup.index, self.semigroup.period
+        self.index, self.period = model.index, model.period
+        self.semigroup = MonogenicMonoid(self.index, self.period)
         self.identity_index = self.semigroup.identity
         self.generator_index = self.semigroup.generator
         self.tau = 0.0
@@ -126,6 +127,9 @@ class ExactEnvelope(_EnvelopeBase):
 
     def element_names(self):
         return [f"f^{k}" for k in range(self.semigroup.size)]
+
+    def element_images(self, i: int):
+        return self.model.iterate_images(i)
 
     @cached_property
     def elements(self) -> list:
@@ -138,18 +142,19 @@ class ExactEnvelope(_EnvelopeBase):
     def table(self) -> np.ndarray:
         return self.semigroup.table
 
-    def fold(self, m: int) -> int:
-        if m < self.semigroup.size:
-            return m
-        return self.index + (m - self.index) % self.period
+    @cached_property
+    def proximal_pair_count(self) -> int:
+        """Proximal pairs x != y, f^index x = f^index y, from fibre sizes."""
+        fibres = np.bincount(self.model.iterate_images(self.index))
+        return int((fibres * (fibres - 1)).sum()) // 2
 
     def element_of_exponent(self, n: int):
         if n >= 0:
-            return self.fold(n)
+            return self.model.fold(n)
         if not self.model.invertible:
             raise NegativePowerError("negative exponent on a semicascade envelope")
         # invertible finite models have index 0; n mod period picks the element
-        return self.fold(n % self.period)
+        return self.model.fold(n % self.period)
 
     @property
     def is_group(self) -> bool:
@@ -425,6 +430,23 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
 # ---------------------------------------------------------------------------
 
 
+def _return_sups(model) -> np.ndarray:
+    """S[r] = sup_x d(f^(index+r) x, x), r < period, on a finite carrier: the
+    largest W_L[r mod L], W_L[r] = max d(f^(index+r) x, x) on cycle length L."""
+    order = np.argsort(model.cycles[2], kind="stable")
+    lengths, starts = np.unique(model.cycles[2][order], return_index=True)
+    w = np.zeros((len(lengths), int(lengths[-1])))
+    for r in range(w.shape[1]):
+        d = model.image_pair_dist(model.iterate_images(model.index + r), model.iterate_images(0))
+        w[:, r] = np.maximum.reduceat(d[order], starts)
+    sups = np.zeros(model.period)
+    for length, row in zip(lengths.tolist(), w):
+        np.maximum(sups, np.tile(row[:length], model.period // length), out=sups)
+    if model.index == 0:
+        sups[0] = -np.inf              # f^period is the identity: a return at any tau
+    return sups
+
+
 def identity_isolated(env, tau: float | None = None) -> dict:
     """Is the identity a limit of nontrivial iterates at this resolution?
 
@@ -435,26 +457,26 @@ def identity_isolated(env, tau: float | None = None) -> dict:
     least positive distance between points.  Provided the metric separates
     points, only f^n = id comes within it, so the closed form answers: the
     witness is the period when the index is 0, and the identity is isolated
-    otherwise.  Only an explicit tau walks the exponents.
+    otherwise.  An explicit tau walks the exponents up to the index and
+    reads the next period of them from ``_return_sups``.
     """
     if isinstance(env, ExactEnvelope):
-        if tau is None:
-            if env.index == 0:
-                return {"isolated": False, "witness": env.period, "weakly_rigid_up_to_horizon": True}
-            return {"isolated": True, "witness": None, "weakly_rigid_up_to_horizon": False}
-        model = env.model
-        ident = model.iterate_images(0)
-        for n in range(1, env.index + env.period + 1):
-            if model.image_sup_dist(model.iterate_images(n), ident) < tau or env.fold(n) == 0:
-                return {"isolated": False, "witness": n, "weakly_rigid_up_to_horizon": True}
-        return {"isolated": True, "witness": None, "weakly_rigid_up_to_horizon": False}
-    if tau is not None and tau != env.tau:
-        raise InvalidParameterError("envelope was clustered at a different tau")
-    e_cluster = env.exponent_map[0]
-    witnesses = sorted(n for n in env.elements[e_cluster].exponents if n >= 1)
-    if witnesses:
-        return {"isolated": False, "witness": witnesses[0], "weakly_rigid_up_to_horizon": True}
-    return {"isolated": True, "witness": None, "weakly_rigid_up_to_horizon": False}
+        model, witness = env.model, (env.period if env.index == 0 else None)
+        if tau is not None:
+            ident = model.iterate_images(0)
+            witness = next((n for n in range(1, env.index + 1)
+                            if model.image_sup_dist(model.iterate_images(n), ident) < tau), None)
+            if witness is None:
+                # exponent index + r reads S[r mod period], r in [1, period]
+                close = np.flatnonzero(np.roll(_return_sups(model), -1) < tau)
+                witness = env.index + 1 + int(close[0]) if close.size else None
+    else:
+        if tau is not None and tau != env.tau:
+            raise InvalidParameterError("envelope was clustered at a different tau")
+        e_cluster = env.exponent_map[0]
+        witness = min((n for n in env.elements[e_cluster].exponents if n >= 1), default=None)
+    return {"isolated": witness is None, "witness": witness,
+            "weakly_rigid_up_to_horizon": witness is not None}
 
 
 def envelope_power_decomposition(env: ExactEnvelope, n: int) -> dict:
@@ -470,12 +492,12 @@ def envelope_power_decomposition(env: ExactEnvelope, n: int) -> dict:
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
     sub, nk = {}, 0                 # fold(nk) -> nk for the maps f^(nk)
-    while env.fold(nk) not in sub:
-        sub[env.fold(nk)] = nk
+    while env.model.fold(nk) not in sub:
+        sub[env.model.fold(nk)] = nk
         nk += n
     translate_sizes, union, collisions = [], set(), 0
     for j in range(n):
-        tr = {env.fold(j + m) for m in sub.values()}
+        tr = {env.model.fold(j + m) for m in sub.values()}
         collisions += len(tr & union) + len(sub) - len(tr)
         translate_sizes.append(len(tr))
         union |= tr
@@ -525,24 +547,6 @@ def stabilization_diagnostic(model: CascadeModel, horizons, tau: float,
 # ---------------------------------------------------------------------------
 
 
-def _element_base_restriction(hyper_model, el) -> tuple:
-    """Restrict a hyper envelope element to the singletons 0..n-1, unsnapped:
-    (column 0 of their raw member rows, a base image; the escapes, singletons
-    whose image row holds distinct members)."""
-    n = hyper_model.base.n_points
-    rows = hyper_model.member_rows(el.images[:n])
-    escaped = (rows != rows[:, :1]).reshape(n, -1).any(axis=1)
-    return rows[:, 0], np.flatnonzero(escaped).tolist()
-
-
-def _match_base_element(base_env, base_img, tau: float):
-    model = base_env.model
-    for i, el in enumerate(base_env.elements):
-        if model.image_sup_dist(el.images, base_img) <= tau:
-            return i
-    return None
-
-
 def theta_check(base_env, hyper_env) -> dict:
     """Restriction homomorphism from the hyper envelope onto the base envelope.
 
@@ -550,18 +554,37 @@ def theta_check(base_env, hyper_env) -> dict:
     surjectivity onto the base elements, and table pairs where restriction
     does not commute with composition.  A hyper envelope over another base
     model than the base envelope's is refused.
+
+    An exact pair is read from exponents: θ(F^k) = f^k, a bijective
+    homomorphism with no escapes.  Other pairs match restrictions.
     """
-    hyper_model = hyper_env.model
-    if getattr(hyper_model, "base", None) is not base_env.model:
+    if getattr(hyper_env.model, "base", None) is not base_env.model:
         raise InvalidParameterError("theta needs a hyper envelope over the base envelope's model")
+    if isinstance(base_env, ExactEnvelope) and isinstance(hyper_env, ExactEnvelope):
+        return {"well_defined": True, "singleton_escapes": [], "unmatched_elements": [],
+                "surjective_onto_observed": True, "homomorphism_violations": [],
+                "theta": list(range(base_env.semigroup.size)), "injective": True}
+    return _theta_by_matching(base_env, hyper_env)
+
+
+def _theta_by_matching(base_env, hyper_env) -> dict:
+    """θ of ``theta_check``, matching the restriction of every hyper element
+    to the singletons 0..n-1, unsnapped, to the first base element within
+    tau on every point.  A singleton escapes when its image row holds
+    distinct members; column 0 of the raw member rows is the base image."""
+    hyper_model = hyper_env.model
+    n = hyper_model.base.n_points
     tau = getattr(base_env, "tau", 0.0) or hyper_model.base.resolution / 2
     theta = []
     escapes = []
     unmatched = []
     for idx, el in enumerate(hyper_env.elements):
-        base_img, esc = _element_base_restriction(hyper_model, el)
-        escapes.extend((idx, x) for x in esc)
-        match = _match_base_element(base_env, base_img, tau)
+        rows = hyper_model.member_rows(el.images[:n])
+        escaped = (rows != rows[:, :1]).reshape(n, -1).any(axis=1)
+        escapes.extend((idx, x) for x in np.flatnonzero(escaped).tolist())
+        base_img = rows[:, 0]
+        match = next((i for i, b in enumerate(base_env.elements)
+                      if base_env.model.image_sup_dist(b.images, base_img) <= tau), None)
         if match is None:
             unmatched.append(idx)
         theta.append(match)
@@ -590,7 +613,14 @@ def _includes(a, b) -> np.ndarray:
 def inducibility_check(hyper_env, element_index: int) -> dict:
     """Three conditions for a hyper-envelope element to come from a point map:
     singletons to singletons, monotone on inclusions, minimal in the
-    pointwise-inclusion order among envelope elements."""
+    pointwise-inclusion order among envelope elements.  On an exact envelope
+    all three hold, since F^k is induced by f^k and an F^m below it on every
+    singleton has f^m = f^k.  Only envelopes over hyper models are taken."""
+    if getattr(hyper_env.model, "members", None) is None:
+        raise InvalidParameterError("inducibility needs an envelope over a hyper model")
+    if isinstance(hyper_env, ExactEnvelope):
+        check_index(element_index, hyper_env.semigroup.size, "element")
+        return dict(singletons_ok=True, monotone_ok=True, minimal_ok=True, dominated_by=None)
     hyper_model = hyper_env.model
     members = hyper_model.members
     snapped, _ = hyper_model.snap_images(hyper_env.elements[element_index].images)

@@ -229,6 +229,10 @@ class FiniteHyperModel(HyperCascadeModel, FiniteModel):
         FiniteModel.__init__(self, self.name, self.params, None, None,
                              self.hyper_ids(base.map_table[self.members]), inverse,
                              self.metric_name)
+        # F^a = F^b exactly when f^a = f^b, since singletons are hyperpoints:
+        # the base's index and period, with no cycle pass over the hyperpoints;
+        # a hyperpoint's orbit repeats with the lcm of its members' lengths
+        self.cycles = (base.index, base.period, np.lcm.reduce(base.cycles[2][self.members], axis=1))
 
     def to_json(self):
         return {**super().to_json(), "induced_map": [int(v) for v in self.map_table]}

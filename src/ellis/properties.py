@@ -16,7 +16,6 @@ import numpy as np
 from .spaces import CascadeModel, FiniteModel, InvalidParameterError, check_index, row_blocks
 from .symbolic import Subshift, cylinder_tensor
 from .hyperspace import build_hyper_model
-from .algebra import proximal_structure
 from . import envelope as envelope_mod
 
 
@@ -88,16 +87,33 @@ def full_distance_matrix(model: CascadeModel) -> np.ndarray:
     return out
 
 
+def _last_time(model: CascadeModel, horizon: int) -> int:
+    """The last time a scan up to ``horizon`` evaluates: on a finite carrier
+    f^n = f^(n - period) once n - period >= index."""
+    return min(horizon, model.index + model.period) if isinstance(model, FiniteModel) else horizon
+
+
+def _repeat_rows(out: np.ndarray, model: CascadeModel) -> np.ndarray:
+    """Fill the rows of a scan indexed by time past its ``_last_time``: row n
+    repeats row n - period, never row 0, copied in whole periods doubling."""
+    filled = _last_time(model, len(out) - 1) + 1
+    while filled < len(out):
+        back = (filled - model.index - 1) // model.period * model.period
+        out[filled:filled + back] = out[filled - back:filled][:len(out) - filled]
+        filled += back
+    return out
+
+
 def _point_return_matrix(model: CascadeModel, horizon: int, tau: float) -> np.ndarray:
     """R[n, i] true when the n-th image of point i is within tau of it."""
     n_pts = model.n_points
     ident = model.iterate_images(0)
     out = np.zeros((horizon + 1, n_pts), dtype=bool)
     out[0] = True
-    for n in range(1, horizon + 1):
+    for n in range(1, _last_time(model, horizon) + 1):
         imgs = model.iterate_images(n)
         out[n] = model.image_pair_dist(imgs, ident) <= tau
-    return out
+    return _repeat_rows(out, model)
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +196,11 @@ def hitting_tensor(target, sets, horizon: int) -> np.ndarray:
     elif any(v.kind == "points" for v in sets):
         raise InvalidParameterError("explicit point sets need a finite-exact model")
     hits = np.zeros((horizon + 1, k, k), dtype=bool)
-    for n in range(1, horizon + 1):
+    for n in range(1, _last_time(model, horizon) + 1):
         imgs = model.iterate_images(n)
         target_n = _target_membership(model, sets, imgs) if table is None else table[imgs]
         hits[n] = member @ target_n > 0
-    return hits
+    return _repeat_rows(hits, model)
 
 
 def _thick(masks: np.ndarray, run: int) -> np.ndarray:
@@ -240,7 +256,8 @@ def classify_transitivity(target, horizon: int, cylinder_length: int = 3,
     transitive = not empty
     thick_fail = [(labels[i], labels[j]) for (i, j), ok in zip(keys, _thick(masks, run))
                   if not ok]
-    disjoint = _first_disjoint_pair(masks)
+    # on a finite carrier every later time repeats one up to _last_time
+    disjoint = _first_disjoint_pair(masks[:, :_last_time(target, horizon) + 1])
     pair_fail = [] if disjoint is None else [(keys[disjoint[0]], keys[disjoint[1]])]
     weakly = transitive and not thick_fail and not pair_fail
     # column 0 is never a hit, so every reversed row has a first miss
@@ -271,7 +288,7 @@ def strong_transitivity_check(model: CascadeModel, horizon: int) -> dict:
     With member[y, j] = [y in V_j] over the default cover, back[x, j] marks
     some y in V_j with f^t y = x, and fwd[x, j] some f^t x in V_j, for
     t <= horizon (forward orbits stop after N steps); one pass over the
-    iterates fills both."""
+    iterates up to ``_last_time``, which are all the maps, fills both."""
     if not isinstance(model, FiniteModel):
         raise InvalidParameterError("strong transitivity needs enumerable preimages")
     cover = default_cover(model)
@@ -281,7 +298,7 @@ def strong_transitivity_check(model: CascadeModel, horizon: int) -> dict:
         member[s.resolve(model), j] = True
     ys, js = np.nonzero(member)
     back, fwd = member.copy(), member.copy()
-    for t in range(1, horizon + 1):
+    for t in range(1, _last_time(model, horizon) + 1):
         imgs = model.iterate_images(t)
         back[imgs[ys], js] = True
         if t <= n:
@@ -330,7 +347,7 @@ def _pair_sup_divergence(model, xs, ys, horizon, dist):
     ``dist``, the model's full distance matrix: the same ``point_dist`` (or
     ``distance_rows``) floats that ``image_pair_dist`` computes."""
     sup = np.zeros(len(xs))
-    for n in range(horizon + 1):
+    for n in range(_last_time(model, horizon) + 1):
         imgs = model.iterate_images(n)
         a = model.apply_to_indices(imgs, xs)
         b = model.apply_to_indices(imgs, ys)
@@ -500,8 +517,8 @@ def recurrence_report(model: CascadeModel, horizon: int, tau: float) -> dict:
     """Per-point recurrence flags at tolerance tau.
 
     x is nonwandering when some n <= horizon brings a point y of its tau-ball
-    within tau of x; the ball pairs (x, y) are compared once per iterate, in
-    blocks of rows that hold at most N pairs each.
+    within tau of x; the ball pairs (x, y) are compared once per iterate up
+    to ``_last_time``, in blocks of rows that hold at most N pairs each.
     Essential nonwandering asks that every n from some start on hits, which
     holds exactly when n = horizon hits.
     """
@@ -520,10 +537,11 @@ def recurrence_report(model: CascadeModel, horizon: int, tau: float) -> dict:
         xs, ys = np.nonzero(ball[lo:hi])
         xs += lo
         at_x = model.apply_to_indices(ident, xs)
-        for n in range(1, horizon + 1):
+        for n in range(1, _last_time(model, horizon) + 1):
             sub = model.apply_to_indices(model.iterate_images(n), ys)
             hit[n, xs[model.image_pair_dist(sub, at_x) <= tau]] = True
         lo = hi
+    _repeat_rows(hit, model)
     nonwandering = hit[1:].any(axis=0)
     returns = r[1:].sum(axis=0)
     # gap before each return: its time minus the latest return before it
@@ -569,12 +587,12 @@ def wap_proxy_check(env) -> dict:
                     if el.is_limit or el.provenance == "composite"}
     report = []
     all_cont = True
-    for el_idx, el in enumerate(env.elements):
-        imgs = el.images
+    for el_idx, name in enumerate(env.element_names()):
+        imgs = env.element_images(el_idx)
         a = model.apply_to_indices(imgs, iu[0])
         b = model.apply_to_indices(imgs, iu[1])
         img_d = model.image_pair_dist(a, b)
-        entry = {"element": env.elements[el_idx].name, "moduli": {}}
+        entry = {"element": name, "moduli": {}}
         discont = False
         for eps in eps_grid:
             viol = img_d >= eps
@@ -601,15 +619,15 @@ def distal_semiflow_check(env) -> dict:
     must follow exactly.
 
     Distal means no proximal pair: every envelope map f^k is injective,
-    which on a finite set holds exactly when f^index is, so the kernel of
-    ``algebra.proximal_structure`` answers with no envelope map built.
+    which on a finite set holds exactly when f^index is, so the envelope's
+    ``proximal_pair_count`` answers with no envelope map built.
     Every point is periodic exactly when every tail of the functional graph
     is 0, that is when the index is 0.  An approximate envelope is
     refused."""
     if not isinstance(env, envelope_mod.ExactEnvelope):
         raise InvalidParameterError("semiflow distality needs an exact envelope")
     model = env.model
-    distal = proximal_structure(env)["pair_count"] == 0
+    distal = env.proximal_pair_count == 0
     surjective = len(set(int(v) for v in model.map_table)) == model.n_points
     pap = env.index == 0
     return {

@@ -19,6 +19,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -181,8 +182,7 @@ class CascadeModel:
         return out
 
     def metric(self, a: PointId, b: PointId) -> float:
-        if not (0 <= a < self.n_points and 0 <= b < self.n_points):
-            raise IndexError(f"point id out of range: {a}, {b}")
+        a, b = (check_index(p, self.n_points, "point") for p in (a, b))
         return float(self.point_dist(np.asarray([a]), np.asarray([b]))[0])
 
     @property
@@ -274,7 +274,8 @@ class CascadeModel:
 
 
 class FiniteModel(CascadeModel):
-    """Finite-exact carrier: the map is an index table."""
+    """Finite-exact carrier: the map is an index table, and its iterates are
+    f^0 .. f^(index+period-1)."""
 
     kind = "finite-exact"
 
@@ -304,6 +305,26 @@ class FiniteModel(CascadeModel):
 
     def point_dist(self, a, b):
         return self._dist_fn(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+
+    @cached_property
+    def cycles(self) -> tuple[int, int, np.ndarray]:
+        """Index (longest tail), period (lcm of cycle lengths), cycle lengths."""
+        tail, length, _ = cycle_structure(self.map_table)
+        return int(tail.max()), math.lcm(*set(length.tolist())), length
+
+    @property
+    def index(self) -> int:
+        return self.cycles[0]
+
+    @property
+    def period(self) -> int:
+        return self.cycles[1]
+
+    def fold(self, n: int) -> int:
+        """The least exponent m with f^m = f^n, for n >= 0."""
+        if n < self.index + self.period:
+            return n
+        return self.index + (n - self.index) % self.period
 
     def _scan_scale(self):
         res, diam = math.inf, 0.0
@@ -816,15 +837,18 @@ def _periodic_stacks(name, params, sizes, truncate):
     """Disjoint periodic stacks, one per size c, their metric 3 larger across
     stacks.  Stack c holds the points (k, l), k in -truncate..truncate plus
     infinity and l in 1..c, k-major; f moves k one step toward infinity and
-    l to l mod c + 1."""
+    l to l mod c + 1.  Point (k, l) of stack c is offset_c + pos(k)·c + l - 1,
+    with pos(k) = k + truncate and pos(infinity) = 2·truncate + 1."""
     if not sizes or min(sizes) < 1 or truncate < 1:
         raise InvalidParameterError(f"{name} needs n >= 1 and truncate >= 1")
-    ks = list(range(-truncate, truncate + 1)) + [None]  # None = infinity
-    pts = [(c, k, l) for c in sizes for k in ks for l in range(1, c + 1)]
-    index = {p: i for i, p in enumerate(pts)}
-    arc = np.asarray([1.0 if k is None else k / (1.0 + abs(k)) for _, k, _ in pts])
-    lab = np.asarray([l for _, _, l in pts])
-    comp_arr = np.asarray([c for c, _, _ in pts])
+    rows = 2 * truncate + 2
+    counts = [rows * c for c in sizes]
+    comp_arr = np.repeat(np.asarray(sizes, dtype=np.int64), counts)
+    offset = np.repeat(np.cumsum([0] + counts[:-1]), counts)
+    pos, l0 = np.divmod(np.arange(len(comp_arr)) - offset, comp_arr)
+    k = pos - truncate
+    arc = np.where(pos == rows - 1, 1.0, k / (1.0 + np.abs(k)))
+    lab = l0 + 1
 
     def dist(a, b):
         return (
@@ -833,9 +857,9 @@ def _periodic_stacks(name, params, sizes, truncate):
             + (lab[a] != lab[b]).astype(float)
         )
 
-    fwd = [index[(c, None if (k is None or k >= truncate) else k + 1, l % c + 1)]
-           for c, k, l in pts]
-    labels = [{"n": c, "k": "inf" if k is None else k, "l": l} for c, k, l in pts]
+    fwd = offset + np.minimum(pos + 1, rows - 1) * comp_arr + lab % comp_arr
+    labels = [{"n": c, "k": "inf" if j > truncate else j, "l": l}
+              for c, j, l in zip(comp_arr.tolist(), k.tolist(), lab.tolist())]
     return FiniteModel(name, params, None, dist, fwd, None, "compactified-line-plus-label",
                        point_labels=labels)
 

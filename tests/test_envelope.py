@@ -105,7 +105,7 @@ def test_exact_envelope_matches_iteration_until_repeat(table):
     assert (env.index, env.period) == (index, period)
     assert [tuple(e.images.tolist()) for e in env.elements] == maps
     assert env.table.tolist() == prod
-    assert [env.fold(i + j) for i in range(len(maps)) for j in range(len(maps))] == \
+    assert [env.model.fold(i + j) for i in range(len(maps)) for j in range(len(maps))] == \
         [v for row in prod for v in row]
 
 
@@ -641,7 +641,7 @@ def loop_power_decomposition(model, n):
     # translate composed map by map
     env = exact_envelope(model)
     full = {e.images.tobytes() for e in env.elements}
-    sub = finite(env.elements[env.fold(n)].images)
+    sub = finite(env.elements[env.model.fold(n)].images)
     translate_sizes, union, collisions = [], set(), 0
     shift = np.arange(model.n_points, dtype=np.int64)
     for _ in range(n):
@@ -699,17 +699,52 @@ def element_loop_identity_isolated(env, tau):
     # oracle: the walk over the envelope's element images
     ident = env.elements[0].images
     for n in range(1, env.index + env.period + 1):
-        el = env.elements[env.fold(n)]
-        if env.model.image_sup_dist(el.images, ident) < tau or env.fold(n) == 0:
+        el = env.elements[env.model.fold(n)]
+        if env.model.image_sup_dist(el.images, ident) < tau or env.model.fold(n) == 0:
             return {"isolated": False, "witness": n, "weakly_rigid_up_to_horizon": True}
     return {"isolated": True, "witness": None, "weakly_rigid_up_to_horizon": False}
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(lambda n: st.one_of(
+    st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n),
+    st.permutations(list(range(n))), st.just(list(range(n))))),
+    st.lists(st.floats(min_value=0.0, max_value=1.2), min_size=1, max_size=4))
+def test_identity_isolated_per_cycle_length_matches_the_element_walk(table, taus):
+    inverse = np.argsort(table) if sorted(table) == list(range(len(table))) else None
+    model = finite(table, inverse)
+    for carrier in (model, hyperspace.build_hyper_model(model, 2)):
+        env = exact_envelope(carrier)
+        for tau in taus + [0.0, carrier.resolution]:
+            assert identity_isolated(env, tau) == element_loop_identity_isolated(env, tau), tau
+
+
+def test_identity_isolated_walks_the_index_and_the_longest_cycle():
+    # periodic-union n = 12: index 201, period 27720, cycles of length 1..12;
+    # the answers are those of the walk over all 27,921 exponents
+    model = spaces.load_example("periodic-union", n=12)
+    seen = set()
+    real = model.iterate_images
+    model.iterate_images = lambda n: seen.add(n) or real(n)
+    env = exact_envelope(model)
+    assert identity_isolated(env, 0.5) == \
+        {"isolated": True, "witness": None, "weakly_rigid_up_to_horizon": False}
+    assert identity_isolated(env, 1.5) == \
+        {"isolated": False, "witness": 27720, "weakly_rigid_up_to_horizon": True}
+    assert max(seen) < 201 + 12
 
 
 def test_exact_envelope_ops_read_no_element_images(monkeypatch):
     union8 = spaces.load_example("periodic-union", n=8)
     expected = element_loop_identity_isolated(exact_envelope(union8), 0.5)
+    stack = spaces.load_example("dyadic-circle-stack", levels=2, mult=2)
+    stack_hyper = hyperspace.build_hyper_model(stack, 2)
+    wap = properties.wap_proxy_check(exact_envelope(stack))
     monkeypatch.setattr(envelope.ExactEnvelope, "elements", property(lambda self: pytest.fail()))
     assert identity_isolated(exact_envelope(union8), 0.5) == expected
+    base_env, hyper_env = exact_envelope(stack), exact_envelope(stack_hyper)
+    assert theta_check(base_env, hyper_env)["theta"] == list(range(4))
+    assert [inducibility_check(hyper_env, i)["minimal_ok"] for i in range(4)] == [True] * 4
+    assert properties.wap_proxy_check(base_env) == wap
     # periodic-union n = 12: its element images would hold 439,923,276 cells
     report, _ = cli.run_experiment({
         "model": {"name": "periodic-union", "params": {"n": 12}},
@@ -782,6 +817,31 @@ def test_theta_refuses_a_hyper_envelope_over_another_model():
     assert steps[6]["status"] == "error" and "needs a hyper envelope" in steps[6]["error"]
 
 
+def test_inducibility_refuses_an_envelope_not_over_a_hyper_model():
+    # the parent failed with AttributeError: 'FiniteModel' object has no
+    # attribute 'members'
+    ident = spaces.load_example("identity", n=3)
+    for env in (exact_envelope(ident), approx_envelope(ident, 2, 0.1, "forward")):
+        with pytest.raises(spaces.InvalidParameterError, match="over a hyper model"):
+            inducibility_check(env, 0)
+    hyper_env = exact_envelope(hyperspace.build_hyper_model(ident, 2))
+    for idx in (-1, 1, 0.5):
+        with pytest.raises(spaces.InvalidParameterError, match="element="):
+            inducibility_check(hyper_env, idx)
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.one_of(
+    st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n),
+    st.permutations(list(range(n))))), st.integers(min_value=1, max_value=3))
+def test_exact_theta_and_inducibility_equal_the_matching_and_inclusion_loops(table, k):
+    model = finite(table)
+    hyper = hyperspace.build_hyper_model(model, k)
+    base_env, hyper_env = exact_envelope(model), exact_envelope(hyper)
+    assert theta_check(base_env, hyper_env) == envelope._theta_by_matching(base_env, hyper_env)
+    for i in range(hyper_env.semigroup.size):
+        assert inducibility_check(hyper_env, i) == set_based_inducibility(hyper_env, hyper, i)
+
+
 def test_inducibility_of_induced_map_and_limits():
     sq = spaces.load_example("square-map", grid=11)
     hyper = hyperspace.build_hyper_model(sq, 2)
@@ -795,9 +855,11 @@ def test_inducibility_of_induced_map_and_limits():
 
 
 def test_inducibility_detects_singleton_escape():
+    # an exact envelope answers from exponents, so forged elements go into an
+    # approximate envelope of the finite hyper model, which tests its images
     ident = spaces.load_example("identity", n=3)
     hyper = hyperspace.build_hyper_model(ident, 2)
-    env = exact_envelope(hyper)
+    env = approx_envelope(hyper, 2, hyper.resolution / 2, "forward")
     # forge an element sending a singleton to a pair
     forged = envelope.MapSample("forged", np.full(hyper.n_points, hyper.n_points - 1,
                                                   dtype=np.int64), 0)
@@ -921,7 +983,7 @@ def test_inducibility_matches_set_oracle_on_square_map():
 def test_inducibility_matches_set_oracle_on_forged_finite_elements():
     ident = spaces.load_example("identity", n=5)
     hyper = hyperspace.build_hyper_model(ident, 3)
-    env = exact_envelope(hyper)
+    env = approx_envelope(hyper, 2, hyper.resolution / 2, "forward")
     rng = np.random.default_rng(4)
     for _ in range(8):
         env.elements.append(envelope.MapSample(

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import numpy as np
@@ -315,3 +316,22 @@ def test_small_queries_skip_the_base_matrix_until_it_is_built():
     hyper.pairwise_hausdorff(np.zeros(25, dtype=int), np.arange(25))   # k^2 P = N_base^2
     assert hyper._base_dist is not None
     assert np.array_equal(hyper.pairwise_hausdorff(*pairs), few)
+
+
+@given(st.integers(min_value=1, max_value=7).flatmap(lambda n: st.one_of(
+    st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n),
+    st.permutations(list(range(n))))), st.integers(min_value=1, max_value=3))
+def test_finite_hyper_model_takes_index_and_period_from_its_base(table, k):
+    n = len(table)
+    coords = np.linspace(0.0, 1.0, n)
+    base = spaces.FiniteModel("m", {}, coords, lambda a, b: np.abs(coords[a] - coords[b]),
+                              table, None, "interval")
+    base.cycles
+    with pytest.MonkeyPatch.context() as mp:     # no cycle pass over the hyperpoints
+        mp.setattr(spaces, "cycle_structure", lambda table: pytest.fail())
+        hyper = build_hyper_model(base, k)
+        index, period, lengths = hyper.cycles
+    tail, length, _ = spaces.cycle_structure(hyper.map_table)
+    assert (index, period) == (int(tail.max()), math.lcm(*set(length.tolist())))
+    # each hyperpoint's length is a period of its own orbit past the index
+    assert (lengths % length == 0).all() and (period % lengths == 0).all()

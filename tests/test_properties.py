@@ -963,3 +963,100 @@ def test_hitting_tensor_is_refused_over_the_cell_budget():
         tracemalloc.stop()
     assert time.perf_counter() - start < 10.0
     assert peak < 16 * 2 ** 20
+
+
+# -- finite carriers scanned per cycle ------------------------------------------------
+
+
+def full_walk(fn, *args):
+    """``fn(*args)`` with every scan walking each time up to its horizon:
+    the oracle of the scans that stop at index + period."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(properties, "_last_time", lambda model, horizon: horizon)
+        return fn(*args)
+
+
+@st.composite
+def folded_cases(draw):
+    # a random finite map on n <= 12 points (tails, a permutation or the
+    # identity) and a horizon below, at or above index + period
+    n = draw(st.integers(min_value=1, max_value=12))
+    kind = draw(st.sampled_from(["tails", "permutation", "identity"]))
+    if kind == "tails":
+        table = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n))
+    elif kind == "permutation":
+        table = draw(st.permutations(list(range(n))))
+    else:
+        table = list(range(n))
+    model = finite(table, np.argsort(table) if kind != "tails" else None)
+    last = model.index + model.period
+    horizon = draw(st.sampled_from([max(1, last - 1), last, last + 1, 3 * last + 2])
+                   | st.integers(min_value=1, max_value=4 * last + 5))
+    return model, horizon
+
+
+@given(folded_cases(), st.data())
+def test_folded_scans_equal_the_full_horizon_walk(case, data):
+    model, horizon = case
+    n = model.n_points
+    tau = data.draw(st.sampled_from([0.0, 0.5 / max(1, n - 1), 1.5 / max(1, n - 1), 0.5]))
+    cover = properties.default_cover(model)
+    points = [OpenSet("points", points=tuple(data.draw(st.sets(
+        st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=3)))) for _ in range(2)]
+    for sets in (cover, points):
+        got = hitting_tensor(model, sets, horizon)
+        assert got.tobytes() == full_walk(hitting_tensor, model, sets, horizon).tobytes()
+    got = properties._point_return_matrix(model, horizon, tau)
+    assert got.tobytes() == full_walk(properties._point_return_matrix, model, horizon, tau).tobytes()
+    assert json.dumps(recurrence_report(model, horizon, tau)) == \
+        json.dumps(full_walk(recurrence_report, model, horizon, tau))
+    assert rigidity_battery(model, horizon, max(tau, 1e-9)) == \
+        full_walk(rigidity_battery, model, horizon, max(tau, 1e-9))
+    dist = properties.full_distance_matrix(model)
+    xs, ys = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    got = properties._pair_sup_divergence(model, xs, ys, horizon, dist)
+    assert got.tobytes() == \
+        full_walk(properties._pair_sup_divergence, model, xs, ys, horizon, dist).tobytes()
+    assert strong_transitivity_check(model, horizon) == \
+        full_walk(strong_transitivity_check, model, horizon)
+    assert classify_transitivity(model, horizon) == full_walk(classify_transitivity, model, horizon)
+
+
+@given(folded_cases())
+def test_folded_scans_evaluate_each_distinct_map_once(case):
+    model, horizon = case
+    seen = []
+    real = model.iterate_images
+    model.iterate_images = lambda n: seen.append(n) or real(n)
+    hitting_tensor(model, properties.default_cover(model), horizon)
+    properties._point_return_matrix(model, horizon, 0.1)
+    assert max(seen) <= model.index + model.period
+
+
+def test_rigidity_at_a_long_horizon_walks_one_period():
+    # rotation grid 48 has index 0 and period 8
+    model = spaces.load_example("irrational-rotation", grid=48)
+    seen = set()
+    real = model.iterate_images
+    model.iterate_images = lambda n: seen.add(n) or real(n)
+    rep = rigidity_battery(model, 100_000, 0.02)
+    assert rep["rigid"].witnesses == [8, 16, 24, 32] and rep["uniformly_rigid"].verdict == "holds"
+    assert len(rep["full_return_times"]) == 12_500
+    assert max(seen) <= model.index + model.period
+
+
+def test_distal_semiflow_reads_the_pair_count_of_the_envelope():
+    # the corpus asks proximal_structure and then distal_semiflow_check for the
+    # same envelope: f^index is walked once, and distality stays from the fibres
+    rng = np.random.default_rng(19)
+    for _ in range(50):
+        n = int(rng.integers(1, 10))
+        table = rng.permutation(n) if rng.random() < 0.5 else rng.integers(0, n, n)
+        model = finite(table)
+        env = envelope.exact_envelope(model)
+        pairs = algebra.proximal_structure(env)["pair_count"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "iterate_images", lambda k: pytest.fail("f^index walked again"))
+            mp.setattr(algebra, "proximal_structure", lambda e: pytest.fail())
+            rep = distal_semiflow_check(env)
+        assert rep["distal"] == (pairs == 0) == distal_by_every_map(model)

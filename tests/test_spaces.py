@@ -84,8 +84,11 @@ def test_metric_identity_and_symmetry():
     m = spaces.load_example("square-map", grid=51)
     assert spaces.metric(m, 10, 10) == 0.0
     assert spaces.metric(m, 3, 40) == spaces.metric(m, 40, 3)
-    with pytest.raises(IndexError):
-        m.metric(0, 51)
+    # point ids outside [0, N), and non-integers, are refused like every
+    # other point-id entry point's
+    for a, b in ((0, 51), (-1, 0), (2.5, 3)):
+        with pytest.raises(spaces.InvalidParameterError, match="not an integer in"):
+            spaces.metric(m, a, b)
 
 
 def test_circle_antipodal_arc_length():
@@ -141,6 +144,39 @@ def test_periodic_stack_is_the_last_component_of_periodic_union(n, truncate):
     lab = np.asarray([p["l"] for p in labels])
     gap = np.abs(arc[a] - arc[b])
     assert d.tobytes() == (np.minimum(gap, 2.0 - gap) + (lab[a] != lab[b])).tobytes()
+
+
+def tuple_periodic_stacks(sizes, truncate):
+    # oracle: the builder of per-point tuples, a dict index and per-point
+    # lookups, which array arithmetic replaced
+    ks = list(range(-truncate, truncate + 1)) + [None]  # None = infinity
+    pts = [(c, k, l) for c in sizes for k in ks for l in range(1, c + 1)]
+    index = {p: i for i, p in enumerate(pts)}
+    arc = np.asarray([1.0 if k is None else k / (1.0 + abs(k)) for _, k, _ in pts])
+    lab = np.asarray([l for _, _, l in pts])
+    comp = np.asarray([c for c, _, _ in pts])
+
+    def dist(a, b):
+        return (3.0 * (comp[a] != comp[b]).astype(float) + spaces._circ2(arc[a], arc[b])
+                + (lab[a] != lab[b]).astype(float))
+
+    fwd = [index[(c, None if (k is None or k >= truncate) else k + 1, l % c + 1)]
+           for c, k, l in pts]
+    labels = [{"n": c, "k": "inf" if k is None else k, "l": l} for c, k, l in pts]
+    return np.asarray(fwd), labels, dist
+
+
+@pytest.mark.parametrize("n,truncate", [(1, 1), (2, 1), (3, 5), (5, 2), (8, 100)])
+def test_periodic_stacks_equal_the_tuple_builder(n, truncate):
+    rng = np.random.default_rng(n)
+    for name, sizes in (("periodic-union", list(range(1, n + 1))), ("periodic-stack", [n])):
+        model = spaces.load_example(name, n=n, truncate=truncate)
+        fwd, labels, dist = tuple_periodic_stacks(sizes, truncate)
+        assert model.map_table.tobytes() == fwd.astype(np.int64).tobytes()
+        assert json.dumps([model.point_data(i) for i in range(model.n_points)]) == \
+            json.dumps(labels)
+        a, b = rng.integers(0, model.n_points, (2, 4000))
+        assert model.point_dist(a, b).tobytes() == dist(a, b).tobytes()
 
 
 def test_orbit_segment_identity_and_stack():
