@@ -76,15 +76,61 @@ def cylinder(word: str) -> OpenSet:
 # ---------------------------------------------------------------------------
 
 
+def _check_distance_cells(model: CascadeModel) -> int:
+    n = model.n_points
+    envelope_mod.check_cells(n * n, f"distance matrix of {model.name} ({n} points)")
+    return n
+
+
 def full_distance_matrix(model: CascadeModel) -> np.ndarray:
     """All N^2 sample distances, filled block by block through the carrier's
     ``distance_rows``; refused before allocating over ``CELL_BUDGET`` cells."""
-    n = model.n_points
-    envelope_mod.check_cells(n * n, f"distance matrix of {model.name} ({n} points)")
-    out = np.empty((n, n))
-    for rows in row_blocks(n, n):
+    out = np.empty((_check_distance_cells(model),) * 2)
+    for rows in model.distance_blocks():
         out[rows[0]:rows[-1] + 1] = model.distance_rows(rows)
     return out
+
+
+def _distance_scan(model: CascadeModel, radius: float):
+    """One pass over ``model.distance_rows`` in the carrier's row blocks,
+    holding no N x N float array.  Returns
+
+    - the nearest-neighbour pairs (xs, ys), row-major: each point's nearest
+      other points, ties within a factor 1 + 1e-12 included, none when that
+      distance is not finite; a lone point is its own mate;
+    - ``first``, the distance from each point to its first mate in column
+      order (inf without a mate);
+    - ``ball``, the rows of [d <= radius] bit-packed with ``np.packbits``
+      (N^2 / 8 bytes), and ``counts``, the number of points in each row.
+
+    Refused over ``CELL_BUDGET`` streamed cells, before the first row."""
+    n = _check_distance_cells(model)
+    ball = np.empty((n, -(-n // 8)), dtype=np.uint8)
+    counts = np.empty(n, dtype=np.int64)
+    first = np.full(n, np.inf)
+    xs, ys = [], []
+    for rows in model.distance_blocks():
+        block = model.distance_rows(rows)
+        inside = block <= radius
+        ball[rows] = np.packbits(inside, axis=1)
+        counts[rows] = inside.sum(axis=1)
+        if n > 1:               # a lone point is its own mate
+            block[np.arange(len(rows)), rows] = np.inf
+        nn = block.min(axis=1)
+        near = block <= (nn * (1 + 1e-12))[:, None]
+        near &= np.isfinite(nn)[:, None]
+        r, mates = np.divmod(np.flatnonzero(near), n)      # 3x np.nonzero's speed
+        xs.append(rows[r])
+        ys.append(mates)
+        lead = np.flatnonzero(np.diff(r, prepend=-1))    # each row's first mate
+        first[rows[r[lead]]] = block[r[lead], mates[lead]]
+    return (np.concatenate(xs).astype(np.int64, copy=False),
+            np.concatenate(ys).astype(np.int64, copy=False), first, ball, counts)
+
+
+def _check_horizon(horizon: int) -> None:
+    if horizon < 0:
+        raise InvalidParameterError(f"horizon={horizon} is negative")
 
 
 def _last_time(model: CascadeModel, horizon: int) -> int:
@@ -218,7 +264,7 @@ def _first_disjoint_pair(masks: np.ndarray):
     float32: a zero entry is exactly a pair with no common hit.
     """
     m = masks.astype(np.float32)
-    chunk = max(1, (1 << 20) // max(1, len(m)))
+    chunk = max(1, (1 << 18) // max(1, len(m)))
     for lo in range(0, len(m), chunk):
         zero = m[lo:lo + chunk] @ m.T == 0
         rows = np.nonzero(zero.any(axis=1))[0]
@@ -244,6 +290,7 @@ def classify_transitivity(target, horizon: int, cylinder_length: int = 3,
     chunked products of the mask matrix with its transpose the first
     disjoint pair of the weak-mixing test.
     """
+    _check_horizon(horizon)
     sets = transitivity_cover(target, cylinder_length, granularity)
     labels = [s.label() for s in sets]
     k = len(sets)
@@ -320,40 +367,24 @@ def strong_transitivity_check(model: CascadeModel, horizon: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _neighbor_pairs(model: CascadeModel, dist: np.ndarray):
-    """(point, mate) index arrays, row-major: each point's nearest other
-    points (ties included), none when that distance is not finite; a lone
-    point is its own neighbor."""
-    n = model.n_points
-    if n == 1:
-        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    xs, ys = [], []
-    for rows in row_blocks(n, n):
-        block = dist[rows]
-        block[np.arange(len(rows)), rows] = np.inf
-        nn = block.min(axis=1)
-        r, mates = np.nonzero(block <= (nn * (1 + 1e-12))[:, None])
-        keep = np.isfinite(nn)[r]
-        xs.append(rows[r[keep]])
-        ys.append(mates[keep])
-    return (np.concatenate(xs).astype(np.int64, copy=False),
-            np.concatenate(ys).astype(np.int64, copy=False))
-
-
-def _pair_sup_divergence(model, xs, ys, horizon, dist):
-    """sup over n <= horizon of d(f^n x, f^n y) for the index pairs (xs, ys).
-
-    A finite carrier's images are point ids, so each distance is read from
-    ``dist``, the model's full distance matrix: the same ``point_dist`` (or
-    ``distance_rows``) floats that ``image_pair_dist`` computes."""
+def _pair_sup_divergence(model, xs, ys, horizon):
+    """sup over n <= horizon of d(f^n x, f^n y) for the index pairs (xs, ys),
+    through ``image_pair_dist``: on a finite carrier the same floats that
+    ``distance_rows`` gives for the image ids."""
     sup = np.zeros(len(xs))
     for n in range(_last_time(model, horizon) + 1):
         imgs = model.iterate_images(n)
-        a = model.apply_to_indices(imgs, xs)
-        b = model.apply_to_indices(imgs, ys)
-        d = dist[a, b] if isinstance(model, FiniteModel) else model.image_pair_dist(a, b)
+        d = model.image_pair_dist(model.apply_to_indices(imgs, xs),
+                                  model.apply_to_indices(imgs, ys))
         sup = np.maximum(sup, d)
     return sup
+
+
+def _check_eps(eps_list) -> list:
+    eps_list = sorted(eps_list)
+    if not eps_list:
+        raise InvalidParameterError("eps_list is empty")
+    return eps_list
 
 
 def equicontinuity_scan(model: CascadeModel, eps_list, horizon: int) -> dict:
@@ -363,28 +394,31 @@ def equicontinuity_scan(model: CascadeModel, eps_list, horizon: int) -> dict:
     epsilon along the whole horizon; almost equicontinuity asks the passing
     set to be dense at the model's granularity, and sensitivity is the absence
     of passing points at the smallest epsilon.
+
+    One ``_distance_scan`` at the granularity reads the neighbours and the
+    granularity balls, N^2 / 8 bytes bit-packed, with no N x N float array;
+    the density test is (ball & passing).any() per row on the packed bits.
+    Refused with ``EnvelopeBudgetError`` over ``CELL_BUDGET`` streamed
+    cells, and with ``InvalidParameterError`` for an empty ``eps_list`` or a
+    negative horizon.
     """
-    eps_list = sorted(eps_list)
+    eps_list = _check_eps(eps_list)
+    _check_horizon(horizon)
     g = model.granularity
-    dist = full_distance_matrix(model)
-    xs, ys = _neighbor_pairs(model, dist)
+    xs, ys, first, ball, _ = _distance_scan(model, g)
     # a point whose first mate (in column order) is beyond the granularity is
     # isolated at cover scale: vacuously equicontinuous
-    rows, first = np.unique(xs, return_index=True)
-    isolated = np.zeros(model.n_points, dtype=bool)
-    isolated[rows] = dist[rows, ys[first]] > g
-    keep = ~isolated[xs]
+    keep = ~(first[xs] > g)
     xs, ys = xs[keep], ys[keep]
-    sup = _pair_sup_divergence(model, xs, ys, horizon, dist)
+    sup = _pair_sup_divergence(model, xs, ys, horizon)
     worst = np.zeros(model.n_points)
     np.maximum.at(worst, xs, sup)
     result = {}
     for eps in eps_list:
         passing = worst < eps
         eq_points = np.flatnonzero(passing).tolist()
-        # distance to the nearest passing point, without a copy of its columns
-        dense = bool(eq_points) and bool(
-            (np.min(dist, axis=1, where=passing, initial=np.inf) <= g).all())
+        # some passing point within the granularity of every point
+        dense = bool(eq_points) and bool((ball & np.packbits(passing)).any(axis=1).all())
         result[eps] = {"equicontinuity_points": eq_points, "ae": dense}
     smallest = eps_list[0]
     sensitive = not result[smallest]["equicontinuity_points"]
@@ -402,6 +436,8 @@ def hyper_equicontinuity_crosscheck(base_model: CascadeModel, k: int, eps_list,
                                     horizon: int) -> dict:
     """Almost-equicontinuity agreement between a model and its finite-subset
     hyperspace at cardinality k."""
+    _check_eps(eps_list)
+    _check_horizon(horizon)
     hyper = build_hyper_model(base_model, k)
     base = equicontinuity_scan(base_model, eps_list, horizon)
     hyp = equicontinuity_scan(hyper, eps_list, horizon)
@@ -472,6 +508,7 @@ def rigidity_battery(model: CascadeModel, horizon: int, tau: float) -> dict:
     """
     if tau <= 0:
         raise InvalidParameterError("tau must be positive")
+    _check_horizon(horizon)
     r = _point_return_matrix(model, horizon, tau)
     n_pts = model.n_points
     # full-sample simultaneous returns
@@ -513,19 +550,34 @@ def rigidity_battery(model: CascadeModel, horizon: int, tau: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _ball_pairs(ball: np.ndarray, lo: int, hi: int, n: int):
+    """(row, column) of the set bits in the packed ball rows lo..hi-1, row-major,
+    unpacked about ``BLOCK_CELLS`` bits at a time."""
+    xs, ys = [], []
+    for rows in row_blocks(hi - lo, n):
+        r, c = np.divmod(np.flatnonzero(np.unpackbits(ball[lo + rows], axis=1, count=n)), n)
+        xs.append(lo + rows[r])
+        ys.append(c)
+    return np.concatenate(xs), np.concatenate(ys)
+
+
 def recurrence_report(model: CascadeModel, horizon: int, tau: float) -> dict:
     """Per-point recurrence flags at tolerance tau.
 
     x is nonwandering when some n <= horizon brings a point y of its tau-ball
-    within tau of x; the ball pairs (x, y) are compared once per iterate up
-    to ``_last_time``, in blocks of rows that hold at most N pairs each.
-    Essential nonwandering asks that every n from some start on hits, which
-    holds exactly when n = horizon hits.
+    within tau of x.  The tau-balls come from one ``_distance_scan``,
+    bit-packed (N^2 / 8 bytes, no N x N float array); their pairs (x, y) are
+    compared once per iterate up to ``_last_time``, in blocks of rows that
+    hold at most N pairs each.  Essential nonwandering asks that every n
+    from some start on hits, which holds exactly when n = horizon hits.
+    A negative horizon or tau is refused with ``InvalidParameterError``.
     """
+    _check_horizon(horizon)
+    if tau < 0:
+        raise InvalidParameterError(f"tau={tau} is negative")
     r = _point_return_matrix(model, horizon, tau)
     n_pts = model.n_points
-    ball = full_distance_matrix(model) <= tau
-    counts = ball.sum(axis=1)
+    *_, ball, counts = _distance_scan(model, tau)
     ends = np.cumsum(counts)
     ident = model.iterate_images(0)
     hit = np.zeros((horizon + 1, n_pts), dtype=bool)
@@ -534,8 +586,7 @@ def recurrence_report(model: CascadeModel, horizon: int, tau: float) -> dict:
         # rows lo..hi-1 hold at most n_pts ball pairs, as many as one ball
         # may: no call compares more pairs than the per-point loop did
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + n_pts, "right")))
-        xs, ys = np.nonzero(ball[lo:hi])
-        xs += lo
+        xs, ys = _ball_pairs(ball, lo, hi, n_pts)
         at_x = model.apply_to_indices(ident, xs)
         for n in range(1, _last_time(model, horizon) + 1):
             sub = model.apply_to_indices(model.iterate_images(n), ys)
@@ -591,7 +642,9 @@ def wap_proxy_check(env) -> dict:
         imgs = env.element_images(el_idx)
         a = model.apply_to_indices(imgs, iu[0])
         b = model.apply_to_indices(imgs, iu[1])
-        img_d = model.image_pair_dist(a, b)
+        # a finite carrier's images are point ids: read the matrix, bitwise
+        # the floats that image_pair_dist computes
+        img_d = dist[a, b] if isinstance(model, FiniteModel) else model.image_pair_dist(a, b)
         entry = {"element": name, "moduli": {}}
         discont = False
         for eps in eps_grid:

@@ -181,6 +181,11 @@ class CascadeModel:
             out[r] = self.point_dist(np.full(n, i), idx)
         return out
 
+    def distance_blocks(self) -> list[np.ndarray]:
+        """The row blocks in which a scan of all N^2 distances asks for
+        ``distance_rows``: about ``BLOCK_CELLS`` cells each."""
+        return row_blocks(self.n_points, self.n_points)
+
     def metric(self, a: PointId, b: PointId) -> float:
         a, b = (check_index(p, self.n_points, "point") for p in (a, b))
         return float(self.point_dist(np.asarray([a]), np.asarray([b]))[0])

@@ -388,3 +388,27 @@ def test_jsonable_converts_nested_values():
     value = {1: [1, "a", None, True, 2.5, float("nan")], "b": (np.int64(3), np.float64(-np.inf)),
              "c": {3, 1, 2}, "f": frozenset({(1, 2), (0, 5)}), "d": np.arange(3), "e": [[np.bool_(True)], []]}
     assert cli._jsonable(value) == _jsonable_by_recursion(value)
+
+
+# each of these raised a bare IndexError or ValueError, or returned a verdict
+BAD_SCAN_STEPS = {
+    "equicontinuity-no-eps": ("equicontinuity", {"eps_list": [], "horizon": 10}),
+    "hyper-no-eps": ("hyper_equicontinuity", {"k": 2, "eps_list": [], "horizon": 10}),
+    "equicontinuity-horizon": ("equicontinuity", {"eps_list": [0.5], "horizon": -3}),
+    "hyper-horizon": ("hyper_equicontinuity", {"k": 2, "eps_list": [0.5], "horizon": -3}),
+    "recurrence-horizon": ("recurrence_report", {"horizon": -1, "tau": 0.05}),
+    "recurrence-tau": ("recurrence_report", {"horizon": 10, "tau": -0.1}),
+    "rigidity-horizon": ("rigidity_battery", {"horizon": -2, "tau": 0.05}),
+    "transitivity-horizon": ("classify_transitivity", {"horizon": -1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SCAN_STEPS))
+def test_scans_refuse_a_negative_horizon_an_empty_eps_list_and_a_negative_tau(name):
+    op, params = BAD_SCAN_STEPS[name]
+    report, _ = cli.run_experiment({
+        "model": {"name": "irrational-rotation", "params": {"grid": 12}},
+        "pipeline": [{"op": op, "params": params}]})
+    step = report["steps"][0]
+    assert step["status"] == "error"
+    assert step["error"].startswith("InvalidParameterError")

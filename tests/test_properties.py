@@ -474,6 +474,126 @@ def dense_distance_matrix(model):
     return np.stack([model.point_dist(np.full(n, i), np.arange(n)) for i in range(n)])
 
 
+# -- the dense oracle: the scan as it read one N x N distance matrix -------------------
+
+
+def dense_neighbor_pairs(model, dist):
+    """(point, mate) index arrays, row-major: each point's nearest other
+    points (ties included), none when that distance is not finite; a lone
+    point is its own neighbor."""
+    n = model.n_points
+    if n == 1:
+        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    xs, ys = [], []
+    for rows in spaces.row_blocks(n, n):
+        block = dist[rows]
+        block[np.arange(len(rows)), rows] = np.inf
+        nn = block.min(axis=1)
+        r, mates = np.nonzero(block <= (nn * (1 + 1e-12))[:, None])
+        keep = np.isfinite(nn)[r]
+        xs.append(rows[r[keep]])
+        ys.append(mates[keep])
+    return (np.concatenate(xs).astype(np.int64, copy=False),
+            np.concatenate(ys).astype(np.int64, copy=False))
+
+
+def dense_pair_sup_divergence(model, xs, ys, horizon, dist):
+    # a finite carrier's image pairs read from the distance matrix
+    sup = np.zeros(len(xs))
+    for n in range(properties._last_time(model, horizon) + 1):
+        imgs = model.iterate_images(n)
+        a = model.apply_to_indices(imgs, xs)
+        b = model.apply_to_indices(imgs, ys)
+        d = dist[a, b] if isinstance(model, spaces.FiniteModel) else model.image_pair_dist(a, b)
+        sup = np.maximum(sup, d)
+    return sup
+
+
+def dense_equicontinuity_scan(model, eps_list, horizon, dist=None):
+    eps_list = sorted(eps_list)
+    g = model.granularity
+    dist = properties.full_distance_matrix(model) if dist is None else dist
+    xs, ys = dense_neighbor_pairs(model, dist)
+    rows, first = np.unique(xs, return_index=True)
+    isolated = np.zeros(model.n_points, dtype=bool)
+    isolated[rows] = dist[rows, ys[first]] > g
+    keep = ~isolated[xs]
+    xs, ys = xs[keep], ys[keep]
+    sup = dense_pair_sup_divergence(model, xs, ys, horizon, dist)
+    worst = np.zeros(model.n_points)
+    np.maximum.at(worst, xs, sup)
+    result = {}
+    for eps in eps_list:
+        passing = worst < eps
+        eq_points = np.flatnonzero(passing).tolist()
+        dense = bool(eq_points) and bool(
+            (np.min(dist, axis=1, where=passing, initial=np.inf) <= g).all())
+        result[eps] = {"equicontinuity_points": eq_points, "ae": dense}
+    sensitive = not result[eps_list[0]]["equicontinuity_points"]
+    return {
+        "per_epsilon": result,
+        "ae": all(result[e]["ae"] for e in eps_list),
+        "sensitive": sensitive,
+        "sensitivity_constant": float(worst.min()) if sensitive else None,
+        "horizon": horizon,
+        "granularity": g,
+    }
+
+
+def dense_recurrence_report(model, horizon, tau):
+    # the tau-balls of one distance matrix, their pairs in blocks of at most N
+    r = properties._point_return_matrix(model, horizon, tau)
+    n_pts = model.n_points
+    ball = properties.full_distance_matrix(model) <= tau
+    counts = ball.sum(axis=1)
+    ends = np.cumsum(counts)
+    ident = model.iterate_images(0)
+    hit = np.zeros((horizon + 1, n_pts), dtype=bool)
+    lo = 0
+    while lo < n_pts:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + n_pts, "right")))
+        xs, ys = np.nonzero(ball[lo:hi])
+        xs += lo
+        at_x = model.apply_to_indices(ident, xs)
+        for n in range(1, horizon + 1):
+            sub = model.apply_to_indices(model.iterate_images(n), ys)
+            hit[n, xs[model.image_pair_dist(sub, at_x) <= tau]] = True
+        lo = hi
+    nonwandering = hit[1:].any(axis=0)
+    returns = r[1:].sum(axis=0)
+    times = np.arange(horizon + 1)[:, None]
+    latest = np.maximum.accumulate(np.where(r, times, 0), axis=0)
+    gaps = np.where(r[1:], times[1:] - latest[:-1], 0).max(axis=0, initial=0)
+    points = [{
+        "point": x,
+        "recurrent": bool(returns[x] >= 2),
+        "nonwandering": bool(nonwandering[x]),
+        "essentially_nonwandering": bool(hit[horizon, x]),
+        "almost_periodic_gap": int(gaps[x]) if returns[x] >= 2 else None,
+    } for x in range(n_pts)]
+    return {"horizon": horizon, "tau": tau, "points": points}
+
+
+def matrix_model(dist):
+    # a finite model whose distances are the entries of a given matrix
+    d = np.asarray(dist, dtype=float)
+    return spaces.FiniteModel("m", {}, None, lambda a, b: d[np.asarray(a), np.asarray(b)],
+                              list(range(len(d))), None, "matrix")
+
+
+def assert_scan_matches_dense(model, radius):
+    # the streamed pairs, first mates, packed ball and counts against the matrix
+    dist = properties.full_distance_matrix(model)
+    xs, ys, first, ball, counts = properties._distance_scan(model, radius)
+    assert_same_pairs((xs, ys), dense_neighbor_pairs(model, dist))
+    rows, lead = np.unique(xs, return_index=True)
+    want = np.full(model.n_points, np.inf)
+    want[rows] = dist[rows, ys[lead]]
+    assert first.tobytes() == want.tobytes()
+    assert np.array_equal(ball, np.packbits(dist <= radius, axis=1))
+    assert np.array_equal(counts, (dist <= radius).sum(axis=1))
+
+
 HYPER_CATALOG = [
     ("square-map", {"grid": 21}, 2, 40),
     ("square-map", {"grid": 9}, 3, 20),
@@ -487,14 +607,13 @@ HYPER_CATALOG = [
 
 @pytest.mark.parametrize("name,params,k,horizon", HYPER_CATALOG,
                          ids=[f"{c[0]}-k{c[2]}" for c in HYPER_CATALOG])
-def test_hyper_equicontinuity_scan_matches_dense_reference(monkeypatch, name, params, k, horizon):
+def test_hyper_equicontinuity_scan_matches_dense_reference(name, params, k, horizon):
     hyper = build_hyper_model(spaces.load_example(name, **params), k)
     dense = dense_distance_matrix(hyper)
     assert np.array_equal(properties.full_distance_matrix(hyper), dense)
     eps = [hyper.diameter / 8, hyper.diameter / 4]
-    got = equicontinuity_scan(hyper, eps, horizon)
-    monkeypatch.setattr(properties, "full_distance_matrix", dense_distance_matrix)
-    assert equicontinuity_scan(hyper, eps, horizon) == got
+    assert equicontinuity_scan(hyper, eps, horizon) == \
+        dense_equicontinuity_scan(hyper, eps, horizon, dense)
 
 
 @pytest.mark.parametrize("name,params", [
@@ -542,7 +661,7 @@ NEIGHBOR_CARRIERS = {
     "hyper-rotation": lambda: build_hyper_model(
         spaces.load_example("irrational-rotation", grid=16), 2),
     "hyper-square": lambda: build_hyper_model(spaces.load_example("square-map", grid=9), 2),
-    # over BLOCK_CELLS cells: rows come in blocks of 12
+    # over BLOCK_CELLS cells: rows come in blocks
     "hyper-rotation-blocks": lambda: build_hyper_model(
         spaces.load_example("irrational-rotation", grid=48), 2),
 }
@@ -552,8 +671,9 @@ NEIGHBOR_CARRIERS = {
 def test_neighbor_pairs_match_per_row_scan(name):
     model = NEIGHBOR_CARRIERS[name]()
     dist = properties.full_distance_matrix(model)
-    assert_same_pairs(properties._neighbor_pairs(model, dist),
+    assert_same_pairs(properties._distance_scan(model, model.granularity)[:2],
                       as_pair_arrays(reference_neighbor_pairs(model, dist)))
+    assert_scan_matches_dense(model, model.granularity)
 
 
 @given(st.integers(min_value=1, max_value=12).flatmap(lambda n: st.tuples(
@@ -566,15 +686,34 @@ def test_neighbor_pairs_match_per_row_scan_on_random_finite_models(model_data):
     model = spaces.FiniteModel("m", {}, c, lambda a, b: np.abs(c[np.asarray(a)] - c[np.asarray(b)]),
                                table, None, "interval")
     dist = properties.full_distance_matrix(model)
-    assert_same_pairs(properties._neighbor_pairs(model, dist),
+    assert_same_pairs(properties._distance_scan(model, 0.25)[:2],
                       as_pair_arrays(reference_neighbor_pairs(model, dist)))
+    assert_scan_matches_dense(model, 0.25)
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n),
+    st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n))),
+    st.integers(min_value=0, max_value=30))
+def test_equicontinuity_scan_matches_the_dense_oracle_on_random_finite_models(model_data, horizon):
+    # tied coordinates, lone points (n = 1) and maps with tails
+    table, coords = model_data
+    c = np.asarray(coords, dtype=float) / 4
+    model = spaces.FiniteModel("m", {}, c, lambda a, b: np.abs(c[np.asarray(a)] - c[np.asarray(b)]),
+                               table, None, "interval")
+    eps = [0.1, 0.3, 0.6]
+    assert equicontinuity_scan(model, eps, horizon) == dense_equicontinuity_scan(model, eps, horizon)
+
+
+NON_FINITE = [[0.0, 1.0, np.inf], [1.0, 0.0, np.inf], [np.inf, np.inf, 0.0]]
 
 
 def test_neighbor_pairs_leave_non_finite_rows_empty():
-    model = finite([0, 1, 2])
-    dist = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, np.inf], [np.inf, np.inf, 0.0]])
-    assert_same_pairs(properties._neighbor_pairs(model, dist),
+    model = matrix_model(NON_FINITE)
+    assert_same_pairs(properties._distance_scan(model, 1.0)[:2],
                       as_pair_arrays([(0, [1]), (1, [0]), (2, [])]))
+    assert_scan_matches_dense(model, 1.0)
+    assert equicontinuity_scan(model, [0.5], 5) == dense_equicontinuity_scan(model, [0.5], 5)
 
 
 def test_equicontinuity_skip_reads_the_first_mate_not_the_nearest_distance():
@@ -584,12 +723,14 @@ def test_equicontinuity_skip_reads_the_first_mate_not_the_nearest_distance():
     c = np.array([0.5, 0.25 - 1e-13, 0.75, 1.0, 1.0625])
     model = spaces.FiniteModel("m", {}, c, lambda a, b: np.abs(c[np.asarray(a)] - c[np.asarray(b)]),
                                [0, 1, 3, 3, 4], None, "interval")
-    dist = properties.full_distance_matrix(model)
     assert model.granularity == 0.25
-    assert_same_pairs(properties._neighbor_pairs(model, dist),
-                      (np.array([0, 0, 1, 2, 2, 3, 4]), np.array([1, 2, 0, 0, 3, 4, 3])))
-    assert equicontinuity_scan(model, [0.3], 4)["per_epsilon"][0.3]["equicontinuity_points"] == [
-        0, 1, 3, 4]
+    xs, ys, first, _, _ = properties._distance_scan(model, model.granularity)
+    assert_same_pairs((xs, ys), (np.array([0, 0, 1, 2, 2, 3, 4]), np.array([1, 2, 0, 0, 3, 4, 3])))
+    assert first[0] > model.granularity
+    assert_scan_matches_dense(model, model.granularity)
+    got = equicontinuity_scan(model, [0.3], 4)
+    assert got["per_epsilon"][0.3]["equicontinuity_points"] == [0, 1, 3, 4]
+    assert got == dense_equicontinuity_scan(model, [0.3], 4)
 
 
 def test_equicontinuity_scan_holds_about_one_distance_matrix():
@@ -606,9 +747,22 @@ def test_equicontinuity_scan_holds_about_one_distance_matrix():
     assert peak < 16 * 2 ** 20
 
 
+def test_streamed_scans_hold_no_distance_matrix():
+    # 1176 hyperpoints: one N x N float64 matrix is 10.6 MB, the packed ball
+    # 173 KB; the hyperspace's base tables hold 48 x (48 + 1176) floats
+    hyper = build_hyper_model(spaces.load_example("irrational-rotation", grid=48), 2)
+    for scan, args in ((equicontinuity_scan, ([0.5], 80)), (recurrence_report, (40, 0.05))):
+        tracemalloc.start()
+        try:
+            scan(hyper, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, scan.__name__
+
+
 def loop_pair_sup_divergence(model, xs, ys, horizon):
-    # oracle: every iterate's pairs through image_pair_dist, as before finite
-    # carriers read the distance matrix
+    # oracle: every iterate's pairs through image_pair_dist, with no fold
     sup = np.zeros(len(xs))
     for n in range(horizon + 1):
         imgs = model.iterate_images(n)
@@ -641,14 +795,16 @@ DIVERGENCE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(DIVERGENCE_CASES))
 def test_divergence_from_the_distance_matrix_is_bitwise_the_pair_path(name):
+    # the pair path of every carrier against the matrix reads of the dense scan
     model = DIVERGENCE_CASES[name]()
     dist = properties.full_distance_matrix(model)
     n = model.n_points
     rng = np.random.default_rng(n)
-    xs, ys = properties._neighbor_pairs(model, dist)
+    xs, ys = dense_neighbor_pairs(model, dist)
     xs = np.concatenate([xs, rng.integers(0, n, 200)])
     ys = np.concatenate([ys, rng.integers(0, n, 200)])
-    got = properties._pair_sup_divergence(model, xs, ys, 40, dist)
+    got = properties._pair_sup_divergence(model, xs, ys, 40)
+    assert got.tobytes() == dense_pair_sup_divergence(model, xs, ys, 40, dist).tobytes()
     assert got.tobytes() == loop_pair_sup_divergence(model, xs, ys, 40).tobytes()
 
 
@@ -660,7 +816,8 @@ def test_divergence_from_the_distance_matrix_on_random_maps(table):
     dist = properties.full_distance_matrix(model)
     n = model.n_points
     xs, ys = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    got = properties._pair_sup_divergence(model, xs, ys, 2 * n, dist)
+    got = properties._pair_sup_divergence(model, xs, ys, 2 * n)
+    assert got.tobytes() == dense_pair_sup_divergence(model, xs, ys, 2 * n, dist).tobytes()
     assert got.tobytes() == loop_pair_sup_divergence(model, xs, ys, 2 * n).tobytes()
 
 
@@ -832,6 +989,21 @@ def test_recurrence_report_matches_per_point_loop(recurrence_model, horizon, tau
     assert json.dumps(got) == json.dumps(reference_recurrence_report(recurrence_model, horizon, tau))
 
 
+STREAMED_RECURRENCE = {
+    "square-map-401": (lambda: spaces.load_example("square-map", grid=401), 64, 0.01),
+    "window-400": (lambda: spaces.sample_window_model(count=400, radius=400, seed=3), 3, 0.4),
+    "rotation-48": (lambda: spaces.load_example("irrational-rotation", grid=48), 40, 0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED_RECURRENCE))
+def test_streamed_recurrence_matches_the_dense_ball(name):
+    build, horizon, tau = STREAMED_RECURRENCE[name]
+    model = build()
+    assert json.dumps(recurrence_report(model, horizon, tau)) == \
+        json.dumps(dense_recurrence_report(model, horizon, tau))
+
+
 def test_recurrence_ball_pairs_are_compared_in_bounded_blocks():
     # at tau 0.4 a window sample of 400 points has about 20k ball pairs, each
     # image 805 symbols wide: all pairs in one call held about 65 MB of
@@ -857,6 +1029,20 @@ def test_wap_proxy_rotation_and_isolated_ones():
     iso = spaces.load_example("isolated-ones-subshift", truncate=8)
     rep2 = wap_proxy_check(envelope.exact_envelope(iso))
     assert rep2["all_elements_continuous"]
+
+
+@pytest.mark.parametrize("name,params", [
+    ("periodic-union", {"n": 2}),
+    ("dyadic-circle-stack", {"levels": 3, "mult": 2}),
+    ("isolated-ones-subshift", {"truncate": 6}),
+])
+def test_wap_proxy_matrix_reads_are_the_pair_path(monkeypatch, name, params):
+    # a finite carrier reads its image pairs from the distance matrix; with
+    # the finite branch off, the same check goes through image_pair_dist
+    env = envelope.exact_envelope(spaces.load_example(name, **params))
+    got = wap_proxy_check(env)
+    monkeypatch.setattr(properties, "FiniteModel", type("NoFiniteBranch", (), {}))
+    assert json.dumps(got) == json.dumps(wap_proxy_check(env))
 
 
 def test_wap_proxy_square_map_limit_discontinuous():
@@ -1012,11 +1198,10 @@ def test_folded_scans_equal_the_full_horizon_walk(case, data):
         json.dumps(full_walk(recurrence_report, model, horizon, tau))
     assert rigidity_battery(model, horizon, max(tau, 1e-9)) == \
         full_walk(rigidity_battery, model, horizon, max(tau, 1e-9))
-    dist = properties.full_distance_matrix(model)
     xs, ys = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    got = properties._pair_sup_divergence(model, xs, ys, horizon, dist)
+    got = properties._pair_sup_divergence(model, xs, ys, horizon)
     assert got.tobytes() == \
-        full_walk(properties._pair_sup_divergence, model, xs, ys, horizon, dist).tobytes()
+        full_walk(properties._pair_sup_divergence, model, xs, ys, horizon).tobytes()
     assert strong_transitivity_check(model, horizon) == \
         full_walk(strong_transitivity_check, model, horizon)
     assert classify_transitivity(model, horizon) == full_walk(classify_transitivity, model, horizon)
