@@ -7,8 +7,9 @@ period determine its idempotents, minimal left ideals, kernel and groups
 ``MonogenicMonoid`` answers them in O(size) and builds its table only when
 something reads it.  ``FiniteSemigroup`` analyses an explicit composition
 table: approximate envelopes, whose snap error can break associativity at
-the resolution boundary, run every check in report mode; user tables are
-validated strictly.  Each envelope holds its own as ``env.semigroup``.
+the resolution boundary, run every check in report mode; user tables, with
+their identity and generator, are validated strictly.  Each envelope holds
+its own as ``env.semigroup``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ class FiniteSemigroup:
             raise TableError("table must be square")
         if n and ((self.table < 0).any() or (self.table >= n).any()):
             raise TableError("table is not closed")
+        if self.source != "approx":
+            for what, v in (("identity", self.identity), ("generator", self.generator)):
+                if v is not None and not (isinstance(v, (int, np.integer)) and 0 <= v < n):
+                    raise TableError(f"{what} {v!r} is not an element of a {n}-element table")
+            e, r = self.identity, np.arange(n)
+            if e is not None and not ((self.table[e] == r) & (self.table[:, e] == r)).all():
+                raise TableError(f"element {e} is not an identity of the table")
         self.associativity_violations = self._associativity_scan()
         if self.associativity_violations and self.source != "approx":
             raise TableError(

@@ -451,45 +451,46 @@ def run_experiment(config: dict) -> tuple[dict, list[float]]:
     return report, timings
 
 
+def csv_text(header, rows) -> str:
+    """A CSV table, floats to 12 decimals; None, which is how a report
+    stores -inf, is an empty cell."""
+    def cell(v):
+        return "" if v is None else f"{v:.12f}" if isinstance(v, float) else str(v)
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
 def emit_report(report: dict, timings, out_dir, formats=("json",)) -> list[str]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
+
+    def write(name, text):
+        (out / name).write_text(text)
+        written.append(str(out / name))
+
     if "json" in formats:
-        path = out / "report.json"
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        written.append(str(path))
+        write("report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     if "csv" in formats:
         for i, step in enumerate(report["steps"]):
             res = step.get("result") or {}
             if step["op"] == "entropy" and "sequence" in res:
-                path = out / f"step{i}_entropy.csv"
-                path.write_text(symbolic.entropy_csv(res))
-                written.append(str(path))
+                write(f"step{i}_entropy.csv", csv_text(
+                    ["n", "count", "log_count_over_n"],
+                    [[n, c, v] for (n, v), c in zip(res["sequence"], res["counts"])]))
             if step["op"] == "hitting_matrix" and "pairs" in res:
-                path = out / f"step{i}_hitting.csv"
-                horizon = res["horizon"]
-                lines = ["u,v," + ",".join(f"n{n}" for n in range(1, horizon + 1))]
-                for row in res["pairs"]:
-                    lines.append(
-                        f"{row['u']},{row['v']},"
-                        + ",".join(str(v) for v in row["membership"]))
-                path.write_text("\n".join(lines) + "\n")
-                written.append(str(path))
+                write(f"step{i}_hitting.csv", csv_text(
+                    ["u", "v", *(f"n{n}" for n in range(1, res["horizon"] + 1))],
+                    [[row["u"], row["v"], *row["membership"]] for row in res["pairs"]]))
     if "text" in formats:
-        path = out / "report.txt"
         lines = [f"ellis report ({report['version']})"]
         for step in report["steps"]:
             lines.append(f"- {step['op']}: {step['status']}")
             res = step.get("result") or {}
             if "text" in res:
                 lines.append(res["text"])
-        path.write_text("\n".join(lines) + "\n")
-        written.append(str(path))
-    tpath = out / "timings.txt"
-    tpath.write_text(
-        "".join(f"step{i}\t{t:.6f}s\n" for i, t in enumerate(timings))
-    )
+        write("report.txt", "\n".join(lines) + "\n")
+    (out / "timings.txt").write_text(
+        "".join(f"step{i}\t{t:.6f}s\n" for i, t in enumerate(timings)))
     return written
 
 
@@ -606,8 +607,11 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "semigroup":
-        doc = json.loads(Path(args.table).read_text())
-        sg = algebra.FiniteSemigroup.from_json(doc)
+        try:
+            sg = algebra.FiniteSemigroup.from_json(json.loads(Path(args.table).read_text()))
+        except (ValueError, KeyError, spaces.EnvelopeBudgetError) as exc:   # a bad table
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
         if args.analysis == "idempotents":
             result = {"idempotents": algebra.idempotents(sg)}
         elif args.analysis == "ideals":

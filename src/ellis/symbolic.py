@@ -7,7 +7,9 @@ higher-block graph (deterministic, trimmed to its essential part), labeled
 graphs keep their essential NFA and are determinized by subset construction
 for exact word counting, and spacing subshifts are expanded to a finite
 forbidden family with the cutoff recorded.  Words are read through one
-boolean matrix per symbol over the presentation's states.
+boolean matrix per symbol over the presentation's states.  Word counts and
+periodic points of every length come from one running walk of the counting
+graph (Lind & Marcus 1995, Sections 2.2 and 4.1), in exact integers.
 """
 
 from __future__ import annotations
@@ -58,18 +60,19 @@ class _Presentation:
     the block graph of an SFT, or the essential NFA of a labeled graph.  A
     word w acts as the relation R_w = M_w1 ... M_wk, and R_wa = R_w M_a
     (the transition monoid; Lind & Marcus 1995, Ch. 3), so every language
-    question is one ``read``.  ``adjacency`` is the graph that word counts
-    and the spectral entropy use: the block graph itself for an SFT, whose
-    words of length >= ``block_length`` fix their path, and the subset
-    automaton (start state 0) for a labeled graph.  Classification reads
-    ``step``, the essential graph itself.
+    question is one ``read``.  ``moves`` is the graph that word counts and
+    the spectral entropy use: the block graph itself for an SFT, whose words
+    of length >= ``block_length`` fix their path, and the subset automaton
+    (start state 0) for a labeled graph.  Both are deterministic, so
+    ``moves[a, s]`` is the one successor of state s under symbol a, or -1.
+    Classification reads ``step``, the essential graph itself.
     """
 
     n_states: int            # walked states
     mats: dict               # symbol -> boolean (n_states, n_states) matrix
     block_length: int        # m of the block graph (SFT); 0 for a labeled graph
     state_words: list | None  # block-graph state words (SFT only)
-    adjacency: np.ndarray
+    moves: np.ndarray        # (symbols, counting states) successors, -1 for none
 
     @property
     def start(self) -> np.ndarray:
@@ -80,6 +83,21 @@ class _Presentation:
     def step(self) -> np.ndarray:
         """One symbol of any kind: the union of the M_a."""
         return np.logical_or.reduce(list(self.mats.values()))
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The counting graph A: A[s, t] symbols move s to t."""
+        return (self.moves[:, :, None] == np.arange(self.moves.shape[1])).sum(axis=0)
+
+    def walk(self, x: np.ndarray):
+        """A x, A^2 x, ... in exact integers, for a vector or a matrix x.
+        (A x)[s] = sum_a x[moves[a, s]], so a step is one row gather per
+        symbol; a zero row appended to x answers the -1 moves."""
+        x = np.concatenate([np.asarray(x, dtype=object),
+                            np.zeros((1, *np.shape(x)[1:]), dtype=object)])
+        while True:
+            x = np.concatenate([sum(x[move] for move in self.moves), x[-1:]])
+            yield x[:-1]
 
     def read(self, front: np.ndarray, word) -> np.ndarray:
         """``front`` times M_word: the states reached from a state vector, or
@@ -123,8 +141,9 @@ def _block_presentation(alphabet, forbidden):
                     edges.append((i, a, states.index(v)))
     alive, edges = _essential_trim(states, edges)
     mats = _symbol_matrices(alphabet, alive, edges)
-    adj = np.sum(list(mats.values()), axis=0, dtype=np.int64)
-    return _Presentation(len(alive), mats, m, [states[s] for s in alive], adj)
+    moves = np.asarray([np.where(mat.any(axis=1), mat @ np.arange(len(alive)), -1)
+                        for mat in mats.values()], dtype=np.intp)
+    return _Presentation(len(alive), mats, m, [states[s] for s in alive], moves)
 
 
 def _subset_presentation(alphabet, nfa_states, nfa_edges):
@@ -134,7 +153,7 @@ def _subset_presentation(alphabet, nfa_states, nfa_edges):
     mats = _symbol_matrices(alphabet, alive, edges)
     start = np.ones(len(alive), dtype=bool)
     subsets = {start.tobytes(): 0}
-    pairs = []
+    succ = {a: {} for a in alphabet}
     queue = [(0, start)]
     while queue:
         i, cur = queue.pop()
@@ -146,16 +165,20 @@ def _subset_presentation(alphabet, nfa_states, nfa_edges):
             if key not in subsets:
                 subsets[key] = len(subsets)
                 queue.append((subsets[key], nxt))
-            pairs.append((i, subsets[key]))
-    adj = np.zeros((len(subsets), len(subsets)), dtype=np.int64)
-    for i, j in pairs:
-        adj[i, j] += 1
-    return _Presentation(len(alive), mats, 0, None, adj)
+            succ[a][i] = subsets[key]
+    moves = np.asarray([[to.get(i, -1) for i in range(len(subsets))]
+                        for to in succ.values()], dtype=np.intp)
+    return _Presentation(len(alive), mats, 0, None, moves)
 
 
 # ---------------------------------------------------------------------------
 # subshift
 # ---------------------------------------------------------------------------
+
+
+def _has_cycle(rel: np.ndarray) -> bool:
+    """A relation has a cycle iff its essential part is not empty."""
+    return bool(_essential_trim(range(len(rel)), [(s, None, t) for s, t in np.argwhere(rel)])[0])
 
 
 @dataclass
@@ -177,47 +200,53 @@ class Subshift:
                      if (nxt := p.read(front, a)).any()}
         return {w for w, front in layer.items() if front.any()}
 
-    def count_words(self, n: int) -> int:
-        """|L_n(X)| as paths of the counting graph: every path of the block
-        graph once n exceeds the block length, the paths from the start of
-        the subset automaton on a labeled graph."""
+    def word_counts(self, n_max: int) -> list[int]:
+        """|L_n(X)| for n = 0..n_max from one walk of the counting graph: on
+        an SFT the prefixes of the block-graph states up to m = ``block_length``,
+        then |L_(m+k)| = 1 A^k 1; on a labeled graph |L_n| = e_0 A^n 1, the
+        paths from the start of the subset automaton."""
         p = self.presentation
-        if n == 0:
-            return int(p.start.any())
-        if n <= p.block_length:
-            return len({w[:n] for w in p.state_words})
-        power = np.linalg.matrix_power(p.adjacency.astype(object), n - p.block_length)
-        return int(power.sum() if p.block_length else power[0].sum())
+        m = p.block_length
+        counts = [int(p.start.any())]
+        counts += [len({w[:n] for w in p.state_words}) for n in range(1, min(m, n_max) + 1)]
+        walk = p.walk(np.ones(p.moves.shape[1], dtype=object))
+        counts += [int(x.sum() if m else x[0]) for _, x in zip(range(n_max - m), walk)]
+        return counts
 
     def word_in_language(self, word: str) -> bool:
         p = self.presentation
         return bool(p.read(p.start, word).any())
 
-    def periodic_count(self, n: int) -> int:
-        """Number of points with period dividing n.
+    def periodic_counts(self, n_max: int) -> list[int]:
+        """Points with period dividing n, for n = 0..n_max (entry 0 is 0).
 
-        An SFT has trace(A^n).  On a labeled graph the w-periodic point exists
-        iff the relation R_w has a cycle, that is iff R_w^S != 0 on S states.
-        So the n-words are counted per distinct relation (R_wa = R_w M_a), and
-        the counts of the relations with a cycle are summed.
+        An SFT has trace(A^n), read off one running power of the block graph.
+        On a labeled graph the w-periodic point exists iff the relation R_w
+        has a cycle.  So one walk counts the n-words per distinct relation
+        (R_wa = R_w M_a), tests each relation for a cycle once, and sums the
+        counts of the relations with a cycle at every length.
         """
         p = self.presentation
         if p.block_length:
-            return int(np.trace(np.linalg.matrix_power(p.adjacency.astype(object), n)))
+            walk = p.walk(np.identity(p.n_states, dtype=object))
+            return [0] + [int(x.diagonal().sum()) for _, x in zip(range(n_max), walk)]
         eye = np.eye(p.n_states, dtype=bool)
-        rels = {eye.tobytes(): eye}
+        rels = {eye.tobytes(): (eye, _has_cycle(eye))}   # key -> (relation, has a cycle)
         counts = {eye.tobytes(): 1}
-        for _ in range(n):
+        per = [0]
+        for _ in range(n_max):
             nxt = {}
             for key, count in counts.items():
                 for a in self.alphabet:
-                    rel = p.read(rels[key], a)
+                    rel = p.read(rels[key][0], a)
                     if rel.any():
-                        rels.setdefault(rel.tobytes(), rel)
-                        nxt[rel.tobytes()] = nxt.get(rel.tobytes(), 0) + count
+                        key_a = rel.tobytes()
+                        if key_a not in rels:
+                            rels[key_a] = (rel, _has_cycle(rel))
+                        nxt[key_a] = nxt.get(key_a, 0) + count
             counts = nxt
-        return sum(count for key, count in counts.items()
-                   if np.linalg.matrix_power(rels[key], p.n_states).any())
+            per.append(sum(count for key, count in counts.items() if rels[key][1]))
+        return per
 
     def to_json(self) -> dict:
         out = {"schema": "ellis.shift/1", "alphabet": list(self.alphabet),
@@ -272,12 +301,7 @@ def build_subshift(spec: dict) -> Subshift:
             raise ShiftSpecError("labels must be single characters")
         index = {s: i for i, s in enumerate(states)}
         edges = [(index[s], a, index[t]) for s, a, t in edges_in]
-        rr = True
-        seen = set()
-        for s, a, _ in edges:
-            if (s, a) in seen:
-                rr = False
-            seen.add((s, a))
+        rr = len({(s, a) for s, a, _ in edges}) == len(edges)
         pres = _subset_presentation(symbols, len(states), edges)
         payload = {"states": states, "edges": [list(e) for e in edges_in],
                    "right_resolving": bool(spec.get("right_resolving", rr))}
@@ -360,23 +384,15 @@ def dominant_eigenvalue(matrix: np.ndarray, rel_tol: float = 1e-10, max_iter: in
 
 
 def _strongly_connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    if n == 0:
-        return False
-
+    """State 0 reaches every state and every state reaches it."""
     def reach(mat):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            s = frontier.pop()
-            for t in np.nonzero(mat[s])[0]:
-                if not seen[t]:
-                    seen[t] = True
-                    frontier.append(int(t))
-        return seen
+        seen = front = np.arange(len(mat)) == 0
+        while front.any():
+            front = (front @ mat > 0) & ~seen
+            seen = seen | front
+        return seen.all()
 
-    return bool(reach(adj).all() and reach(adj.T).all())
+    return bool(len(adj) and reach(adj) and reach(adj.T))
 
 
 def _graph_period(adj: np.ndarray) -> int:
@@ -417,53 +433,38 @@ def classify_sft(shift: Subshift) -> dict:
             "period": 1 if mixing else None}
 
 
+def _spectral_entropy(shift: Subshift) -> float:
+    """log of the spectral radius of the counting graph, -inf without a cycle."""
+    lam = dominant_eigenvalue(shift.presentation.adjacency)
+    return math.log(lam) if lam > 0 else -math.inf
+
+
 def entropy_estimates(shift: Subshift, n_max: int) -> dict:
     if n_max < 2:
         raise ShiftSpecError("n_max must be >= 2")
-    counts = [shift.count_words(n) for n in range(1, n_max + 1)]
+    counts = shift.word_counts(n_max)[1:]
     seq = [(n, math.log(c) / n if c else -math.inf) for n, c in zip(range(1, n_max + 1), counts)]
     ratio = (
         math.log(counts[-1] / counts[-2]) if counts[-1] and counts[-2] else -math.inf
     )
     irreducible = _strongly_connected(shift.presentation.step)
-    lam = dominant_eigenvalue(shift.presentation.adjacency)
     return {
         "counts": counts,
         "sequence": seq,
         "ratio_estimate": ratio,
-        "spectral": math.log(lam) if lam > 0 else -math.inf,
+        "spectral": _spectral_entropy(shift),
         "reducible_warning": not irreducible,
     }
 
 
-def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    result, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if m > 1:
-        result = -result
-    return result
-
-
 def periodic_spectrum(shift: Subshift, n_max: int) -> dict[int, int]:
-    """Points of each least period 1..n_max (counts of points, not orbits)."""
-    per_div = {n: shift.periodic_count(n) for n in range(1, n_max + 1)}
-    out = {}
-    for n in range(1, n_max + 1):
-        total = 0
-        for d in range(1, n + 1):
-            if n % d == 0:
-                total += _mobius(n // d) * per_div[d]
-        if total:
-            out[n] = total
-    return out
+    """Points of each least period 1..n_max (counts of points, not orbits):
+    the points of period n less those of every least period d | n, d < n."""
+    least = shift.periodic_counts(n_max)
+    for d in range(1, n_max + 1):
+        for n in range(2 * d, n_max + 1, d):
+            least[n] -= least[d]
+    return {n: count for n, count in enumerate(least) if count}
 
 
 def boyle_precondition(x: Subshift, y: Subshift, n_max: int) -> dict:
@@ -478,9 +479,7 @@ def boyle_precondition(x: Subshift, y: Subshift, n_max: int) -> dict:
     per_divides = all(
         any(p % q == 0 for q in py) for p in px
     ) if px else True
-    hx = entropy_estimates(x, max(2, n_max))["spectral"]
-    hy = entropy_estimates(y, max(2, n_max))["spectral"]
-    gap = hx - hy
+    gap = _spectral_entropy(x) - _spectral_entropy(y)
     return {
         "per_divides": per_divides,
         "entropy_gap": gap,
@@ -654,11 +653,3 @@ def window_model(shift: Subshift, count: int, radius: int, seed: int = 0,
         name or f"window({count})", {"count": count, "radius": radius, "seed": seed},
         bits, radius, pad,
     )
-
-
-def entropy_csv(est: dict) -> str:
-    """CSV table of word counts and log(count)/n from ``entropy_estimates``."""
-    lines = ["n,count,log_count_over_n"]
-    for (n, val), c in zip(est["sequence"], est["counts"]):
-        lines.append(f"{n},{c},{val:.12f}")
-    return "\n".join(lines) + "\n"

@@ -45,6 +45,17 @@ def test_table_validation():
         FiniteSemigroup(np.asarray([[1, 0], [0, 0]]))
 
 
+def test_strict_table_refuses_a_wrong_identity_or_generator():
+    z3 = np.add.outer(np.arange(3), np.arange(3)) % 3
+    for kwargs in ({"identity": 9}, {"identity": -1}, {"identity": 1.5}, {"identity": 1.0},
+                   {"generator": 3}, {"identity": 1}, {"identity": 2, "generator": 1}):
+        with pytest.raises(TableError):
+            FiniteSemigroup(z3, **kwargs)
+        # approximate tables stay in report mode
+        assert FiniteSemigroup(z3, source="approx", **kwargs).size == 3
+    assert FiniteSemigroup(z3, identity=0, generator=2).identity == 0
+
+
 def corrupted_cyclic(n, seed):
     # Z/n addition with one cell moved to another element
     rng = np.random.default_rng(seed)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ellis import cli, symbolic
+from ellis import cli
 
 
 def run_cli(args):
@@ -119,11 +119,61 @@ def test_shift_subcommand(tmp_path):
     # the entropy op is step 1, after build_subshift
     csv = (tmp_path / "step1_entropy.csv").read_text()
     # the CSV is written from the printed estimates, not from a second pass
-    assert csv == symbolic.entropy_csv(json.loads(r.stdout))
+    est = json.loads(r.stdout)
+    assert csv == cli.csv_text(["n", "count", "log_count_over_n"],
+                               [[n, c, v] for (n, v), c in zip(est["sequence"], est["counts"])])
     assert csv.splitlines()[0] == "n,count,log_count_over_n"
     assert csv.splitlines()[1].startswith("1,2,")
     r2 = run_cli(["--out", str(tmp_path / "classify"), "shift", str(path), "classify"])
     assert json.loads(r2.stdout)["mixing"]
+
+
+def test_entropy_csv_of_the_empty_shift_has_empty_log_cells(tmp_path):
+    # the report stores log(0)/n = -inf as null
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"kind": "forbidden", "alphabet": ["0", "1"],
+                                "forbidden": ["0", "1"]}))
+    r = run_cli(["--out", str(tmp_path), "--format", "csv", "shift", str(path),
+                 "entropy", "--n", "3"])
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "step1_entropy.csv").read_text() == (
+        "n,count,log_count_over_n\n1,0,\n2,0,\n3,0,\n")
+
+
+def test_hitting_matrix_csv_bytes(tmp_path):
+    cfg = tmp_path / "hitting.json"
+    cfg.write_text(json.dumps({"pipeline": [
+        {"op": "build_subshift", "params": {"spec": GOLDEN}},
+        {"op": "hitting_matrix", "params": {"horizon": 3, "cylinder_length": 1}},
+        {"op": "load_example", "params": {"name": "identity", "params": {"n": 2}}},
+        {"op": "hitting_matrix", "params": {"horizon": 2, "granularity": 0.6}}]}))
+    r = run_cli(["--out", str(tmp_path / "o"), "--format", "csv", "run", str(cfg)])
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "o" / "step1_hitting.csv").read_bytes() == (
+        b"u,v,n1,n2,n3\n[0],[0],1,1,1\n[0],[1],1,1,1\n[1],[0],1,1,1\n[1],[1],0,1,1\n")
+    assert (tmp_path / "o" / "step3_hitting.csv").read_bytes() == (
+        b"u,v,n1,n2\nB(0,0.6),B(0,0.6),1,1\nB(0,0.6),B(1,0.6),0,0\n"
+        b"B(1,0.6),B(0,0.6),0,0\nB(1,0.6),B(1,0.6),1,1\n")
+
+
+Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+@pytest.mark.parametrize("table, message", [
+    ({"table": [[0, 1], [2, 0]]}, "TableError: table is not closed"),
+    ({"table": [[1, 0], [0, 0]]}, "TableError: 4 associativity violations in a strict table"),
+    ({"table": Z3, "identity": 9},
+     "TableError: identity 9 is not an element of a 3-element table"),
+    ({"table": Z3, "identity": 1}, "TableError: element 1 is not an identity of the table"),
+    ({"table": Z3, "identity": 0, "generator": -1},
+     "TableError: generator -1 is not an element of a 3-element table"),
+])
+def test_semigroup_subcommand_refuses_a_bad_table(table, message, tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    r = run_cli(["semigroup", str(path), "group-distal"])
+    assert r.returncode == 1
+    assert r.stdout == "" and r.stderr == message + "\n"
 
 
 def test_language_rejects_a_negative_length(tmp_path):

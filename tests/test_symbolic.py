@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ellis import properties, symbolic
+from ellis import cli, properties, symbolic
 from ellis.symbolic import (
     RuleUndefinedError,
     ShiftSpecError,
@@ -120,6 +120,61 @@ def periodic_word_ok(states, edges, w):
     return False
 
 
+def count_words_by_power(shift, n):
+    # the counting graph raised to the n-th power from scratch, in exact ints
+    p = shift.presentation
+    if n == 0:
+        return int(p.start.any())
+    if n <= p.block_length:
+        return len({w[:n] for w in p.state_words})
+    power = np.linalg.matrix_power(p.adjacency.astype(object), n - p.block_length)
+    return int(power.sum() if p.block_length else power[0].sum())
+
+
+def periodic_count_by_power(shift, n):
+    # trace(A^n) on an SFT; on a labeled graph the n-words counted per
+    # relation, walked from length 0, over the relations R with R^S != 0
+    p = shift.presentation
+    if p.block_length:
+        return int(np.trace(np.linalg.matrix_power(p.adjacency.astype(object), n)))
+    eye = np.eye(p.n_states, dtype=bool)
+    rels, counts = {eye.tobytes(): eye}, {eye.tobytes(): 1}
+    for _ in range(n):
+        nxt = {}
+        for key, count in counts.items():
+            for a in shift.alphabet:
+                rel = p.read(rels[key], a)
+                if rel.any():
+                    rels.setdefault(rel.tobytes(), rel)
+                    nxt[rel.tobytes()] = nxt.get(rel.tobytes(), 0) + count
+        counts = nxt
+    return sum(count for key, count in counts.items()
+               if np.linalg.matrix_power(rels[key], p.n_states).any())
+
+
+def mobius(n):
+    result, m, p = 1, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if m > 1 else result
+
+
+def spectrum_by_mobius(shift, n_max):
+    # least periods by Mobius inversion of the per-n periodic counts
+    per_div = {n: periodic_count_by_power(shift, n) for n in range(1, n_max + 1)}
+    out = {}
+    for n in range(1, n_max + 1):
+        total = sum(mobius(n // d) * per_div[d] for d in range(1, n + 1) if n % d == 0)
+        if total:
+            out[n] = total
+    return out
+
+
 def verify_factor_by_words(code, domain, codomain, n):
     # the per-word loop: map every domain n-word, then read every image
     images = [apply_block_code(code, w) for w in sorted(domain.words(n))]
@@ -139,6 +194,16 @@ sofic_specs = st.builds(
     st.lists(st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from("01"),
                        st.integers(min_value=0, max_value=3)), min_size=1, max_size=8))
 shift_specs = sft_specs | sofic_specs
+spacing_specs = st.builds(
+    lambda k, cutoff: {"kind": "spacing", "gap_modulus": k, "cutoff": cutoff},
+    st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4))
+# empty and one-point shifts, as forbidden words and as labeled graphs
+EDGE_SPECS = [
+    {"kind": "forbidden", "alphabet": ["0", "1"], "forbidden": ["0", "1"]},
+    {"kind": "forbidden", "alphabet": ["0", "1"], "forbidden": ["1"]},
+    {"kind": "labeled-graph", "states": ["A", "B"], "edges": [["A", "0", "B"]]},
+    {"kind": "labeled-graph", "states": ["A", "B"], "edges": [["A", "0", "A"], ["A", "1", "B"]]},
+]
 
 
 # -- construction -----------------------------------------------------------
@@ -160,14 +225,14 @@ def test_golden_mean_language():
     assert language(golden, 2) == {"00", "01", "10"}
     assert language(golden, 0) == {""}
     counts = fib_counts(12)
-    assert [golden.count_words(n) for n in range(1, 13)] == counts
-    assert all(len(golden.words(n)) == golden.count_words(n) for n in range(1, 11))
+    assert golden.word_counts(12)[1:] == counts
+    assert all(len(golden.words(n)) == c for n, c in enumerate(golden.word_counts(10)))
 
 
 def test_full_shift_language():
     full2 = full_shift(2)
     assert len(language(full2, 3)) == 8
-    assert all(full2.count_words(n) == 2 ** n for n in range(1, 12))
+    assert full2.word_counts(11) == [2 ** n for n in range(12)]
 
 
 def test_even_shift_language_vs_brute_force():
@@ -192,7 +257,7 @@ def test_spacing_subshift():
 
 def test_edge_graph_shift():
     golden_by_matrix = build_subshift({"kind": "edge-graph", "matrix": [[1, 1], [1, 0]]})
-    assert golden_by_matrix.count_words(4) == fib_counts(4)[-1]
+    assert golden_by_matrix.word_counts(4)[4] == fib_counts(4)[-1]
     cls = classify_sft(golden_by_matrix)
     assert cls["irreducible"] and cls["mixing"]
 
@@ -235,7 +300,7 @@ def test_subadditivity_of_log_counts():
     shifts = [golden_mean_shift(), even_shift(), full_shift(2),
               build_subshift({"kind": "spacing", "gap_modulus": 2, "cutoff": 7})]
     for shift in shifts:
-        counts = {n: shift.count_words(n) for n in range(1, 13)}
+        counts = shift.word_counts(12)
         for n in range(1, 12):
             for m in range(1, 13 - n):
                 assert counts[n + m] <= counts[n] * counts[m]
@@ -312,6 +377,37 @@ def test_periodic_spectrum_even_shift():
     spec = periodic_spectrum(even_shift(), 4)
     # fixed points 0^inf and 1^inf; (001)-type orbits at period 3; (0011) at 4
     assert spec[1] == 2 and spec[3] == 3 and spec[4] == 4 and 2 not in spec
+
+
+def assert_walks_match_powers(spec, n_max=12):
+    shift = build_subshift(spec)
+    assert shift.word_counts(n_max) == [count_words_by_power(shift, n) for n in range(n_max + 1)]
+    per = shift.periodic_counts(n_max)
+    assert per == [0] + [periodic_count_by_power(shift, n) for n in range(1, n_max + 1)]
+    assert periodic_spectrum(shift, n_max) == spectrum_by_mobius(shift, n_max)
+
+
+@pytest.mark.parametrize("spec", EDGE_SPECS)
+def test_walks_match_per_n_powers_on_empty_and_one_point_shifts(spec):
+    assert_walks_match_powers(spec)
+    counts = build_subshift(spec).word_counts(12)
+    assert counts == [0] * 13 or counts == [1] * 13
+
+
+@given(shift_specs | spacing_specs)
+def test_walks_match_per_n_powers(spec):
+    assert_walks_match_powers(spec)
+
+
+def test_spacing_shift_counts_and_spectrum():
+    # gap modulus 3, cutoff 12: 275 block-graph states
+    spacing = build_subshift({"kind": "spacing", "gap_modulus": 3, "cutoff": 12})
+    assert spacing.presentation.n_states == 275
+    assert spacing.word_counts(20)[1:] == [
+        2, 4, 7, 11, 17, 26, 39, 58, 86, 127, 187, 275, 404, 593, 871, 1281, 1885,
+        2774, 4083, 6011]
+    assert periodic_spectrum(spacing, 12) == {
+        1: 2, 4: 4, 5: 5, 6: 6, 7: 14, 8: 16, 9: 27, 10: 40, 11: 66, 12: 84}
 
 
 # -- factor machinery ----------------------------------------------------------
@@ -454,8 +550,9 @@ def test_one_sided_flag_recorded():
 
 
 def test_language_csv():
-    csv = symbolic.entropy_csv(entropy_estimates(golden_mean_shift(), 6))
-    lines = csv.strip().splitlines()
+    est = entropy_estimates(golden_mean_shift(), 6)
+    rows = [[n, c, v] for (n, v), c in zip(est["sequence"], est["counts"])]
+    lines = cli.csv_text(["n", "count", "log_count_over_n"], rows).strip().splitlines()
     assert lines[0] == "n,count,log_count_over_n"
     assert lines[1].startswith("1,2,")
 
@@ -464,15 +561,15 @@ def test_language_csv():
 def test_sft_language_count_agreement(forbidden):
     shift = build_subshift({"kind": "forbidden", "alphabet": ["0", "1"],
                             "forbidden": sorted(forbidden)})
-    for n in range(1, 9):
-        assert len(shift.words(n)) == shift.count_words(n)
+    for n, count in enumerate(shift.word_counts(8)):
+        assert len(shift.words(n)) == count
 
 
 @given(shift_specs)
 def test_periodic_count_matches_per_word_oracle(spec):
-    shift = build_subshift(spec)
+    per = build_subshift(spec).periodic_counts(8)
     for n in range(1, 9):
-        assert shift.periodic_count(n) == periodic_points_by_words(spec, n), n
+        assert per[n] == periodic_points_by_words(spec, n), n
 
 
 @given(shift_specs)
@@ -488,5 +585,5 @@ def test_word_in_language_matches_words(spec):
 @given(sofic_specs)
 def test_sofic_count_words_matches_words(spec):
     shift = build_subshift(spec)
-    for n in range(9):
-        assert shift.count_words(n) == len(shift.words(n)), n
+    for n, count in enumerate(shift.word_counts(8)):
+        assert count == len(shift.words(n)), n
