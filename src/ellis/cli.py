@@ -9,7 +9,9 @@ internal cross-check failed), 1 execution error.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -452,11 +454,14 @@ def run_experiment(config: dict) -> tuple[dict, list[float]]:
 
 
 def csv_text(header, rows) -> str:
-    """A CSV table, floats to 12 decimals; None, which is how a report
+    """A CSV table, quoted as RFC 4180 asks (only cells that need it) with
+    ``\\n`` line ends, floats to 12 decimals; None, which is how a report
     stores -inf, is an empty cell."""
     def cell(v):
         return "" if v is None else f"{v:.12f}" if isinstance(v, float) else str(v)
-    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(map(cell, row) for row in [header, *rows])
+    return out.getvalue()
 
 
 def emit_report(report: dict, timings, out_dir, formats=("json",)) -> list[str]:
@@ -509,14 +514,15 @@ def _step(op, **params) -> dict:
     return {"op": op, "params": params}
 
 
-def _pipeline(args) -> list:
-    """The pipeline of an ``envelope``, ``shift`` or ``props`` subcommand."""
+def _pipeline(args, spec=None) -> list:
+    """The pipeline of an ``envelope``, ``shift`` (of the shift ``spec``) or
+    ``props`` subcommand."""
     if args.command == "shift":
         step = {"language": _step("language", n=args.n),
                 "entropy": _step("entropy", n_max=args.n),
                 "classify": _step("classify_shift"),
                 "periods": _step("periodic_spectrum", n_max=args.n)}[args.op]
-        return [_step("build_subshift", spec=json.loads(Path(args.spec).read_text())), step]
+        return [_step("build_subshift", spec=spec), step]
     load = _step("load_example", name=args.model, params=_parse_params(args.param))
     if args.command == "envelope":
         if args.horizon is None:
@@ -579,6 +585,15 @@ def main(argv=None) -> int:
     p_pr.add_argument("--max-card", type=int, default=2)
 
     args = parser.parse_args(argv)
+    # run, semigroup and shift read one JSON file; a missing or malformed
+    # one is refused with one stderr line, as a bad table is
+    doc, arg = None, {"run": "config", "semigroup": "table", "shift": "spec"}.get(args.command)
+    if arg is not None:
+        try:
+            doc = json.loads(Path(getattr(args, arg)).read_text())
+        except (OSError, ValueError) as exc:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
 
     if args.command == "catalog":
         report = {
@@ -594,9 +609,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "run":
-        config = json.loads(Path(args.config).read_text())
-        report, timings = run_experiment(config)
-        formats = set(config.get("output", {}).get("formats", [args.format]))
+        report, timings = run_experiment(doc)
+        formats = set(doc.get("output", {}).get("formats", [args.format]))
         formats.add("json")
         emit_report(report, timings, args.out, sorted(formats))
         print(json.dumps(report["summary"], sort_keys=True))
@@ -608,7 +622,7 @@ def main(argv=None) -> int:
 
     if args.command == "semigroup":
         try:
-            sg = algebra.FiniteSemigroup.from_json(json.loads(Path(args.table).read_text()))
+            sg = algebra.FiniteSemigroup.from_json(doc)
         except (ValueError, KeyError, spaces.EnvelopeBudgetError) as exc:   # a bad table
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
@@ -625,7 +639,7 @@ def main(argv=None) -> int:
         return 0
 
     # envelope, shift and props: one pipeline through the op dispatch
-    report, timings = run_experiment({"pipeline": _pipeline(args)})
+    report, timings = run_experiment({"pipeline": _pipeline(args, doc)})
     emit_report(report, timings, args.out, [args.format, "json"])
     if args.command == "envelope":
         print(json.dumps(report["summary"], sort_keys=True))

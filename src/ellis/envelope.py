@@ -32,13 +32,23 @@ from .spaces import (CELL_BUDGET, SUP_CHUNK, CascadeModel, EnvelopeBudgetError,
 
 @dataclass
 class MapSample:
+    """One envelope element.  ``held`` is its map's images, or None for an
+    iterate, whose map f^origin ``images`` reads from ``model``'s iterate
+    cache: an evicted iterate comes back bitwise equal, so an element holds
+    no copy of it."""
+
     name: str
-    images: object
+    held: object
     origin: int                      # exponent that created the cluster
     exponents: list = field(default_factory=list)
     provenance: str = "iterate"      # iterate | limit | composite
     tail_count: int = 0
     is_limit: bool = False
+    model: CascadeModel | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def images(self):
+        return self.model.iterate_images(self.origin) if self.held is None else self.held
 
 
 def _exponent_order(horizon: int, two_sided: bool):
@@ -208,6 +218,7 @@ class _ClusterIndex:
     the CRC-32 of the key to its clusters; a hash match is confirmed by
     comparing the key with the key of the cluster's representative, so the
     index holds no copy of any key, and a window key is often a view.
+
     Otherwise each representative keeps one row of a ``(capacity, P,
     *point)`` probe block: its images at the probe columns, at first every
     ``max(64, isqrt(N))``-th of the N sample points.  The probe's sup
@@ -216,14 +227,27 @@ class _ClusterIndex:
     and only clusters within tau on the probe get a full test.  A failed
     full test adds the point where it first exceeded tau to the probe.  The
     answer is the first cluster in element order within tau of the image,
-    as a scan of the representatives would give."""
+    as a scan of the representatives would give.
+
+    An iterate representative holds its images only while it is one of the
+    two newest clusters of its exponent's sign, the likeliest matches of the
+    next iterate (an orbit of period two, as under x -> -x^3, matches the
+    one before the newest), or once a full test has matched it.  Otherwise
+    it is cold, its exponent, and a full test reads it from the model's
+    iterate cache.  An added column is gathered for the held
+    representatives only and marked unknown for the cold ones, whose probe
+    sup then runs over their known columns, still a lower bound; a cold
+    representative fills its unknown columns when a full test reads it."""
 
     def __init__(self, model: CascadeModel, tau: float):
         self.model, self.tau = model, tau
         self.keys: dict = {}
-        self.reps: list = []
+        self.reps: list = []          # a representative's images, None while cold
+        self.origins: list = []       # its exponent while it may go cold, else None
+        self.newest: dict = {}        # exponent sign -> its two newest clusters
         self.probe = np.arange(0, model.n_points, max(64, math.isqrt(model.n_points)))
         self.rows = None
+        self.known = None             # which cells of rows are gathered
         self._hashed = (None, 0)
 
     def _hash(self, key) -> int:
@@ -242,48 +266,78 @@ class _ClusterIndex:
         lo = 0
         while lo < len(self.reps):
             hi = min(len(self.reps), lo + max(1, SUP_CHUNK // len(self.probe)))
-            near = lo + np.flatnonzero(self._probe_dist(self.rows[lo:hi], head) <= self.tau)
+            near = lo + np.flatnonzero(
+                self._probe_dist(self.rows[lo:hi], self.known[lo:hi], head) <= self.tau)
             while len(near):
-                witness = self._witness(self.reps[near[0]], images)
+                i = int(near[0])
+                rep = self._read(i)
+                witness = self._witness(rep, images)
                 if witness is None:
-                    return int(near[0])
+                    self.reps[i], self.origins[i] = rep, None
+                    return i
                 head = self._add_column(witness, head, images)
                 near = near[1:]
                 if len(near):
-                    near = near[self._probe_dist(self.rows[near, -1:], head[-1:]) <= self.tau]
+                    near = near[self._probe_dist(self.rows[near, -1:], self.known[near, -1:],
+                                                 head[-1:]) <= self.tau]
             lo = hi
         return None
 
-    def add(self, images, key) -> int:
-        """Register a new cluster represented by ``images``; its index."""
+    def add(self, images, key, exponent=None) -> int:
+        """Register a new cluster represented by ``images``, the iterate
+        f^exponent if ``exponent`` is given; its index."""
         i = len(self.reps)
+        self.reps.append(images)
         if key is not None:
             self.keys.setdefault(self._hash(key), []).append(i)
-            self.reps.append(images)
             return i
         row = self.model.apply_to_indices(images, self.probe)
         if self.rows is None or i == len(self.rows):
             grown = np.empty((max(8, 2 * i),) + row.shape, dtype=row.dtype)
+            known = np.ones(grown.shape[:2], dtype=bool)
             if i:
-                grown[:i] = self.rows[:i]
-            self.rows = grown
-        self.rows[i] = row
-        self.reps.append(images)
+                grown[:i], known[:i] = self.rows[:i], self.known[:i]
+            self.rows, self.known = grown, known
+        self.rows[i], self.known[i] = row, True
+        self.origins.append(exponent)
+        if exponent is not None:
+            newest = self.newest.setdefault(exponent >= 0, [])
+            newest.append(i)
+            if len(newest) > 2:
+                old = newest.pop(0)
+                if self.origins[old] is not None:
+                    self.reps[old] = None
         return i
 
     def replace(self, i: int, images) -> None:
         """Represent cluster ``i`` by ``images`` from now on (keys stay)."""
         if self.rows is not None:
-            self.reps[i] = images
+            self.reps[i], self.origins[i] = images, None
             self.rows[i] = self.model.apply_to_indices(images, self.probe)
+            self.known[i] = True
 
-    def _probe_dist(self, block, head) -> np.ndarray:
-        # sup over the probe columns of each row of block, in one call
+    def rep_images(self, i: int):
+        """The images of cluster ``i``'s representative, held or cold."""
+        rep = self.reps[i]
+        return self.model.iterate_images(self.origins[i]) if rep is None else rep
+
+    def _read(self, i: int):
+        # a representative for a full test; a cold one fills its unknown columns
+        rep = self.rep_images(i)
+        unknown = ~self.known[i]
+        if unknown.any():
+            self.rows[i, unknown] = self.model.apply_to_indices(rep, self.probe[unknown])
+            self.known[i] = True
+        return rep
+
+    def _probe_dist(self, block, known, head) -> np.ndarray:
+        # sup over the known probe columns of each row of block, in one call
         m, point = len(block), head.shape[1:]
         flat = (m * block.shape[1],) + point
         d = self.model.image_pair_dist(block.reshape(flat),
                                        np.broadcast_to(head, block.shape).reshape(flat))
-        return d.reshape(m, -1).max(axis=1)
+        d = d.reshape(m, -1)
+        return (d if known.all() else np.where(known, d, 0.0)).max(axis=1)
 
     def _witness(self, a, b):
         """None when sup d(a, b) <= tau, else the point where the first
@@ -295,12 +349,32 @@ class _ClusterIndex:
         return None
 
     def _add_column(self, point: int, head, images):
-        # gather the new column once for every representative
-        col = [point]
+        # gather the new column once for every held representative; the
+        # query's own cell stands in, unknown, for the cold ones
+        count, col = len(self.reps), [point]
         self.probe = np.append(self.probe, point)
-        new = np.stack([self.model.apply_to_indices(r, col) for r in self.reps])
-        self.rows = np.concatenate([self.rows[:len(self.reps)], new], axis=1)
-        return np.concatenate([head, self.model.apply_to_indices(images, col)])
+        cell = self.model.apply_to_indices(images, col)
+        new = np.repeat(cell[None], count, axis=0)
+        held = np.array([r is not None for r in self.reps])
+        for i in np.flatnonzero(held):
+            new[i] = self.model.apply_to_indices(self.reps[i], col)
+        self.rows = np.concatenate([self.rows[:count], new], axis=1)
+        self.known = np.concatenate([self.known[:count], held[:, None]], axis=1)
+        return np.concatenate([head, cell])
+
+
+def _fold_iterates(table: np.ndarray, elements: list, exponent_map: dict) -> None:
+    """Fill the cells f^a f^b = f^(a+b) of the table, for iterate elements
+    f^a and f^b whose exponent sum is already clustered, in one gather."""
+    plain = np.flatnonzero([e.provenance == "iterate" and not e.is_limit for e in elements])
+    origin = np.array([elements[k].origin for k in plain], dtype=np.int64)
+    lo = min(exponent_map)
+    lut = np.full(max(exponent_map) - lo + 1, -1, dtype=np.int64)
+    lut[np.fromiter(exponent_map, np.int64, len(exponent_map)) - lo] = list(exponent_map.values())
+    at = origin[:, None] + origin[None, :] - lo
+    at[(at < 0) | (at >= len(lut))] = len(lut)
+    cells = np.ix_(plain, plain)
+    table[cells] = np.maximum(table[cells], np.append(lut, -1)[at])
 
 
 def approx_envelope(model: CascadeModel, horizon: int, tau: float,
@@ -310,8 +384,13 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
 
     The tail is the exponents with |n| > horizon / 2, and a cluster with at
     least three tail members is a limit element, represented by its first
-    member of largest |n|; the main loop keeps that image as it goes, since
-    a bounded iterate cache may have dropped it by the end."""
+    member of largest |n|.  An iterate element holds its exponent and reads
+    its images from the model's iterate cache; a limit holds its deepest
+    member's images, which the main loop keeps as it goes, since a bounded
+    iterate cache may have dropped them by the end, and a composite holds
+    its own.  Members arrive in order of |n|, so a limit's deepest member
+    leaves its cluster at least two tail members: only such clusters keep
+    one."""
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
     if tau <= 0:
@@ -325,7 +404,7 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
     tail_start = horizon / 2
 
     elements: list[MapSample] = []
-    deepest = []                     # per cluster, its first member of largest |n|
+    deepest = {}                     # per candidate limit, its first member of largest |n|
     exponent_map: dict[int, int] = {}
     index = _ClusterIndex(model, tau)
 
@@ -334,15 +413,14 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
         key = model.cluster_key(images, tau)
         hit = index.find(images, key)
         if hit is None:
-            hit = index.add(images, key)
-            elements.append(MapSample("", images, n, [], "iterate"))
-            deepest.append(images)
-        elif abs(n) > abs(elements[hit].exponents[-1]):
-            deepest[hit] = images
+            hit = index.add(images, key, n)
+            elements.append(MapSample("", None, n, [], "iterate", model=model))
         el = elements[hit]
-        el.exponents.append(n)
         if abs(n) > tail_start:
             el.tail_count += 1
+            if el.tail_count >= 2 and abs(n) > abs(el.exponents[-1]):
+                deepest[hit] = images
+        el.exponents.append(n)
         exponent_map[n] = hit
     main_count = len(elements)
 
@@ -357,8 +435,8 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
             el.name = f"f^{el.origin}"
         if el.is_limit:
             # represent a limit by its most converged member
-            el.images = deepest[i]
-            index.replace(i, el.images)
+            el.held = deepest[i]
+            index.replace(i, el.held)
     del deepest                      # free the deeper members of the other clusters
 
     stabilized = True
@@ -366,8 +444,7 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
     table = None
     if close_table:
         budget = max_elements if max_elements is not None else max(64, 2 * len(elements))
-        size = len(elements)
-        entries: dict[tuple[int, int], int] = {}
+        table = np.full((0, 0), -1, dtype=np.int64)
 
         def compose(i: int, j: int):
             nonlocal max_snap
@@ -392,9 +469,9 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
             return None, model.apply_to_indices(a.images, idx), None
 
         while True:
-            n_el = len(elements)
-            missing = [(i, j) for i in range(n_el) for j in range(n_el)
-                       if (i, j) not in entries]
+            table = np.pad(table, (0, len(elements) - len(table)), constant_values=-1)
+            _fold_iterates(table, elements, exponent_map)
+            missing = np.argwhere(table < 0).tolist()
             if not missing:
                 break
             for i, j in missing:
@@ -403,23 +480,20 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
                     key = model.cluster_key(images, tau)
                     known = index.find(images, key)
                     if known is None:
-                        known = index.add(images, key)
+                        known = index.add(images, key, exponent)
                         if exponent is not None:
-                            el = MapSample(f"f^{exponent}", images, exponent,
-                                           [exponent], "iterate")
+                            el = MapSample(f"f^{exponent}", None, exponent,
+                                           [exponent], "iterate", model=model)
                         else:
                             el = MapSample(f"cmp#{known}", images, 0, [], "composite")
                         elements.append(el)
                     if exponent is not None:
                         exponent_map.setdefault(exponent, known)
-                entries[(i, j)] = known
+                table[i, j] = known
             if len(elements) > budget:
                 stabilized = False
                 break
-        size = len(elements)
-        table = np.full((size, size), -1, dtype=np.int64)
-        for (i, j), v in entries.items():
-            table[i, j] = v
+        table = np.pad(table, (0, len(elements) - len(table)), constant_values=-1)
 
     return ApproxEnvelope(model, elements, main_count, exponent_map, table, tau, horizon,
                           power_range, stabilized, max_snap)

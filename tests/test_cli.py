@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -151,9 +152,29 @@ def test_hitting_matrix_csv_bytes(tmp_path):
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "o" / "step1_hitting.csv").read_bytes() == (
         b"u,v,n1,n2,n3\n[0],[0],1,1,1\n[0],[1],1,1,1\n[1],[0],1,1,1\n[1],[1],0,1,1\n")
+    # a ball label holds a comma, so it is quoted
     assert (tmp_path / "o" / "step3_hitting.csv").read_bytes() == (
-        b"u,v,n1,n2\nB(0,0.6),B(0,0.6),1,1\nB(0,0.6),B(1,0.6),0,0\n"
-        b"B(1,0.6),B(0,0.6),0,0\nB(1,0.6),B(1,0.6),1,1\n")
+        b'u,v,n1,n2\n"B(0,0.6)","B(0,0.6)",1,1\n"B(0,0.6)","B(1,0.6)",0,0\n'
+        b'"B(1,0.6)","B(0,0.6)",0,0\n"B(1,0.6)","B(1,0.6)",1,1\n')
+
+
+def test_every_csv_row_parses_to_the_header_width(tmp_path):
+    cfg = tmp_path / "tables.json"
+    cfg.write_text(json.dumps({"pipeline": [
+        {"op": "build_subshift", "params": {"spec": GOLDEN}},
+        {"op": "entropy", "params": {"n_max": 6}},
+        {"op": "hitting_matrix", "params": {"horizon": 3, "cylinder_length": 2}},
+        {"op": "load_example", "params": {"name": "irrational-rotation", "params": {"grid": 6}}},
+        {"op": "hitting_matrix", "params": {"horizon": 4}}]}))
+    r = run_cli(["--out", str(tmp_path / "o"), "--format", "csv", "run", str(cfg)])
+    assert r.returncode == 0, r.stderr
+    written = sorted((tmp_path / "o").glob("*.csv"))
+    assert [p.name for p in written] == ["step1_entropy.csv", "step2_hitting.csv",
+                                         "step4_hitting.csv"]
+    for path in written:
+        with open(path, newline="") as f:
+            header, *rows = csv.reader(f)
+        assert rows and all(len(row) == len(header) for row in rows), path.name
 
 
 Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -174,6 +195,24 @@ def test_semigroup_subcommand_refuses_a_bad_table(table, message, tmp_path):
     r = run_cli(["semigroup", str(path), "group-distal"])
     assert r.returncode == 1
     assert r.stdout == "" and r.stderr == message + "\n"
+
+
+@pytest.mark.parametrize("argv", [["run", "{}"], ["semigroup", "{}", "kernel"],
+                                  ["shift", "{}", "entropy"]])
+@pytest.mark.parametrize("malformed", [False, True])
+def test_subcommands_refuse_a_missing_or_malformed_file(argv, malformed, tmp_path):
+    path = tmp_path / "input.json"
+    if malformed:
+        path.write_text('{"table": [[0]')
+    r = run_cli(["--out", str(tmp_path / "o"), *(str(path) if a == "{}" else a for a in argv)])
+    assert r.returncode == 1 and r.stdout == ""
+    # one line, and no traceback
+    if malformed:
+        assert r.stderr.startswith("JSONDecodeError: Expecting ',' delimiter")
+    else:
+        assert r.stderr.startswith("FileNotFoundError: [Errno 2] No such file or directory")
+    assert r.stderr.count("\n") == 1 and r.stderr.endswith("\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_language_rejects_a_negative_length(tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,7 +376,7 @@ class LoopIndex:
                 return i
         return None
 
-    def add(self, images, key):
+    def add(self, images, key, exponent=None):
         if key is not None:
             self.keys[key.tobytes()] = len(self.reps)
         self.reps.append(images)
@@ -516,8 +517,10 @@ def test_cluster_index_adds_witness_columns():
         if index.find(images, None) is None:
             index.add(images, None)
     assert len(index.probe) > len(initial)
-    gathered = [model.apply_to_indices(r, index.probe) for r in index.reps]
-    assert np.array_equal(index.rows[:len(index.reps)], np.stack(gathered))
+    for i in range(len(index.reps)):
+        gathered = model.apply_to_indices(index.rep_images(i), index.probe)
+        known = index.known[i]
+        assert np.array_equal(index.rows[i][known], gathered[known])
     check_index_against_scan(model, 20, 1e-3, "two-sided", True)
 
 
@@ -534,6 +537,148 @@ def test_neg_cube_step_clusters_as_the_pow_step():
                                        fwd=lambda x: -(x ** 3), inv=lambda x: -np.cbrt(x))
     env, oracle = (approx_envelope(m, 80, 1e-3) for m in (model, pow_model))
     assert clustering(env) == clustering(oracle)
+
+
+# -- cold representatives against the index that holds every image ----------
+
+
+class HoldingIndex:
+    """Oracle: the cluster index whose every representative holds its
+    images, so that a witness column is gathered for all of them and no
+    full test reads the iterate cache.  Keyed carriers are not taken."""
+
+    def __init__(self, model, tau):
+        self.model, self.tau = model, tau
+        self.reps = []
+        self.probe = np.arange(0, model.n_points, max(64, math.isqrt(model.n_points)))
+        self.rows = None
+
+    def find(self, images, key):
+        assert key is None
+        head = self.model.apply_to_indices(images, self.probe)
+        lo = 0
+        while lo < len(self.reps):
+            hi = min(len(self.reps), lo + max(1, spaces.SUP_CHUNK // len(self.probe)))
+            near = lo + np.flatnonzero(self._probe_dist(self.rows[lo:hi], head) <= self.tau)
+            while len(near):
+                witness = self._witness(self.reps[near[0]], images)
+                if witness is None:
+                    return int(near[0])
+                head = self._add_column(witness, head, images)
+                near = near[1:]
+                if len(near):
+                    near = near[self._probe_dist(self.rows[near, -1:], head[-1:]) <= self.tau]
+            lo = hi
+        return None
+
+    def add(self, images, key, exponent=None):
+        i = len(self.reps)
+        row = self.model.apply_to_indices(images, self.probe)
+        self.rows = row[None] if self.rows is None else np.concatenate([self.rows, row[None]])
+        self.reps.append(images)
+        return i
+
+    def replace(self, i, images):
+        self.reps[i] = images
+        self.rows[i] = self.model.apply_to_indices(images, self.probe)
+
+    def _probe_dist(self, block, head):
+        m, point = len(block), head.shape[1:]
+        flat = (m * block.shape[1],) + point
+        d = self.model.image_pair_dist(block.reshape(flat),
+                                       np.broadcast_to(head, block.shape).reshape(flat))
+        return d.reshape(m, -1).max(axis=1)
+
+    def _witness(self, a, b):
+        for lo in range(0, len(b), spaces.SUP_CHUNK):
+            d = self.model.image_pair_dist(a[lo:lo + spaces.SUP_CHUNK], b[lo:lo + spaces.SUP_CHUNK])
+            if not d.max() <= self.tau:
+                return lo + int(np.argmax(d))
+        return None
+
+    def _add_column(self, point, head, images):
+        col = [point]
+        self.probe = np.append(self.probe, point)
+        new = np.stack([self.model.apply_to_indices(r, col) for r in self.reps])
+        self.rows = np.concatenate([self.rows, new], axis=1)
+        return np.concatenate([head, self.model.apply_to_indices(images, col)])
+
+
+class CountingIndex(envelope._ClusterIndex):
+    """The cluster index, counting full tests that read a cold
+    representative and, of those, the ones that filled unknown columns."""
+
+    cold_reads = filled = 0
+
+    def _read(self, i):
+        if self.reps[i] is None:
+            CountingIndex.cold_reads += 1
+            CountingIndex.filled += int(not self.known[i].all())
+        return super()._read(i)
+
+
+def check_against_holding_index(model, horizon, tau, power_range, close_table, budget):
+    indexes = []
+
+    class Recorded(HoldingIndex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            indexes.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(spaces, "ITERATE_CACHE_BYTES", budget)
+        env = envelope_with(CountingIndex, model, horizon, tau, power_range,
+                            close_table=close_table)
+        # and the closure composes every cell in turn, not iterate cells in one gather
+        mp.setattr(envelope, "_fold_iterates", lambda *args: None)
+        oracle = envelope_with(Recorded, model, horizon, tau, power_range,
+                               close_table=close_table)
+        assert clustering(env) == clustering(oracle)
+        # each element's images are its held representative's, bitwise
+        for el, rep in zip(env.elements, indexes[0].reps):
+            assert np.asarray(el.images).tobytes() == np.asarray(rep).tobytes()
+
+
+@pytest.mark.parametrize("budget", [None, 0])
+@given(st.one_of(st.tuples(st.one_of(interval_cases, annulus_cases, hyper_cases), taus),
+                 finite_cases()),
+       st.integers(min_value=2, max_value=40), st.booleans(), st.booleans())
+def test_cold_representatives_match_the_holding_index(budget, case, horizon, two_sided,
+                                                        close_table):
+    model, tau = case
+    power_range = "two-sided" if two_sided and model.invertible else "forward"
+    check_against_holding_index(model, horizon, tau, power_range, close_table, budget)
+
+
+def test_cold_representatives_fill_their_unknown_columns():
+    # a random map of 200 points adds witness columns while representatives
+    # are cold, and full tests then read them; under a budget of 0 the cache
+    # keeps two iterates, so each such read steps again from the identity
+    CountingIndex.cold_reads = CountingIndex.filled = 0
+    for scale in (2.5, 10.0, 40.0):
+        model = finite(np.random.default_rng(0).integers(0, 200, 200))
+        check_against_holding_index(model, 40, model.resolution * scale, "forward", True, 0)
+    assert CountingIndex.cold_reads > 0 and CountingIndex.filled > 0
+
+
+def test_square_map_envelope_work_is_bounded(monkeypatch):
+    # grid 1e5: 35 elements of 800 KB, of which the envelope holds the two
+    # limits' deepest members; the iterate cache holds at most 8 MB past its
+    # two newest entries
+    model = spaces.load_example("square-map", grid=100001)
+    steps = []
+    real = model._advance
+    monkeypatch.setattr(model, "_advance", lambda img, d: steps.append(d) or real(img, d))
+    tracemalloc.start()
+    try:
+        env = approx_envelope(model, 60, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(env.elements) == 35
+    assert peak < 16 * 2 ** 20
+    assert len(steps) <= 2 * 60
 
 
 # -- the byte-bounded iterate cache ------------------------------------------
