@@ -413,7 +413,7 @@ class SampledModel(CascadeModel):
     kind = "sampled"
 
     def __init__(self, name, params, points, step_raw, inverse_raw,
-                 raw_dist, snap_raw, epsilon, metric_name, point_fmt=None):
+                 raw_dist, snap_raw, epsilon, metric_name):
         super().__init__()
         self.name = name
         self.params = dict(params)
@@ -425,7 +425,6 @@ class SampledModel(CascadeModel):
         self.epsilon = float(epsilon)
         self.invertible = inverse_raw is not None
         self.metric_name = metric_name
-        self._point_fmt = point_fmt
         self._diam = None
 
     @property
@@ -493,8 +492,6 @@ class SampledModel(CascadeModel):
                 "snap_error": err}
 
     def point_data(self, i):
-        if self._point_fmt is not None:
-            return self._point_fmt(self.points[i])
         return [float(v) for v in np.atleast_1d(self.points[i])]
 
     def to_json(self):
@@ -738,25 +735,27 @@ def build_identity(n=5):
 
 
 def _rotation_steps(alpha, grid):
-    if isinstance(alpha, str) and "/" in alpha:
-        frac = Fraction(alpha)
-        if grid is None:
-            grid = frac.denominator
-        if grid % frac.denominator:
-            raise InvalidParameterError("grid must be a multiple of the rotation denominator")
-        return (frac.numerator * (grid // frac.denominator)) % grid, grid
-    if grid is None:
-        grid = 144
-    return int(round(float(alpha) * grid)) % grid, grid
-
-
-def build_irrational_rotation(alpha="0.6180339887498949", grid=None):
+    """(steps, grid) of the rotation by ``alpha``, or InvalidParameterError;
+    a fraction "p/q" defaults the grid to q and needs a multiple of it."""
     try:
-        steps, grid = _rotation_steps(alpha, grid)
+        if isinstance(alpha, str) and "/" in alpha:
+            frac = Fraction(alpha)
+            grid = frac.denominator if grid is None else grid
+            if grid % frac.denominator:
+                raise InvalidParameterError("grid must be a multiple of the rotation denominator")
+            steps = frac.numerator * (grid // frac.denominator)
+        else:
+            grid = 144 if grid is None else grid
+            steps = int(round(float(alpha) * grid))
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidParameterError(str(exc)) from None
     if grid < 2:
         raise InvalidParameterError("rotation grid must be >= 2")
+    return steps % grid, grid
+
+
+def build_irrational_rotation(alpha="0.6180339887498949", grid=None):
+    steps, grid = _rotation_steps(alpha, grid)
     theta = TWO_PI * np.arange(grid) / grid
     coords = theta
 

@@ -323,6 +323,16 @@ def test_rotation_convergent_fraction():
         spaces.load_example("irrational-rotation", alpha="5/36", grid=20)
 
 
+@pytest.mark.parametrize("name", ["irrational-rotation", "double-circle-rotation"])
+@pytest.mark.parametrize("params", [{"alpha": "1/0"}, {"alpha": "abc"}, {"grid": 0},
+                                    {"grid": 1}])
+def test_rotation_builders_refuse_bad_parameters_alike(name, params):
+    # a zero denominator, an unreadable alpha and a grid below 2 are refused
+    # as parameters, not raised as ZeroDivisionError or a bare ValueError
+    with pytest.raises(spaces.InvalidParameterError):
+        spaces.load_example(name, **params)
+
+
 def test_model_export_schema():
     doc = spaces.load_example("identity", n=3).to_json()
     assert doc["schema"] == "ellis.model/1"
