@@ -74,9 +74,6 @@ class FiniteSemigroup:
         return sum(int((t[t[lo:lo + step]] != t[lo:lo + step][:, t]).sum())
                    for lo in range(0, n, step))
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
     def to_json(self) -> dict:
         return {
             "schema": "ellis.semigroup/1",

@@ -117,10 +117,10 @@ class ExactEnvelope(_EnvelopeBase):
     model's index and period make it the ``MonogenicMonoid`` ``semigroup``,
     and f^i f^j = f^fold(i+j) with the model's ``fold``.  Index and period
     are the least ones, so the elements f^0 .. f^(size-1) are pairwise
-    distinct maps and an exponent names its map.  The element images (from
-    the model's ``iterate_images``) and the table are built when first
-    read, each refused with ``EnvelopeBudgetError`` before allocating over
-    ``CELL_BUDGET`` cells."""
+    distinct maps and an exponent names its map.  An element f^k holds k,
+    and its ``images`` read f^k from the model's iterate cache.
+    The elements and the table are built when first read, each refused with
+    ``EnvelopeBudgetError`` before allocating over ``CELL_BUDGET`` cells."""
 
     def __init__(self, model):
         if getattr(model, "map_table", None) is None:
@@ -145,7 +145,7 @@ class ExactEnvelope(_EnvelopeBase):
     def elements(self) -> list:
         size, n = self.semigroup.size, self.model.n_points
         check_cells(size * n, f"the maps of an exact envelope of {size} elements over {n} points")
-        return [MapSample(f"f^{k}", self.model.iterate_images(k), k, [k], "iterate")
+        return [MapSample(f"f^{k}", None, k, [k], "iterate", model=self.model)
                 for k in range(size)]
 
     @property
@@ -533,7 +533,10 @@ def identity_isolated(env, tau: float | None = None) -> dict:
     witness is the period when the index is 0, and the identity is isolated
     otherwise.  An explicit tau walks the exponents up to the index and
     reads the next period of them from ``_return_sups``.
+    A negative tau is refused with ``InvalidParameterError``.
     """
+    if tau is not None and tau < 0:
+        raise InvalidParameterError(f"tau={tau} is negative")
     if isinstance(env, ExactEnvelope):
         model, witness = env.model, (env.period if env.index == 0 else None)
         if tau is not None:
@@ -689,11 +692,14 @@ def inducibility_check(hyper_env, element_index: int) -> dict:
     singletons to singletons, monotone on inclusions, minimal in the
     pointwise-inclusion order among envelope elements.  On an exact envelope
     all three hold, since F^k is induced by f^k and an F^m below it on every
-    singleton has f^m = f^k.  Only envelopes over hyper models are taken."""
+    singleton has f^m = f^k.  Only envelopes over hyper models are taken,
+    and an element index outside the envelope is refused."""
     if getattr(hyper_env.model, "members", None) is None:
         raise InvalidParameterError("inducibility needs an envelope over a hyper model")
-    if isinstance(hyper_env, ExactEnvelope):
-        check_index(element_index, hyper_env.semigroup.size, "element")
+    exact = isinstance(hyper_env, ExactEnvelope)
+    check_index(element_index, hyper_env.semigroup.size if exact else len(hyper_env.elements),
+                "element")
+    if exact:
         return dict(singletons_ok=True, monotone_ok=True, minimal_ok=True, dominated_by=None)
     hyper_model = hyper_env.model
     members = hyper_model.members

@@ -26,7 +26,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .spaces import (BLOCK_CELLS, CascadeModel, FiniteModel, InvalidParameterError,
-                     WindowSampleModel, check_cells, row_blocks)
+                     WindowSampleModel, check_cells, check_index, row_blocks)
 
 
 class HyperBudgetError(RuntimeError):
@@ -50,9 +50,9 @@ def _hausdorff(d: np.ndarray) -> np.ndarray:
 
 
 def hausdorff_distance(model: CascadeModel, a, b) -> float:
-    """Max of the two directed sup-min distances between finite subsets."""
-    a = canonical(a)
-    b = canonical(b)
+    """Max of the two directed sup-min distances between finite subsets; a
+    point id outside [0, N) is refused with ``InvalidParameterError``."""
+    a, b = (canonical(check_index(m, model.n_points, "point") for m in s) for s in (a, b))
     ia = np.asarray(a, dtype=np.int64)
     ib = np.asarray(b, dtype=np.int64)
     d = model.point_dist(np.repeat(ia, len(ib)), np.tile(ib, len(ia)))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .spaces import CascadeModel, FiniteModel, InvalidParameterError, check_index, row_blocks
 from .symbolic import Subshift, cylinder_tensor
-from .hyperspace import build_hyper_model
+from .hyperspace import build_hyper_model, canonical, hausdorff_distance
 from . import envelope as envelope_mod
 
 
@@ -171,7 +171,7 @@ def hitting_set(target, u, v, horizon: int) -> list[int]:
     """Times n in [1, horizon] at which the n-th image of U meets V: one pair
     of ``hitting_tensor``.  On a shift space a word names its cylinder."""
     sets = [cylinder(s) if isinstance(s, str) else s for s in (u, v)]
-    hits = hitting_tensor(target, sets, max(horizon, 0))[1:, 0, 1]
+    hits = hitting_tensor(target, sets, horizon)[1:, 0, 1]
     return (np.flatnonzero(hits) + 1).tolist()
 
 
@@ -184,10 +184,7 @@ def default_cover(model: CascadeModel, granularity: float | None = None) -> list
     centers = list(range(0, model.n_points, stride))
     cover = [ball(c, g) for c in centers]
     # coverage check: every sample point inside some ball
-    covered = np.zeros(model.n_points, dtype=bool)
-    for s in cover:
-        covered[s.resolve(model)] = True
-    if not covered.all():
+    if not _cover_membership(model, cover).any(axis=0).all():
         cover = [ball(c, g) for c in range(model.n_points)]
     return cover
 
@@ -202,15 +199,20 @@ def transitivity_cover(target, cylinder_length: int = 3,
     return default_cover(target, granularity)
 
 
+def _cover_membership(model: CascadeModel, sets) -> np.ndarray:
+    """K x N booleans, M[i, x] when point x lies in sets[i]: each set resolved once."""
+    member = np.zeros((len(sets), model.n_points), dtype=bool)
+    for i, s in enumerate(sets):
+        member[i, s.resolve(model)] = True
+    return member
+
+
 def _target_membership(model: CascadeModel, sets, imgs) -> np.ndarray:
-    """V[x, j] = 1 when image entry x lies in sets[j]: a point set by id, a
-    ball by ``image_point_dist`` to its centre."""
+    """V[x, j] = 1 when image entry x lies in the ball sets[j], by
+    ``image_point_dist`` to its centre: images that are not point ids."""
     out = np.empty((model.n_points, len(sets)), dtype=np.float32)
     for j, v in enumerate(sets):
-        if v.kind == "points":
-            out[:, j] = np.isin(imgs, v.resolve(model))
-        else:
-            out[:, j] = model.image_point_dist(imgs, v.center) < v.radius
+        out[:, j] = model.image_point_dist(imgs, v.center) < v.radius
     return out
 
 
@@ -220,25 +222,24 @@ def hitting_tensor(target, sets, horizon: int) -> np.ndarray:
     stays false, so the row index is the time.
 
     On a model, U[i, x] = [x in U_i] and V_n[x, j] = [f^n x in V_j] give
-    ``hits[n] = U @ V_n > 0``, one K x N by N x K product per iterate.  On
-    finite-exact carriers, whose images are point ids, V_n is a row gather
-    from one table of the identity; explicit point sets need such ids.
-    Shift spaces go to ``symbolic.cylinder_tensor``.  Refused with
-    ``EnvelopeBudgetError``, before anything is allocated, over
-    ``CELL_BUDGET`` cells.
+    ``hits[n] = U @ V_n > 0``, one K x N by N x K product per iterate, U from
+    ``_cover_membership``.  On finite-exact carriers, whose images are point
+    ids, V_n is U's transpose gathered at f^n; explicit point sets need such
+    ids.  Shift spaces go to ``symbolic.cylinder_tensor``.  Refused, before
+    anything is allocated, with ``InvalidParameterError`` for a negative
+    horizon and with ``EnvelopeBudgetError`` over ``CELL_BUDGET`` cells.
     """
+    _check_horizon(horizon)
     k = len(sets)
     envelope_mod.check_cells((horizon + 1) * k * k,
                              f"the hitting tensor of {k} sets at horizon {horizon}")
     if isinstance(target, Subshift):
         return cylinder_tensor(target, [s.word for s in sets], horizon)
     model = target
-    member = np.zeros((k, model.n_points), dtype=np.float32)
-    for i, u in enumerate(sets):
-        member[i, u.resolve(model)] = 1.0
+    member = _cover_membership(model, sets).astype(np.float32)
     table = None
     if isinstance(model, FiniteModel):
-        table = _target_membership(model, sets, model.iterate_images(0))
+        table = np.ascontiguousarray(member.T)
     elif any(v.kind == "points" for v in sets):
         raise InvalidParameterError("explicit point sets need a finite-exact model")
     hits = np.zeros((horizon + 1, k, k), dtype=bool)
@@ -338,11 +339,9 @@ def strong_transitivity_check(model: CascadeModel, horizon: int) -> dict:
     iterates up to ``_last_time``, which are all the maps, fills both."""
     if not isinstance(model, FiniteModel):
         raise InvalidParameterError("strong transitivity needs enumerable preimages")
-    cover = default_cover(model)
+    _check_horizon(horizon)
     n = model.n_points
-    member = np.zeros((n, len(cover)), dtype=bool)
-    for j, s in enumerate(cover):
-        member[s.resolve(model), j] = True
+    member = np.ascontiguousarray(_cover_membership(model, default_cover(model)).T)
     ys, js = np.nonzero(member)
     back, fwd = member.copy(), member.copy()
     for t in range(1, _last_time(model, horizon) + 1):
@@ -453,17 +452,18 @@ def hyper_equicontinuity_crosscheck(base_model: CascadeModel, k: int, eps_list,
 def orbit_closure_equicontinuity(base_model: FiniteModel, members, eps: float,
                                  horizon: int) -> dict:
     """Equicontinuity of one (arbitrary-cardinality) set inside its own
-    induced orbit closure; used for sets too large to enumerate."""
-    from .hyperspace import hausdorff_distance
-
+    induced orbit closure; used for sets too large to enumerate.  An empty
+    set, a point id outside [0, N) or a negative horizon is refused with
+    ``InvalidParameterError``."""
     if not isinstance(base_model, FiniteModel):
         raise InvalidParameterError("orbit-closure check needs a finite-exact model")
-    a = tuple(sorted(set(int(m) for m in members)))
+    _check_horizon(horizon)
+    a = canonical(check_index(m, base_model.n_points, "point") for m in members)
     orbit = [a]
     seen = {a}
     cur = a
     for _ in range(horizon):
-        cur = tuple(sorted(set(int(base_model.map_table[m]) for m in cur)))
+        cur = canonical(base_model.map_table[list(cur)])
         if cur in seen:
             break
         seen.add(cur)
@@ -478,8 +478,7 @@ def orbit_closure_equicontinuity(base_model: FiniteModel, members, eps: float,
         x, y = a, b
         for _ in range(horizon):
             sup = max(sup, hausdorff_distance(base_model, x, y))
-            x = tuple(sorted(set(int(base_model.map_table[m]) for m in x)))
-            y = tuple(sorted(set(int(base_model.map_table[m]) for m in y)))
+            x, y = (canonical(base_model.map_table[list(s)]) for s in (x, y))
     return {
         "equicontinuous": sup < eps,
         "orbit_size": len(orbit),

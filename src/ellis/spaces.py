@@ -1005,13 +1005,13 @@ def metric(model: CascadeModel, a: PointId, b: PointId) -> float:
 
 
 def step(model: CascadeModel, x: PointId):
-    """One application of the map.
+    """One application of the map, ``orbit_segment(model, x, 1, 1)[0]``.
 
     Finite-exact models return the image PointId.  Sampled models return
     ``(raw, snapped_id, snap_error)`` so discretization is never silent;
     window models return the shift handle.
     """
-    return model.orbit_entry(model.iterate_images(1), x)
+    return orbit_segment(model, x, 1, 1)[0]
 
 
 def orbit_segment(model: CascadeModel, x: PointId, n_from: int, n_to: int):
@@ -1024,9 +1024,12 @@ def orbit_segment(model: CascadeModel, x: PointId, n_from: int, n_to: int):
 
 
 def omega_limit_estimate(model: CascadeModel, x: PointId, horizon: int, tol: float) -> set[PointId]:
-    """Sample points hit at least twice by the tail half of the orbit."""
+    """Sample points hit at least twice by the tail half of the orbit; a
+    negative ``tol`` is refused."""
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
+    if tol < 0:
+        raise InvalidParameterError(f"tol={tol} is negative")
     x = check_index(x, model.n_points, "point")
     hits = np.zeros(model.n_points, dtype=np.int64)
     ident = model.iterate_images(0)

@@ -435,7 +435,10 @@ def entropy_estimates(shift: Subshift, n_max: int) -> dict:
 
 def periodic_spectrum(shift: Subshift, n_max: int) -> dict[int, int]:
     """Points of each least period 1..n_max (counts of points, not orbits):
-    the points of period n less those of every least period d | n, d < n."""
+    the points of period n less those of every least period d | n, d < n.
+    A negative ``n_max`` is refused with ``ShiftSpecError``."""
+    if n_max < 0:
+        raise ShiftSpecError("n_max must be >= 0")
     least = shift.periodic_counts(n_max)
     for d in range(1, n_max + 1):
         for n in range(2 * d, n_max + 1, d):

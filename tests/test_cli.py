@@ -232,6 +232,33 @@ def test_language_rejects_a_negative_length(tmp_path):
     assert r.returncode != 0 and "ShiftSpecError" in r.stderr
 
 
+def test_periodic_spectrum_and_boyle_reject_a_negative_n_max():
+    # unchecked, periodic_spectrum(golden, -3) answered {}
+    spec = {"kind": "forbidden", "alphabet": ["0", "1"], "forbidden": ["11"]}
+    report, _ = cli.run_experiment({"pipeline": [
+        {"op": "build_subshift", "params": {"spec": spec}},
+        {"op": "build_subshift", "params": {"spec": spec}},
+        {"op": "periodic_spectrum", "params": {"n_max": -3}},
+        {"op": "boyle_precondition", "params": {"n_max": -1}},
+        {"op": "periodic_spectrum", "params": {"n_max": 3}},
+    ]})
+    steps = report["steps"]
+    assert [s["status"] for s in steps] == ["ok", "ok", "error", "error", "ok"]
+    assert all(s["error"].startswith("ShiftSpecError") for s in steps[2:4])
+    assert steps[4]["result"] == {"1": 1, "2": 2, "3": 3}
+
+
+def test_identity_isolated_rejects_a_negative_tau():
+    report, _ = cli.run_experiment({
+        "model": {"name": "irrational-rotation", "params": {"grid": 12}},
+        "pipeline": [{"op": "exact_envelope"},
+                     {"op": "identity_isolated", "params": {"tau": -1.0}},
+                     {"op": "identity_isolated", "params": {"tau": 0.0}}]})
+    steps = report["steps"]
+    assert [s["status"] for s in steps] == ["ok", "error", "ok"]
+    assert steps[1]["error"].startswith("InvalidParameterError")
+
+
 def test_props_subcommand(tmp_path):
     r = run_cli(["--out", str(tmp_path / "distal"), "props", "identity", "distal-semiflow"])
     assert r.returncode == 0
@@ -489,6 +516,11 @@ BAD_SCAN_STEPS = {
     "recurrence-tau": ("recurrence_report", {"horizon": 10, "tau": -0.1}),
     "rigidity-horizon": ("rigidity_battery", {"horizon": -2, "tau": 0.05}),
     "transitivity-horizon": ("classify_transitivity", {"horizon": -1}),
+    "hitting-matrix-horizon": ("hitting_matrix", {"horizon": -2}),
+    "hitting-set-horizon": ("hitting_set", {"u": {"center": 0, "radius": 0.1},
+                                            "v": {"center": 1, "radius": 0.1}, "horizon": -5}),
+    "strong-transitivity-horizon": ("strong_transitivity", {"horizon": -1}),
+    "omega-limit-tol": ("omega_limit", {"x": 0, "horizon": 4, "tol": -0.1}),
 }
 
 

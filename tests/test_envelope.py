@@ -878,6 +878,33 @@ def test_identity_isolated_walks_the_index_and_the_longest_cycle():
     assert max(seen) < 201 + 12
 
 
+@pytest.mark.parametrize("model", [
+    spaces.load_example("periodic-union", n=3),
+    spaces.load_example("irrational-rotation", grid=48),
+    hyperspace.build_hyper_model(spaces.load_example("dyadic-circle-stack", levels=2, mult=2), 2)],
+    ids=["periodic-union-3", "rotation-48", "dyadic-stack-hyper-2"])
+def test_exact_envelope_elements_hold_exponents(model):
+    # no element pins its f^k; the oracle steps the map table from the
+    # identity
+    env = exact_envelope(model)
+    images = np.arange(model.n_points)
+    for k, el in enumerate(env.elements):
+        assert (el.held, el.origin, el.name) == (None, k, f"f^{k}")
+        assert el.images.dtype == images.dtype and el.images.tobytes() == images.tobytes()
+        images = model.map_table[images]
+    assert len(env.elements) == env.semigroup.size
+
+
+def test_identity_isolated_refuses_a_negative_tau():
+    # unchecked, the index-0 -inf sentinel of _return_sups read as a return:
+    # isolated false, witness 12 on rotation grid 12 at tau = -1
+    rot = spaces.load_example("irrational-rotation", grid=12)
+    for env in (exact_envelope(rot), approx_envelope(rot, 12, 0.01, "forward")):
+        with pytest.raises(spaces.InvalidParameterError, match="tau=-1.0 is negative"):
+            identity_isolated(env, -1.0)
+    assert identity_isolated(exact_envelope(rot), 0.0)["witness"] == 12    # f^12 = id
+
+
 def test_exact_envelope_ops_read_no_element_images(monkeypatch):
     union8 = spaces.load_example("periodic-union", n=8)
     expected = element_loop_identity_isolated(exact_envelope(union8), 0.5)
@@ -969,10 +996,14 @@ def test_inducibility_refuses_an_envelope_not_over_a_hyper_model():
     for env in (exact_envelope(ident), approx_envelope(ident, 2, 0.1, "forward")):
         with pytest.raises(spaces.InvalidParameterError, match="over a hyper model"):
             inducibility_check(env, 0)
-    hyper_env = exact_envelope(hyperspace.build_hyper_model(ident, 2))
-    for idx in (-1, 1, 0.5):
-        with pytest.raises(spaces.InvalidParameterError, match="element="):
-            inducibility_check(hyper_env, idx)
+    # unchecked, -1 read as the last element of an approximate envelope
+    hyper = hyperspace.build_hyper_model(ident, 2)
+    for hyper_env in (exact_envelope(hyper), approx_envelope(hyper, 2, 0.1, "forward")):
+        assert len(hyper_env.element_names()) == 1
+        for idx in (-1, 1, 0.5):
+            with pytest.raises(spaces.InvalidParameterError, match="element="):
+                inducibility_check(hyper_env, idx)
+        assert inducibility_check(hyper_env, 0)["minimal_ok"]
 
 
 @given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.one_of(

@@ -32,6 +32,17 @@ def test_hausdorff_identity_and_singletons(grid11):
     assert hausdorff_distance(grid11, (2,), (7,)) == pytest.approx(grid11.metric(2, 7))
 
 
+def test_hausdorff_refuses_point_ids_outside_the_sample():
+    # unchecked, -1 read as point 11 of rotation grid 12
+    rot = spaces.load_example("irrational-rotation", grid=12)
+    for bad in (-1, 12, 2.5):
+        for a, b in (((bad,), (2,)), ((2,), (0, bad))):
+            with pytest.raises(spaces.InvalidParameterError,
+                               match=rf"point={bad} is not an integer in \[0, 12\)"):
+                hausdorff_distance(rot, a, b)
+    assert hausdorff_distance(rot, (11,), (2,)) == rot.metric(11, 2)
+
+
 def test_hausdorff_prescribed_example():
     # A = {0, 1}, B = {0, 0.5, 1} on [0,1]: the oracle is authoritative and
     # gives 0.5 (the point 0.5 sits at distance 0.5 from A)

@@ -331,6 +331,52 @@ def test_hitting_tensor_rejects_point_sets_without_point_ids():
         loop_hitting_set(model, sets[0], sets[1], 3)
 
 
+@pytest.mark.parametrize("model", [
+    spaces.load_example("irrational-rotation", grid=48),
+    build_hyper_model(spaces.load_example("irrational-rotation", grid=8), 2)],
+    ids=["rotation-48", "rotation-8-hyper-2"])
+def test_finite_hitting_tensor_resolves_each_set_once(model, monkeypatch):
+    # a finite carrier's V_n is the transpose of U gathered at f^n: no
+    # image_point_dist, and each ball resolved once, not once for U by
+    # OpenSet.resolve and again for V by image_point_dist from the identity
+    horizon = 6
+    cover = properties.default_cover(model)
+    expected = [[loop_hitting_set(model, u, v, horizon) for v in cover] for u in cover]
+    strong = strong_transitivity_check(model, horizon)
+    monkeypatch.setattr(spaces.FiniteModel, "image_point_dist",
+                        lambda *a: pytest.fail("image_point_dist on a finite carrier"))
+    resolved, helper = [], []
+    real_resolve, real_helper = OpenSet.resolve, properties._cover_membership
+    monkeypatch.setattr(OpenSet, "resolve", lambda s, m: resolved.append(s) or real_resolve(s, m))
+    monkeypatch.setattr(properties, "_cover_membership",
+                        lambda m, sets: helper.append(len(sets)) or real_helper(m, sets))
+    hits = hitting_tensor(model, cover, horizon)
+    assert [[(np.flatnonzero(hits[1:, i, j]) + 1).tolist() for j in range(len(cover))]
+            for i in range(len(cover))] == expected
+    assert len(resolved) == len(cover) and helper == [len(cover)]
+    assert properties.default_cover(model) == cover and helper == [len(cover)] * 2
+    assert strong_transitivity_check(model, horizon) == strong
+    assert helper == [len(cover)] * 4      # its default cover, then its membership
+
+
+def test_hitting_scans_refuse_a_negative_horizon_before_allocating(monkeypatch):
+    # unchecked, hitting_set at -5 returned [], hitting_tensor at -2 failed
+    # with numpy's "negative dimensions are not allowed", and strong
+    # transitivity at -1 answered verdict fails, counterexamples [0, 1, 2, 3]
+    # and minimal false for a minimal rotation
+    rot = spaces.load_example("irrational-rotation", grid=12)
+    cover = properties.default_cover(rot)
+    golden = symbolic.golden_mean_shift()
+    monkeypatch.setattr(properties, "_cover_membership", lambda *a: pytest.fail("allocated"))
+    monkeypatch.setattr(envelope, "check_cells", lambda *a: pytest.fail("budgeted"))
+    for call in (lambda: hitting_set(rot, ball(0, 0.1), ball(1, 0.1), -5),
+                 lambda: hitting_set(golden, "0", "1", -5),
+                 lambda: hitting_tensor(rot, cover, -2),
+                 lambda: strong_transitivity_check(rot, -1)):
+        with pytest.raises(spaces.InvalidParameterError, match="horizon=-. is negative"):
+            call()
+
+
 # -- strong transitivity --------------------------------------------------------------
 
 
@@ -465,6 +511,22 @@ def test_radial_slice_not_equicontinuous_in_orbit_closure():
     rep = orbit_closure_equicontinuity(stack, members, 0.5, 64)
     assert not rep["equicontinuous"]
     assert rep["orbit_size"] == 32
+
+
+def test_orbit_closure_refuses_an_empty_set_ids_outside_and_a_negative_horizon():
+    # unchecked, [-1] started from the last point and the empty set was
+    # answered with equicontinuous: true
+    stack = spaces.load_example("periodic-stack", n=3, truncate=12)
+    n = stack.n_points
+    for bad in (-1, n, 2.5):
+        with pytest.raises(spaces.InvalidParameterError, match=rf"point={bad} is not an integer"):
+            orbit_closure_equicontinuity(stack, [0, bad], 0.5, 8)
+    with pytest.raises(spaces.InvalidParameterError, match="nonempty"):
+        orbit_closure_equicontinuity(stack, [], 0.5, 8)
+    with pytest.raises(spaces.InvalidParameterError, match="horizon=-1 is negative"):
+        orbit_closure_equicontinuity(stack, [0], 0.5, -1)
+    assert orbit_closure_equicontinuity(stack, [n - 1, 0], 0.5, 8) == \
+        orbit_closure_equicontinuity(stack, np.array([0, n - 1, 0]), 0.5, 8)
 
 
 def dense_distance_matrix(model):

@@ -227,6 +227,28 @@ def test_orbit_and_omega_limit_refuse_point_ids_outside_the_sample():
     assert spaces.omega_limit_estimate(rot, 5, 12, 0.0) == {1, 3, 5}
 
 
+def test_step_is_the_one_entry_orbit_segment():
+    # oracle: the orbit entry of f^1, which step read before; it took -1 as
+    # point N - 1 and failed at N with a bare IndexError
+    for m in (spaces.load_example("irrational-rotation", grid=12),
+              spaces.load_example("square-map", grid=41),
+              spaces.sample_window_model(count=12, radius=6, seed=3)):
+        f1 = m.iterate_images(1)
+        assert [spaces.step(m, x) for x in range(m.n_points)] == \
+            [m.orbit_entry(f1, x) for x in range(m.n_points)]
+        for bad in (-1, m.n_points):
+            with pytest.raises(spaces.InvalidParameterError, match=rf"point={bad} is not"):
+                spaces.step(m, bad)
+
+
+def test_omega_limit_refuses_a_negative_tol():
+    # unchecked, a negative tol returned an empty set
+    rot = spaces.load_example("irrational-rotation", grid=6)
+    with pytest.raises(spaces.InvalidParameterError, match="tol=-0.1 is negative"):
+        spaces.omega_limit_estimate(rot, 5, 12, -0.1)
+    assert spaces.omega_limit_estimate(rot, 5, 12, 0.0) == {1, 3, 5}
+
+
 def test_inverse_roundtrip():
     for name, params in (
         ("irrational-rotation", {"grid": 24}),

@@ -265,6 +265,16 @@ def test_build_errors():
         build_subshift({"kind": "nonsense"})
 
 
+def test_periodic_spectrum_refuses_a_negative_n_max():
+    # unchecked, periodic_spectrum(golden, -3) returned {}
+    golden = golden_mean_shift()
+    for call in (lambda: periodic_spectrum(golden, -3),
+                 lambda: boyle_precondition(golden, even_shift(), -1)):
+        with pytest.raises(ShiftSpecError, match="n_max must be >= 0"):
+            call()
+    assert periodic_spectrum(golden, 0) == {}
+
+
 def test_golden_mean_language():
     golden = golden_mean_shift()
     assert language(golden, 2) == {"00", "01", "10"}
