@@ -86,6 +86,17 @@ def _require(value, what):
     return value
 
 
+def _on(slot, module, name):
+    """The op that calls ``module.name`` on the context's ``slot`` with the
+    step's params.  The function is looked up at each call, so a wrapper
+    bound to the module attribute after import is the one called."""
+    needs = {"env": "an envelope", "shift": "a shift", "model": "a model"}[slot]
+
+    def op(ctx, **params):
+        return getattr(module, name)(_require(getattr(ctx, slot), needs), **params)
+    return op
+
+
 def _target(ctx):
     """The shift when a shift and no model is loaded, else the model."""
     target = ctx.shift if ctx.shift is not None and ctx.model is None else ctx.model
@@ -132,17 +143,9 @@ def _op_envelope_table(ctx):
     return {"text": _require(ctx.env, "an envelope").render_table()}
 
 
-def _op_identity_isolated(ctx, tau=None):
-    return envelope.identity_isolated(_require(ctx.env, "an envelope"), tau)
-
-
 def _op_stabilization(ctx, horizons, tau, power_range="two-sided"):
     return envelope.stabilization_diagnostic(
         _require(ctx.model, "a model"), horizons, tau, power_range, ctx.env)
-
-
-def _op_power_decomposition(ctx, n):
-    return envelope.envelope_power_decomposition(_require(ctx.env, "an envelope"), n)
 
 
 def _op_idempotents(ctx):
@@ -150,16 +153,15 @@ def _op_idempotents(ctx):
 
 
 def _op_minimal_left_ideals(ctx):
-    ideals = algebra.minimal_left_ideals(_require(ctx.env, "an envelope").semigroup)
-    return {"ideals": [list(i) for i in ideals]}
+    return {"ideals": algebra.minimal_left_ideals(_require(ctx.env, "an envelope").semigroup)}
 
 
 def _op_kernel_and_groups(ctx):
     dec = algebra.kernel_and_groups(_require(ctx.env, "an envelope").semigroup)
     return {
-        "minimal_left_ideals": [list(i) for i in dec.minimal_left_ideals],
-        "idempotents_per_ideal": [list(j) for j in dec.idempotents_per_ideal],
-        "kernel": list(dec.kernel),
+        "minimal_left_ideals": dec.minimal_left_ideals,
+        "idempotents_per_ideal": dec.idempotents_per_ideal,
+        "kernel": dec.kernel,
         "partition_ok": dec.partition_ok,
         "groups_ok": dec.groups_ok,
     }
@@ -175,14 +177,6 @@ def _op_ideal_isomorphism(ctx, i=0, k=1):
 
 def _op_is_group_distal(ctx):
     return algebra.is_group_distal(_require(ctx.env, "an envelope").semigroup)
-
-
-def _op_proximal_structure(ctx):
-    return algebra.proximal_structure(_require(ctx.env, "an envelope"))
-
-
-def _op_periodic_elements(ctx):
-    return algebra.periodic_element_analysis(_require(ctx.env, "an envelope"))
 
 
 def _op_recurrent_idempotents(ctx):
@@ -238,11 +232,6 @@ def _op_inducibility(ctx, element=None):
     return {names[idx]: envelope.inducibility_check(henv, idx) for idx in targets}
 
 
-def _op_hyper_equicontinuity(ctx, k, eps_list, horizon):
-    return properties.hyper_equicontinuity_crosscheck(
-        _require(ctx.model, "a model"), k, eps_list, horizon)
-
-
 def _op_build_subshift(ctx, spec):
     ctx.shift_other = ctx.shift
     ctx.shift = symbolic.build_subshift(spec)
@@ -251,18 +240,6 @@ def _op_build_subshift(ctx, spec):
 
 def _op_language(ctx, n):
     return {"n": n, "words": sorted(symbolic.language(_require(ctx.shift, "a shift"), n))}
-
-
-def _op_entropy(ctx, n_max):
-    return symbolic.entropy_estimates(_require(ctx.shift, "a shift"), n_max)
-
-
-def _op_classify_shift(ctx):
-    return symbolic.classify_sft(_require(ctx.shift, "a shift"))
-
-
-def _op_periodic_spectrum(ctx, n_max):
-    return symbolic.periodic_spectrum(_require(ctx.shift, "a shift"), n_max)
 
 
 def _op_boyle(ctx, n_max):
@@ -288,17 +265,8 @@ def _op_classify_transitivity(ctx, horizon, cylinder_length=3, granularity=None)
     out = properties.classify_transitivity(
         _target(ctx), horizon, cylinder_length=cylinder_length, granularity=granularity)
     return {
-        "verdicts": {k: v.to_json() for k, v in out["verdicts"].items()},
+        "verdicts": out["verdicts"],
         "chain_ok": out["chain_ok"],
-    }
-
-
-def _op_strong_transitivity(ctx, horizon):
-    out = properties.strong_transitivity_check(_require(ctx.model, "a model"), horizon)
-    return {
-        "strongly_transitive": out["strongly_transitive"].to_json(),
-        "minimal": out["minimal"],
-        "agrees_with_minimality": out["agrees_with_minimality"],
     }
 
 
@@ -312,23 +280,11 @@ def _op_equicontinuity(ctx, eps_list, horizon):
 def _op_rigidity(ctx, horizon, tau):
     out = properties.rigidity_battery(_require(ctx.model, "a model"), horizon, tau)
     return {
-        "weakly_rigid": out["weakly_rigid"].to_json(),
-        "rigid": out["rigid"].to_json(),
-        "uniformly_rigid": out["uniformly_rigid"].to_json(),
+        "weakly_rigid": out["weakly_rigid"],
+        "rigid": out["rigid"],
+        "uniformly_rigid": out["uniformly_rigid"],
         "chain_ok": out["chain_ok"],
     }
-
-
-def _op_recurrence(ctx, horizon, tau):
-    return properties.recurrence_report(_require(ctx.model, "a model"), horizon, tau)
-
-
-def _op_wap_proxy(ctx):
-    return properties.wap_proxy_check(_require(ctx.env, "an envelope"))
-
-
-def _op_distal_semiflow(ctx):
-    return properties.distal_semiflow_check(_require(ctx.env, "an envelope"))
 
 
 def _op_hitting_set(ctx, u, v, horizon):
@@ -358,16 +314,16 @@ OPS = {
     "approx_envelope": _op_approx_envelope,
     "envelope_export": _op_envelope_export,
     "envelope_table": _op_envelope_table,
-    "identity_isolated": _op_identity_isolated,
+    "identity_isolated": _on("env", envelope, "identity_isolated"),
     "stabilization_diagnostic": _op_stabilization,
-    "power_decomposition": _op_power_decomposition,
+    "power_decomposition": _on("env", envelope, "envelope_power_decomposition"),
     "idempotents": _op_idempotents,
     "minimal_left_ideals": _op_minimal_left_ideals,
     "kernel_and_groups": _op_kernel_and_groups,
     "ideal_isomorphism": _op_ideal_isomorphism,
     "is_group_distal": _op_is_group_distal,
-    "proximal_structure": _op_proximal_structure,
-    "periodic_elements": _op_periodic_elements,
+    "proximal_structure": _on("env", algebra, "proximal_structure"),
+    "periodic_elements": _on("env", algebra, "periodic_element_analysis"),
     "recurrent_idempotents": _op_recurrent_idempotents,
     "equivalence_corpus": _op_equivalence_corpus,
     "build_hyper": _op_build_hyper,
@@ -376,21 +332,21 @@ OPS = {
     "hyper_envelope": _op_hyper_envelope,
     "theta_check": _op_theta_check,
     "inducibility": _op_inducibility,
-    "hyper_equicontinuity": _op_hyper_equicontinuity,
+    "hyper_equicontinuity": _on("model", properties, "hyper_equicontinuity_crosscheck"),
     "build_subshift": _op_build_subshift,
     "language": _op_language,
-    "entropy": _op_entropy,
-    "classify_shift": _op_classify_shift,
-    "periodic_spectrum": _op_periodic_spectrum,
+    "entropy": _on("shift", symbolic, "entropy_estimates"),
+    "classify_shift": _on("shift", symbolic, "classify_sft"),
+    "periodic_spectrum": _on("shift", symbolic, "periodic_spectrum"),
     "boyle_precondition": _op_boyle,
     "verify_factor": _op_verify_factor,
     "classify_transitivity": _op_classify_transitivity,
-    "strong_transitivity": _op_strong_transitivity,
+    "strong_transitivity": _on("model", properties, "strong_transitivity_check"),
     "equicontinuity": _op_equicontinuity,
     "rigidity_battery": _op_rigidity,
-    "recurrence_report": _op_recurrence,
-    "wap_proxy": _op_wap_proxy,
-    "distal_semiflow": _op_distal_semiflow,
+    "recurrence_report": _on("model", properties, "recurrence_report"),
+    "wap_proxy": _on("env", properties, "wap_proxy_check"),
+    "distal_semiflow": _on("env", properties, "distal_semiflow_check"),
     "hitting_set": _op_hitting_set,
     "omega_limit": _op_omega_limit,
     "orbit_segment": _op_orbit_segment,

@@ -393,7 +393,7 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
     one."""
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
-    if tau <= 0:
+    if not tau > 0:
         raise InvalidParameterError("tau must be positive")
     if power_range not in ("two-sided", "forward"):
         raise InvalidParameterError(f"unknown power range {power_range!r}")
@@ -455,8 +455,8 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
                 m = a.origin + b.origin
                 if m in exponent_map:
                     return exponent_map[m], None, None
-                if m >= 0 or model.invertible:
-                    return None, model.iterate_images(m), m
+                # m >= 0 in the forward range; the two-sided one needs an inverse
+                return None, model.iterate_images(m), m
             elif (a.is_limit and b_it) or (a_it and b.is_limit):
                 # iterates commute with limits of iterates: shift the limit's
                 # tail by the iterate exponent and read off the stable cluster
@@ -533,10 +533,10 @@ def identity_isolated(env, tau: float | None = None) -> dict:
     witness is the period when the index is 0, and the identity is isolated
     otherwise.  An explicit tau walks the exponents up to the index and
     reads the next period of them from ``_return_sups``.
-    A negative tau is refused with ``InvalidParameterError``.
+    A tau that is negative or NaN is refused with ``InvalidParameterError``.
     """
-    if tau is not None and tau < 0:
-        raise InvalidParameterError(f"tau={tau} is negative")
+    if tau is not None and not tau >= 0:
+        raise InvalidParameterError(f"tau={tau} is negative or NaN")
     if isinstance(env, ExactEnvelope):
         model, witness = env.model, (env.period if env.index == 0 else None)
         if tau is not None:

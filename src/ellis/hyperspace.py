@@ -280,9 +280,6 @@ class SampledHyperModel(HyperCascadeModel):
         # images are already padded raw member rows
         return imgs
 
-    def apply_to_indices(self, imgs, idx):
-        return imgs[idx]
-
 
 def build_hyper_model(base: CascadeModel, k: int = 3, budget: int = 250_000) -> HyperCascadeModel:
     """The finite-subset hyperspace of ``base``: an exact index table over a

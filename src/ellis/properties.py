@@ -176,15 +176,20 @@ def hitting_set(target, u, v, horizon: int) -> list[int]:
 
 
 def default_cover(model: CascadeModel, granularity: float | None = None) -> list[OpenSet]:
+    """Balls of radius ``granularity`` around every ``stride``-th point,
+    stride N // 360 or 1, or around every point when the strided balls miss
+    one.  A ball of positive radius holds its centre, so a cover at stride 1
+    is not tested.  A granularity that is not > 0 (NaN too) is refused with
+    ``InvalidParameterError``."""
     if granularity is None:
         # a one-point sample has diameter 0, and a ball of radius 0 is empty
         granularity = min(4.0 * model.resolution, model.diameter / 4.0) or model.resolution
+    if not granularity > 0:
+        raise InvalidParameterError(f"granularity={granularity} is not positive")
     g = granularity
     stride = max(1, model.n_points // 360)
-    centers = list(range(0, model.n_points, stride))
-    cover = [ball(c, g) for c in centers]
-    # coverage check: every sample point inside some ball
-    if not _cover_membership(model, cover).any(axis=0).all():
+    cover = [ball(c, g) for c in range(0, model.n_points, stride)]
+    if stride > 1 and not _cover_membership(model, cover).any(axis=0).all():
         cover = [ball(c, g) for c in range(model.n_points)]
     return cover
 
@@ -251,11 +256,10 @@ def hitting_tensor(target, sets, horizon: int) -> np.ndarray:
 
 
 def _thick(masks: np.ndarray, run: int) -> np.ndarray:
-    """Per row: some ``run`` consecutive times all hit (any hit for run <= 1)."""
-    w = max(run, 1)
+    """Per row: some ``run`` >= 1 consecutive times all hit."""
     counts = np.zeros((masks.shape[0], masks.shape[1] + 1), dtype=np.int32)
     np.cumsum(masks, axis=1, out=counts[:, 1:])
-    return (counts[:, w:] - counts[:, :-w] == w).any(axis=1)
+    return (counts[:, run:] - counts[:, :-run] == run).any(axis=1)
 
 
 def _first_disjoint_pair(masks: np.ndarray):
@@ -289,9 +293,13 @@ def classify_transitivity(target, horizon: int, cylinder_length: int = 3,
     form the K^2 x (H+1) mask matrix that the scans share: a cumulative sum
     gives the thickness scan, the trailing run of hits the mixing tail, and
     chunked products of the mask matrix with its transpose the first
-    disjoint pair of the weak-mixing test.
+    disjoint pair of the weak-mixing test.  A negative horizon, a
+    ``thick_run`` below 1 and a granularity that is not > 0 are refused with
+    ``InvalidParameterError``.
     """
     _check_horizon(horizon)
+    if not thick_run >= 1:
+        raise InvalidParameterError(f"thick_run={thick_run} is not >= 1")
     sets = transitivity_cover(target, cylinder_length, granularity)
     labels = [s.label() for s in sets]
     k = len(sets)
@@ -383,6 +391,8 @@ def _check_eps(eps_list) -> list:
     eps_list = sorted(eps_list)
     if not eps_list:
         raise InvalidParameterError("eps_list is empty")
+    if any(math.isnan(e) for e in eps_list):
+        raise InvalidParameterError(f"eps_list={eps_list} holds a NaN")
     return eps_list
 
 
@@ -505,7 +515,7 @@ def rigidity_battery(model: CascadeModel, horizon: int, tau: float) -> dict:
     recurring full returns (at least ``UNIFORM_WITNESSES`` of them), the
     finite shadow of a sequence of uniform returns marching to infinity.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise InvalidParameterError("tau must be positive")
     _check_horizon(horizon)
     r = _point_return_matrix(model, horizon, tau)
@@ -569,11 +579,12 @@ def recurrence_report(model: CascadeModel, horizon: int, tau: float) -> dict:
     compared once per iterate up to ``_last_time``, in blocks of rows that
     hold at most N pairs each.  Essential nonwandering asks that every n
     from some start on hits, which holds exactly when n = horizon hits.
-    A negative horizon or tau is refused with ``InvalidParameterError``.
+    A negative horizon, or a tau that is negative or NaN, is refused with
+    ``InvalidParameterError``.
     """
     _check_horizon(horizon)
-    if tau < 0:
-        raise InvalidParameterError(f"tau={tau} is negative")
+    if not tau >= 0:
+        raise InvalidParameterError(f"tau={tau} is negative or NaN")
     r = _point_return_matrix(model, horizon, tau)
     n_pts = model.n_points
     *_, ball, counts = _distance_scan(model, tau)

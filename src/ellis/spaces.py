@@ -128,7 +128,18 @@ class CascadeModel:
     property and hyperspace modules: ``iterate_images(n)`` returns the image
     of the whole sample under f^n, and the ``image_*``, ``snap_images``,
     ``apply_to_indices`` and ``cluster_key`` methods interpret it, so callers
-    never need to know which carrier they hold.  The image type is:
+    never need to know which carrier they hold.
+
+    A carrier must define ``n_points``, ``point_dist``, ``resolution``,
+    ``diameter``, ``_identity_images`` and ``_advance`` (or its own
+    ``iterate_images``), ``image_pair_dist``, ``snap_images``,
+    ``export_images``, ``orbit_entry`` and ``point_data``.  It inherits
+    ``apply_to_indices`` (a gather along the leading axis),
+    ``image_point_dist`` (``image_pair_dist`` against the identity image at
+    the point), ``image_sup_dist``, ``distance_rows``, ``cluster_key``
+    (none) and a ``to_json`` of the six ``ellis.model/1`` keys, to which it
+    adds its own (hyperspace carriers export ``ellis.hypermodel/1``
+    instead).  The image type is:
 
     * finite-exact: an int64 ndarray of sample-point ids, one per point;
     * sampled: a float ndarray of raw coordinates, sample on the leading
@@ -243,16 +254,20 @@ class CascadeModel:
         return float(np.max(self.image_pair_dist(a_imgs, b_imgs)))
 
     def image_point_dist(self, imgs, point: PointId) -> np.ndarray:
-        """Distance from every image entry to one fixed sample point."""
-        raise NotImplementedError
+        """Distance from every image entry to one fixed sample point:
+        ``image_pair_dist`` against the identity image at ``point``,
+        broadcast over ``imgs``."""
+        at = self.iterate_images(0)[point]
+        return self.image_pair_dist(imgs, np.broadcast_to(at, np.shape(imgs)))
 
     def snap_images(self, imgs) -> tuple[np.ndarray, float]:
         """Nearest sample index per image entry, plus max snap error."""
         raise NotImplementedError
 
     def apply_to_indices(self, imgs, idx: np.ndarray):
-        """Restrict an image object to a subset/reordering of sample points."""
-        raise NotImplementedError
+        """Restrict an image object to a subset/reordering of sample points:
+        the entries at ``idx`` of an image with the sample on its leading axis."""
+        return np.asarray(imgs)[idx]
 
     def cluster_key(self, imgs, tau: float):
         """Optional array that refines sup-distance ``tau`` clustering: images
@@ -275,7 +290,16 @@ class CascadeModel:
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """The ``ellis.model/1`` keys that every carrier shares; each carrier
+        adds its own."""
+        return {
+            "schema": "ellis.model/1",
+            "name": self.name,
+            "params": self.params,
+            "kind": self.kind,
+            "metric": self.metric_name,
+            "invertible": self.invertible,
+        }
 
 
 class FiniteModel(CascadeModel):
@@ -301,8 +325,6 @@ class FiniteModel(CascadeModel):
         self.invertible = self.inverse_table is not None
         self.metric_name = metric_name
         self._labels = point_labels
-        self._res = None
-        self._diam = None
 
     @property
     def n_points(self):
@@ -331,7 +353,10 @@ class FiniteModel(CascadeModel):
             return n
         return self.index + (n - self.index) % self.period
 
-    def _scan_scale(self):
+    @cached_property
+    def _scale(self) -> tuple[float, float]:
+        """(resolution, diameter) from one scan of all N^2 distances; a lone
+        point's resolution is 1."""
         res, diam = math.inf, 0.0
         for rows in row_blocks(self.n_points, self.n_points):
             d = self.distance_rows(rows)
@@ -339,20 +364,15 @@ class FiniteModel(CascadeModel):
             if pos.size:
                 res = min(res, float(pos.min()))
             diam = max(diam, float(d.max()))
-        self._res = res if res < math.inf else 1.0
-        self._diam = diam
+        return (res if res < math.inf else 1.0), diam
 
     @property
     def resolution(self):
-        if self._res is None:
-            self._scan_scale()
-        return self._res
+        return self._scale[0]
 
     @property
     def diameter(self):
-        if self._diam is None:
-            self._scan_scale()
-        return self._diam
+        return self._scale[1]
 
     def _identity_images(self):
         return np.arange(self.n_points, dtype=np.int64)
@@ -366,14 +386,8 @@ class FiniteModel(CascadeModel):
     def image_pair_dist(self, a_imgs, b_imgs):
         return self.point_dist(a_imgs, b_imgs)
 
-    def image_point_dist(self, imgs, point):
-        return self.point_dist(imgs, np.full(len(imgs), point, dtype=np.int64))
-
     def snap_images(self, imgs):
         return np.asarray(imgs, dtype=np.int64), 0.0
-
-    def apply_to_indices(self, imgs, idx):
-        return np.asarray(imgs)[idx]
 
     def cluster_key(self, imgs, tau):
         if tau < self.resolution:
@@ -396,12 +410,7 @@ class FiniteModel(CascadeModel):
 
     def to_json(self):
         return {
-            "schema": "ellis.model/1",
-            "name": self.name,
-            "params": self.params,
-            "kind": self.kind,
-            "metric": self.metric_name,
-            "invertible": self.invertible,
+            **super().to_json(),
             "points": [self.point_data(i) for i in range(self.n_points)],
             "map": [int(v) for v in self.map_table],
         }
@@ -425,7 +434,6 @@ class SampledModel(CascadeModel):
         self.epsilon = float(epsilon)
         self.invertible = inverse_raw is not None
         self.metric_name = metric_name
-        self._diam = None
 
     @property
     def n_points(self):
@@ -438,17 +446,15 @@ class SampledModel(CascadeModel):
     def resolution(self):
         return self.epsilon
 
-    @property
+    @cached_property
     def diameter(self):
-        if self._diam is None:
-            d = 0.0
-            for i in range(0, self.n_points, max(1, self.n_points // 32)):
-                row = self._raw_dist(
-                    np.broadcast_to(self.points[i], self.points.shape), self.points
-                )
-                d = max(d, float(row.max()))
-            self._diam = d
-        return self._diam
+        d = 0.0
+        for i in range(0, self.n_points, max(1, self.n_points // 32)):
+            row = self._raw_dist(
+                np.broadcast_to(self.points[i], self.points.shape), self.points
+            )
+            d = max(d, float(row.max()))
+        return d
 
     def _identity_images(self):
         return self.points.copy()
@@ -469,17 +475,10 @@ class SampledModel(CascadeModel):
         return max(float(np.max(self._raw_dist(a_imgs[i:i + SUP_CHUNK], b_imgs[i:i + SUP_CHUNK])))
                    for i in range(0, len(a_imgs), SUP_CHUNK))
 
-    def image_point_dist(self, imgs, point):
-        tgt = np.broadcast_to(self.points[point], np.asarray(imgs).shape)
-        return self._raw_dist(imgs, tgt)
-
     def snap_images(self, imgs):
         idx = self._snap_raw(imgs)
         err = self._raw_dist(imgs, self.points[idx])
         return idx, float(np.max(err)) if len(err) else 0.0
-
-    def apply_to_indices(self, imgs, idx):
-        return np.asarray(imgs)[idx]
 
     def export_images(self, imgs):
         return [[float(v) for v in np.atleast_1d(row)] for row in np.asarray(imgs)]
@@ -496,19 +495,11 @@ class SampledModel(CascadeModel):
 
     def to_json(self):
         return {
-            "schema": "ellis.model/1",
-            "name": self.name,
-            "params": self.params,
-            "kind": self.kind,
-            "metric": self.metric_name,
-            "invertible": self.invertible,
+            **super().to_json(),
             "epsilon": self.epsilon,
-            "points": [self.point_data(i) for i in range(self.n_points)],
-            "map": [self.point_data_raw(raw) for raw in self._step_raw(self.points)],
+            "points": self.export_images(self.points),
+            "map": self.export_images(self._step_raw(self.points)),
         }
-
-    def point_data_raw(self, raw):
-        return [float(v) for v in np.atleast_1d(raw)]
 
 
 class ShiftImage:
@@ -661,16 +652,7 @@ class WindowSampleModel(CascadeModel):
         return {"support": [int(v) for v in sup]}
 
     def to_json(self):
-        return {
-            "schema": "ellis.model/1",
-            "name": self.name,
-            "params": self.params,
-            "kind": self.kind,
-            "metric": self.metric_name,
-            "invertible": self.invertible,
-            "count": self.n_points,
-            "radius": self.radius,
-        }
+        return {**super().to_json(), "count": self.n_points, "radius": self.radius}
 
 
 # ---------------------------------------------------------------------------
@@ -1025,11 +1007,11 @@ def orbit_segment(model: CascadeModel, x: PointId, n_from: int, n_to: int):
 
 def omega_limit_estimate(model: CascadeModel, x: PointId, horizon: int, tol: float) -> set[PointId]:
     """Sample points hit at least twice by the tail half of the orbit; a
-    negative ``tol`` is refused."""
+    ``tol`` that is negative or NaN is refused."""
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
-    if tol < 0:
-        raise InvalidParameterError(f"tol={tol} is negative")
+    if not tol >= 0:
+        raise InvalidParameterError(f"tol={tol} is negative or NaN")
     x = check_index(x, model.n_points, "point")
     hits = np.zeros(model.n_points, dtype=np.int64)
     ident = model.iterate_images(0)
@@ -1060,9 +1042,13 @@ def snap_to_finite(model: SampledModel, name: str | None = None) -> FiniteModel:
 
 
 def sample_window_model(count=64, radius=64, seed=0, density=0.5) -> WindowSampleModel:
-    """Seeded sample of finite-support sequences from the full 2-shift."""
+    """Seeded sample of finite-support sequences from the full 2-shift, each
+    symbol 1 with probability ``density``; a density outside [0, 1] (NaN
+    too) is refused."""
     if count < 1 or radius < 1:
         raise InvalidParameterError("count and radius must be >= 1")
+    if not 0 <= density <= 1:
+        raise InvalidParameterError(f"density={density} is not in [0, 1]")
     width, pad = 2 * radius + 1, radius + 2
     # all-zero sequences, whose columns then take the draw block by block
     model = WindowSampleModel(
@@ -1071,9 +1057,8 @@ def sample_window_model(count=64, radius=64, seed=0, density=0.5) -> WindowSampl
     )
     # rng.random() < density read off the raw words: random() is
     # (word >> 11) * 2^-53, below density exactly when word >> 11 < T for
-    # T = ceil(density * 2^53) clamped to [0, 2^53], so when word < T * 2^11
-    top = 2 ** 53
-    cut = 0 if not density > 0 else top if density >= 1 else math.ceil(density * top)
+    # T = ceil(density * 2^53), so when word < T * 2^11
+    cut = math.ceil(density * 2 ** 53)
     if cut:
         rng = np.random.default_rng(seed)
         below = np.uint64(cut * 2 ** 11 - 1)

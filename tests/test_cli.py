@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import inspect
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -253,10 +255,11 @@ def test_identity_isolated_rejects_a_negative_tau():
         "model": {"name": "irrational-rotation", "params": {"grid": 12}},
         "pipeline": [{"op": "exact_envelope"},
                      {"op": "identity_isolated", "params": {"tau": -1.0}},
+                     {"op": "identity_isolated", "params": {"tau": math.nan}},
                      {"op": "identity_isolated", "params": {"tau": 0.0}}]})
     steps = report["steps"]
-    assert [s["status"] for s in steps] == ["ok", "error", "ok"]
-    assert steps[1]["error"].startswith("InvalidParameterError")
+    assert [s["status"] for s in steps] == ["ok", "error", "error", "ok"]
+    assert all(s["error"].startswith("InvalidParameterError") for s in steps[1:3])
 
 
 def test_props_subcommand(tmp_path):
@@ -521,6 +524,18 @@ BAD_SCAN_STEPS = {
                                             "v": {"center": 1, "radius": 0.1}, "horizon": -5}),
     "strong-transitivity-horizon": ("strong_transitivity", {"horizon": -1}),
     "omega-limit-tol": ("omega_limit", {"x": 0, "horizon": 4, "tol": -0.1}),
+    # a config can pass NaN: Python's json reads the literal
+    "approx-envelope-nan-tau": ("approx_envelope", {"horizon": 10, "tau": math.nan}),
+    "recurrence-nan-tau": ("recurrence_report", {"horizon": 10, "tau": math.nan}),
+    "rigidity-nan-tau": ("rigidity_battery", {"horizon": 10, "tau": math.nan}),
+    "omega-limit-nan-tol": ("omega_limit", {"x": 0, "horizon": 4, "tol": math.nan}),
+    "equicontinuity-nan-eps": ("equicontinuity", {"eps_list": [0.5, math.nan], "horizon": 10}),
+    "window-density": ("window_model", {"count": 4, "radius": 3, "density": 1.5}),
+    "window-nan-density": ("window_model", {"count": 4, "radius": 3, "density": math.nan}),
+    **{f"{name}-granularity-{g}": (op, {"horizon": 4, "granularity": g})
+       for name, op in (("transitivity", "classify_transitivity"),
+                        ("hitting-matrix", "hitting_matrix"))
+       for g in (0, -0.1, math.nan)},
 }
 
 
@@ -533,3 +548,69 @@ def test_scans_refuse_a_negative_horizon_an_empty_eps_list_and_a_negative_tau(na
     step = report["steps"][0]
     assert step["status"] == "error"
     assert step["error"].startswith("InvalidParameterError")
+
+
+EVERY_OP = json.loads((Path(__file__).resolve().parent.parent / "configs" / "every_op.json")
+                      .read_text())
+
+# ops that make what later steps read, from their params alone
+SOURCE_OPS = {"load_example", "window_model", "equivalence_corpus", "build_subshift"}
+
+# the ops bound with cli._on: the context slot each reads, the library
+# function it calls, and the parameters of the wrapper it replaced
+BOUND_OPS = {
+    "identity_isolated": ("env", "envelope.identity_isolated", ["tau=None"]),
+    "power_decomposition": ("env", "envelope.envelope_power_decomposition", ["n"]),
+    "proximal_structure": ("env", "algebra.proximal_structure", []),
+    "periodic_elements": ("env", "algebra.periodic_element_analysis", []),
+    "wap_proxy": ("env", "properties.wap_proxy_check", []),
+    "distal_semiflow": ("env", "properties.distal_semiflow_check", []),
+    "entropy": ("shift", "symbolic.entropy_estimates", ["n_max"]),
+    "classify_shift": ("shift", "symbolic.classify_sft", []),
+    "periodic_spectrum": ("shift", "symbolic.periodic_spectrum", ["n_max"]),
+    "recurrence_report": ("model", "properties.recurrence_report", ["horizon", "tau"]),
+    "strong_transitivity": ("model", "properties.strong_transitivity_check", ["horizon"]),
+    "hyper_equicontinuity": ("model", "properties.hyper_equicontinuity_crosscheck",
+                             ["k", "eps_list", "horizon"]),
+}
+NEEDS = {"env": "an envelope", "shift": "a shift", "model": "a model"}
+
+
+def test_every_op_config_runs_every_op():
+    assert set(cli.OPS) - {s["op"] for s in EVERY_OP["pipeline"]} == set()
+    report, _ = cli.run_experiment(EVERY_OP)
+    assert report["summary"] == {"ok": True, "errors": 0, "verdict_failures": 0}
+
+
+@pytest.mark.parametrize("op", sorted(set(cli.OPS) - SOURCE_OPS))
+def test_an_op_refuses_a_context_without_what_it_reads(op):
+    params = next(s["params"] for s in EVERY_OP["pipeline"] if s["op"] == op)
+    report, _ = cli.run_experiment({"pipeline": [{"op": op, "params": params}]})
+    what = NEEDS[BOUND_OPS[op][0]] if op in BOUND_OPS else ".+"
+    assert re.fullmatch(f"ValueError: pipeline step needs {what} from an earlier step",
+                        report["steps"][0]["error"])
+
+
+def test_the_bound_ops_are_the_pinned_ones():
+    assert {op for op, fn in cli.OPS.items()
+            if fn.__qualname__ == "_on.<locals>.op"} == set(BOUND_OPS)
+
+
+@pytest.mark.parametrize("op", sorted(BOUND_OPS))
+def test_a_bound_op_calls_its_function_as_its_wrapper_did(op, monkeypatch):
+    slot, path, params = BOUND_OPS[op]
+    module, name = path.split(".")
+    fn = getattr(getattr(cli, module), name)
+    signature = list(inspect.signature(fn).parameters.values())[1:]
+    assert [p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+            for p in signature] == params
+    # looked up at each call: a function bound to the module attribute
+    # later, as a tracer binds its wrappers, is the one called
+    calls = []
+    monkeypatch.setattr(getattr(cli, module), name,
+                        lambda *args, **kwargs: calls.append((args, kwargs)) or "result")
+    ctx = cli.StepContext()
+    setattr(ctx, slot, "target")
+    kwargs = {p.name: i for i, p in enumerate(signature)}
+    assert cli.OPS[op](ctx, **kwargs) == "result"
+    assert calls == [(("target",), kwargs)]

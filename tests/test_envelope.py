@@ -895,6 +895,16 @@ def test_exact_envelope_elements_hold_exponents(model):
     assert len(env.elements) == env.semigroup.size
 
 
+def test_approx_envelope_refuses_a_nan_tau():
+    # unchecked, a NaN tau matched no image to a cluster: 81 elements at
+    # horizon 10
+    sq = spaces.load_example("square-map", grid=101)
+    with pytest.raises(spaces.InvalidParameterError, match="tau must be positive"):
+        approx_envelope(sq, 10, math.nan)
+    with pytest.raises(spaces.InvalidParameterError, match="tau must be positive"):
+        stabilization_diagnostic(sq, [5, 10], math.nan)
+
+
 def test_identity_isolated_refuses_a_negative_tau():
     # unchecked, the index-0 -inf sentinel of _return_sups read as a return:
     # isolated false, witness 12 on rotation grid 12 at tau = -1
@@ -902,6 +912,8 @@ def test_identity_isolated_refuses_a_negative_tau():
     for env in (exact_envelope(rot), approx_envelope(rot, 12, 0.01, "forward")):
         with pytest.raises(spaces.InvalidParameterError, match="tau=-1.0 is negative"):
             identity_isolated(env, -1.0)
+        with pytest.raises(spaces.InvalidParameterError, match="tau=nan is negative or NaN"):
+            identity_isolated(env, math.nan)          # answered isolated: true
     assert identity_isolated(exact_envelope(rot), 0.0)["witness"] == 12    # f^12 = id
 
 

@@ -354,9 +354,10 @@ def test_finite_hitting_tensor_resolves_each_set_once(model, monkeypatch):
     assert [[(np.flatnonzero(hits[1:, i, j]) + 1).tolist() for j in range(len(cover))]
             for i in range(len(cover))] == expected
     assert len(resolved) == len(cover) and helper == [len(cover)]
-    assert properties.default_cover(model) == cover and helper == [len(cover)] * 2
+    # a cover at stride 1 is not tested: each ball holds its centre
+    assert properties.default_cover(model) == cover and helper == [len(cover)]
     assert strong_transitivity_check(model, horizon) == strong
-    assert helper == [len(cover)] * 4      # its default cover, then its membership
+    assert helper == [len(cover)] * 2      # its membership, once
 
 
 def test_hitting_scans_refuse_a_negative_horizon_before_allocating(monkeypatch):
@@ -375,6 +376,30 @@ def test_hitting_scans_refuse_a_negative_horizon_before_allocating(monkeypatch):
                  lambda: strong_transitivity_check(rot, -1)):
         with pytest.raises(spaces.InvalidParameterError, match="horizon=-. is negative"):
             call()
+
+
+# unchecked, a NaN tau or eps answered a verdict, a granularity that is not
+# > 0 failed with "open set misses the sample", and a thick_run below 1 was
+# reported as given but scanned as runs of 1
+BAD_SCAN_PARAMETERS = {
+    "recurrence-nan-tau": lambda m: recurrence_report(m, 10, math.nan),
+    "rigidity-nan-tau": lambda m: rigidity_battery(m, 10, math.nan),
+    "equicontinuity-nan-eps": lambda m: equicontinuity_scan(m, [0.5, math.nan], 10),
+    "hyper-nan-eps": lambda m: hyper_equicontinuity_crosscheck(m, 2, [math.nan], 10),
+    **{f"transitivity-thick-run-{r}": (lambda m, r=r: classify_transitivity(m, 10, thick_run=r))
+       for r in (0, -3, math.nan)},
+    **{f"{name}-granularity-{g}": (lambda m, f=f, g=g: f(m, g))
+       for g in (0, -0.1, math.nan)
+       for name, f in (("default-cover", properties.default_cover),
+                       ("transitivity", lambda m, g: classify_transitivity(m, 10, granularity=g)))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SCAN_PARAMETERS))
+def test_scans_refuse_nan_and_out_of_range_parameters(name):
+    rot = spaces.load_example("irrational-rotation", grid=12)
+    with pytest.raises(spaces.InvalidParameterError):
+        BAD_SCAN_PARAMETERS[name](rot)
 
 
 # -- strong transitivity --------------------------------------------------------------

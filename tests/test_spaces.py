@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ellis import cli, spaces
+from ellis import cli, hyperspace, spaces
 
 
 def test_unknown_name():
@@ -41,6 +41,13 @@ def test_catalog_determinism():
     assert np.array_equal(wa.bits, wb.bits)
 
 
+@pytest.mark.parametrize("density", [1.5, -1, -0.25, math.nan])
+def test_window_sample_refuses_a_density_outside_the_unit_interval(density):
+    # unchecked, 1.5 drew all ones and -1, -0.25 and NaN all zeros
+    with pytest.raises(spaces.InvalidParameterError, match="is not in \\[0, 1\\]"):
+        spaces.sample_window_model(count=4, radius=3, density=density)
+
+
 @pytest.mark.parametrize("count,radius,seed,density", [
     (1, 1, 0, 0.5),
     (12, 8, 5, 0.5),
@@ -53,9 +60,6 @@ def test_catalog_determinism():
     (301, 301, 4, 0.3),
     (301, 301, 4, 0.5),
     (301, 301, 4, 1.0),
-    (301, 301, 4, -0.25),
-    (301, 301, 4, 1.5),
-    (301, 301, 4, math.nan),
     (301, 301, 4, 2.0 ** -60),   # only a word below 2^11 falls under it
     (301, 301, 4, 1 - 2.0 ** -53),
 ])
@@ -246,6 +250,8 @@ def test_omega_limit_refuses_a_negative_tol():
     rot = spaces.load_example("irrational-rotation", grid=6)
     with pytest.raises(spaces.InvalidParameterError, match="tol=-0.1 is negative"):
         spaces.omega_limit_estimate(rot, 5, 12, -0.1)
+    with pytest.raises(spaces.InvalidParameterError, match="tol=nan is negative or NaN"):
+        spaces.omega_limit_estimate(rot, 5, 12, math.nan)     # answered an empty set
     assert spaces.omega_limit_estimate(rot, 5, 12, 0.0) == {1, 3, 5}
 
 
@@ -372,9 +378,49 @@ def test_sampled_model_export_matches_per_point_oracle(name):
     report, _ = cli.run_experiment({"model": {"name": name},
                                     "pipeline": [{"op": "model_export"}]})
     oracle = dict(model.to_json(), map=[
-        model.point_data_raw(model._step_raw(model.points[i : i + 1])[0])
+        [float(v) for v in np.atleast_1d(model._step_raw(model.points[i : i + 1])[0])]
         for i in range(model.n_points)])
     assert json.dumps(report["steps"][0]["result"]) == json.dumps(oracle)
+
+
+SHARED_MODEL_KEYS = {"schema", "name", "params", "kind", "metric", "invertible"}
+
+
+@pytest.mark.parametrize("model,own", [
+    (spaces.load_example("irrational-rotation", grid=6), {"points", "map"}),
+    (spaces.load_example("square-map", grid=5), {"epsilon", "points", "map"}),
+    (spaces.sample_window_model(count=4, radius=3), {"count", "radius"}),
+], ids=["finite", "sampled", "window"])
+def test_model_export_holds_the_shared_keys_and_the_carriers_own(model, own):
+    doc = model.to_json()
+    assert set(doc) == SHARED_MODEL_KEYS | own
+    assert {k: doc[k] for k in SHARED_MODEL_KEYS} == {
+        "schema": "ellis.model/1", "name": model.name, "params": model.params,
+        "kind": model.kind, "metric": model.metric_name, "invertible": model.invertible}
+
+
+def overridden_image_point_dist(model, imgs, point):
+    # the finite and sampled overrides that CascadeModel.image_point_dist replaced
+    if isinstance(model, spaces.FiniteModel):
+        return model.point_dist(imgs, np.full(len(imgs), point, dtype=np.int64))
+    return model._raw_dist(imgs, np.broadcast_to(model.points[point], np.asarray(imgs).shape))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: spaces.load_example("irrational-rotation", grid=12),
+    lambda: spaces.load_example("periodic-stack", n=2, truncate=3),
+    lambda: hyperspace.build_hyper_model(spaces.load_example("irrational-rotation", grid=6), 2),
+    lambda: spaces.load_example("square-map", grid=11),
+    lambda: spaces.load_example("annulus-skew", radial=1, grid=6),
+], ids=["rotation", "periodic-stack", "finite-hyper", "square-map", "annulus-skew"])
+def test_inherited_image_point_dist_is_bitwise_the_old_override(build):
+    model = build()
+    for n in (1, 3):
+        imgs = model.iterate_images(n)
+        for point in (0, model.n_points // 2, model.n_points - 1):
+            got = model.image_point_dist(imgs, point)
+            want = overridden_image_point_dist(model, imgs, point)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=39))
