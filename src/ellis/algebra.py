@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spaces import check_cells, cycle_structure
+from .spaces import check_cells, check_int, cycle_structure
 
 
 class TableError(ValueError):
@@ -448,12 +448,15 @@ def run_equivalence_corpus(count: int = 500, max_points: int = 8, seed: int = 7)
     test, every ideal isomorphism and both power decompositions) run once
     per distinct monoid, on the first model that has it, and each model
     repeats their violations; the proximal structure and the distal
-    consequences are checked on every model.
+    consequences are checked on every model.  A ``count`` that is not an
+    integer >= 0, and a ``max_points`` that is not an integer >= 2, are
+    refused with ``InvalidParameterError``.
     """
     from .envelope import exact_envelope
     from .properties import distal_semiflow_check
     from .spaces import FiniteModel
 
+    count, max_points = check_int(count, 0, "count"), check_int(max_points, 2, "max_points")
     rng = np.random.default_rng(seed)
     metrics, per_monoid, violations = {}, {}, []
     for trial in range(count):

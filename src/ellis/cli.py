@@ -199,9 +199,12 @@ def _op_hyper_export(ctx):
     return _require(ctx.hyper, "a hyper model").to_json()
 
 
-def _op_hitting_matrix(ctx, horizon, cylinder_length=2, granularity=None):
-    """Membership matrix of every N(U, V) over the cover, CSV-friendly."""
+def _op_hitting_matrix(ctx, horizon, cylinder_length=None, granularity=None):
+    """Membership matrix of every N(U, V) over the cover, CSV-friendly; a
+    shift's cover is its cylinders up to length 2 by default."""
     target = _target(ctx)
+    if cylinder_length is None and isinstance(target, symbolic.Subshift):
+        cylinder_length = 2
     sets = properties.transitivity_cover(target, cylinder_length, granularity)
     hits = properties.hitting_tensor(target, sets, horizon)
     rows = [{"u": u.label(), "v": v.label(), "membership": hits[1:, i, j].astype(int).tolist()}
@@ -261,7 +264,7 @@ def _op_verify_factor(ctx, n, code=None):
     return {"n": n, "verified": symbolic.verify_factor(blk, dom, cod, n)}
 
 
-def _op_classify_transitivity(ctx, horizon, cylinder_length=3, granularity=None):
+def _op_classify_transitivity(ctx, horizon, cylinder_length=None, granularity=None):
     out = properties.classify_transitivity(
         _target(ctx), horizon, cylinder_length=cylinder_length, granularity=granularity)
     return {

@@ -27,7 +27,7 @@ from .algebra import FiniteSemigroup, MonogenicMonoid, TableError
 # CELL_BUDGET, EnvelopeBudgetError and check_cells are re-exported here
 from .spaces import (CELL_BUDGET, SUP_CHUNK, CascadeModel, EnvelopeBudgetError,
                      FiniteModel, InvalidParameterError, NegativePowerError, check_cells,
-                     check_index)
+                     check_index, check_int)
 
 
 @dataclass
@@ -558,7 +558,8 @@ def identity_isolated(env, tau: float | None = None) -> dict:
 
 def envelope_power_decomposition(env: ExactEnvelope, n: int) -> dict:
     """Exact comparison of an exact envelope with the union of translated
-    n-th-power envelopes; an approximate envelope is refused.
+    n-th-power envelopes; an approximate envelope, and an ``n`` that is not
+    an integer >= 1, are refused.
 
     The envelope of f^n is its iterates f^(nk) up to the first repeated
     map, and the translates f^j f^(nk) for j < n.  Distinct folded exponents
@@ -566,8 +567,7 @@ def envelope_power_decomposition(env: ExactEnvelope, n: int) -> dict:
     none is built."""
     if not isinstance(env, ExactEnvelope):
         raise InvalidParameterError("power decomposition needs an exact envelope")
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
+    n = check_int(n, 1, "n")
     sub, nk = {}, 0                 # fold(nk) -> nk for the maps f^(nk)
     while env.model.fold(nk) not in sub:
         sub[env.model.fold(nk)] = nk

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .spaces import CascadeModel, FiniteModel, InvalidParameterError, check_index, row_blocks
+from .spaces import (CascadeModel, FiniteModel, InvalidParameterError, check_index, check_int,
+                     row_blocks)
 from .symbolic import Subshift, cylinder_tensor
 from .hyperspace import build_hyper_model, canonical, hausdorff_distance
 from . import envelope as envelope_mod
@@ -194,13 +195,19 @@ def default_cover(model: CascadeModel, granularity: float | None = None) -> list
     return cover
 
 
-def transitivity_cover(target, cylinder_length: int = 3,
+def transitivity_cover(target, cylinder_length: int | None = None,
                        granularity: float | None = None) -> list[OpenSet]:
-    """Cylinders of every word up to ``cylinder_length`` on a shift space,
-    the default ball cover on a model."""
+    """Cylinders of every word up to ``cylinder_length`` (3 by default) on a
+    shift space, the default ball cover at ``granularity`` on a model.  A
+    parameter that the target does not read, and a cylinder length that is
+    not an integer >= 1, are refused with ``InvalidParameterError``."""
     if isinstance(target, Subshift):
-        return [cylinder(w) for L in range(1, cylinder_length + 1)
-                for w in sorted(target.words(L))]
+        if granularity is not None:
+            raise InvalidParameterError("granularity is not read by a shift's cylinder cover")
+        length = check_int(3 if cylinder_length is None else cylinder_length, 1, "cylinder_length")
+        return [cylinder(w) for L in range(1, length + 1) for w in sorted(target.words(L))]
+    if cylinder_length is not None:
+        raise InvalidParameterError("cylinder_length is not read by a model's ball cover")
     return default_cover(target, granularity)
 
 
@@ -279,12 +286,12 @@ def _first_disjoint_pair(masks: np.ndarray):
     return None
 
 
-def classify_transitivity(target, horizon: int, cylinder_length: int = 3,
+def classify_transitivity(target, horizon: int, cylinder_length: int | None = None,
                           thick_run: int = 10, granularity: float | None = None) -> dict:
     """Transitive / weakly mixing / mixing verdicts over a finite open cover.
 
-    Shift spaces use all cylinders up to ``cylinder_length``; models use
-    metric balls at the given granularity.  Weak mixing combines the
+    Shift spaces use all cylinders up to ``cylinder_length`` (3 by default);
+    models use metric balls at the given granularity.  Weak mixing combines the
     product-pair test with a thickness scan of every hitting set.
 
     Every verdict reads one boolean tensor ``hitting_tensor(target, sets,
@@ -294,7 +301,8 @@ def classify_transitivity(target, horizon: int, cylinder_length: int = 3,
     gives the thickness scan, the trailing run of hits the mixing tail, and
     chunked products of the mask matrix with its transpose the first
     disjoint pair of the weak-mixing test.  A negative horizon, a
-    ``thick_run`` below 1 and a granularity that is not > 0 are refused with
+    ``thick_run`` below 1, a granularity that is not > 0 and the cover
+    parameters that ``transitivity_cover`` refuses are refused with
     ``InvalidParameterError``.
     """
     _check_horizon(horizon)

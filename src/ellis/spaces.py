@@ -16,6 +16,7 @@ snapping once at the end, so discretization error does not compound.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,6 +73,15 @@ def check_index(value, size: int, what: str) -> int:
     no truncation."""
     if int(value) != value or not 0 <= value < size:
         raise InvalidParameterError(f"{what}={value} is not an integer in [0, {size})")
+    return int(value)
+
+
+def check_int(value, floor: int, what: str) -> int:
+    """``value`` as an integer >= ``floor``; a bool, a non-integral number
+    and NaN are refused too."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < floor):
+        raise InvalidParameterError(f"{what}={value!r} is not an integer >= {floor}")
     return int(value)
 
 
@@ -526,6 +536,13 @@ class WindowSampleModel(CascadeModel):
     the shift is evaluated exactly via index arithmetic (a ``ShiftImage``
     handle), so arbitrarily deep iterates stay exact.  Distances use the
     standard dyadic sequence metric, read off positions ``[-pad, pad]``.
+
+    The symbols are packed one bit per symbol, eight sample points per byte
+    in ``np.packbits`` order, in position-major rows: row p + pad + 1 holds
+    position p, between two all-zero rows, so clipping a position off the
+    stored support lands on a zero row.  The constructor packs unpacked
+    ``bits`` (one row per sample point) once; ``sample_window_model`` draws
+    through a bounded scratch and packs it block by block.
     """
 
     kind = "window"
@@ -538,12 +555,9 @@ class WindowSampleModel(CascadeModel):
         self.radius = int(radius)
         self.pad = int(pad)
         width = 2 * pad + 1
-        # position-major symbols between two all-zero rows: row p + pad + 1
-        # holds position p, so clipping a position off the stored support
-        # lands on a zero row and a window of positions is one gather
-        self._columns = np.zeros((width + 2, bits.shape[0]), dtype=np.uint8)
+        self._packed = np.zeros((width + 2, -(-bits.shape[0] // 8)), dtype=np.uint8)
         lo = pad - radius + 1
-        self._columns[lo : lo + bits.shape[1]] = bits.T
+        self._packed[lo : lo + bits.shape[1]] = np.packbits(bits.T, axis=1)
         self._rows = np.arange(bits.shape[0])
         self.invertible = True
         # positions -pad..pad in order of distance from the origin
@@ -553,44 +567,59 @@ class WindowSampleModel(CascadeModel):
 
     @property
     def n_points(self):
-        return int(self._columns.shape[1])
+        return len(self._rows)
+
+    def _stored(self, n: int, w: int) -> np.ndarray:
+        """The packed rows of positions n-w..n+w, clipped onto the zero rows:
+        a view when none is clipped."""
+        lo, hi = n - w + self.pad + 1, n + w + self.pad + 2
+        if 0 <= lo <= hi <= len(self._packed):
+            return self._packed[lo:hi]
+        return self._packed.take(np.arange(lo, hi), axis=0, mode="clip")
+
+    def _symbols(self, n: int, w: int, rows) -> np.ndarray:
+        """The symbols at positions n-w..n+w of the sample points ``rows``,
+        unpacked: one uint8 row per position."""
+        rows = self._rows[rows]         # an id in the last byte's padding bits raises too
+        out = self._stored(n, w).take(rows >> 3, axis=1)
+        out >>= (7 - (rows & 7)).astype(np.uint8)
+        out &= 1
+        return out
 
     @property
     def bits(self) -> np.ndarray:
         """Symbols at positions -pad..pad, one row per sample point."""
-        return self._columns[1:-1].T
+        return self._symbols(0, self.pad, self._rows).T
 
     def symbol(self, i: PointId, pos: int) -> int:
-        p = pos + self.pad
-        if 0 <= p < self.bits.shape[1]:
-            return int(self.bits[i, p])
-        return 0
+        return int(self._symbols(pos, 0, [i])[0, 0])
 
     def key_matrix(self, imgs, w: int) -> np.ndarray:
-        """Symbols of an image on the window ``[-w, w]``, position-major.
+        """Packed symbols of an image on the window ``[-w, w]``, position-major.
 
-        Entry (j, r) is the symbol of sigma^n(x) at position j - w, for the
-        sample point x = ``imgs.rows[r]``; 0 off the stored support, and no
-        positions at all for ``w = -1``.  An image of every sample point, in
-        order, whose window lies inside the stored rows reads a contiguous
-        slice of them: a view, never to be written.
+        Row j holds the symbols of sigma^n(x) at position j - w for the
+        sample points x = ``imgs.rows``, packed eight per byte; 0 off the
+        stored support, and no positions at all for ``w = -1``.  An image of
+        every sample point, in order, whose window lies inside the stored
+        rows reads a contiguous slice of them: a view, never to be written.
+        Any other image packs its gathered symbols, so equal windows give
+        equal keys.
         """
-        lo, hi = imgs.n - w + self.pad + 1, imgs.n + w + self.pad + 2
-        if imgs.rows is self._rows and 0 <= lo <= hi <= len(self._columns):
-            return self._columns[lo:hi]
-        return self._columns.take(np.arange(lo, hi), axis=0, mode="clip").take(imgs.rows, axis=1)
+        if imgs.rows is self._rows:
+            return self._stored(imgs.n, w)
+        return np.packbits(self._symbols(imgs.n, w, imgs.rows), axis=1)
 
-    def _first_diff(self, a, b):
-        # columns of symbols on positions -pad..pad: the disagreement nearest
-        # the origin, at position p, gives 2^-|p|; none gives 0
-        diff = (a != b)[self._scan_order]
+    def _first_diff(self, xor, count: int):
+        # the XOR of two packed keys on positions -pad..pad, for ``count``
+        # points: the disagreement nearest the origin, at position p, gives
+        # 2^-|p|; none gives 0
+        diff = np.unpackbits(xor[self._scan_order], axis=1, count=count).view(bool)
         first = np.argmax(diff, axis=0)
         return np.where(diff.any(axis=0), self._scan_weight[first], 0.0)
 
     def point_dist(self, a, b):
-        seqs = self._columns[1:-1]
-        return self._first_diff(seqs.take(np.atleast_1d(a), axis=1),
-                                seqs.take(np.atleast_1d(b), axis=1))
+        a, b = (ShiftImage(0, np.atleast_1d(p)) for p in (a, b))
+        return self.image_pair_dist(a, b)
 
     @property
     def resolution(self):
@@ -609,20 +638,23 @@ class WindowSampleModel(CascadeModel):
         return ShiftImage(n, self._rows)
 
     def image_pair_dist(self, a_imgs, b_imgs):
-        return self._first_diff(self.key_matrix(a_imgs, self.pad),
-                                self.key_matrix(b_imgs, self.pad))
+        xor = self.key_matrix(a_imgs, self.pad) ^ self.key_matrix(b_imgs, self.pad)
+        return self._first_diff(xor, len(a_imgs.rows))
 
     def image_point_dist(self, imgs, point):
-        return self._first_diff(self.key_matrix(imgs, self.pad), self._columns[1:-1, [point]])
+        # the point's symbols as whole bytes, 0x00 or 0xFF, against every packed column
+        at = np.uint8(255) * self._symbols(0, self.pad, [point])
+        return self._first_diff(self.key_matrix(imgs, self.pad) ^ at, len(imgs.rows))
 
     def snap_images(self, imgs):
         check_cells(len(imgs.rows) * self.n_points * (2 * self.pad + 1),
                     f"snapping {len(imgs.rows)} window rows onto {self.n_points} points")
-        block = self.key_matrix(imgs, self.pad)
+        block = np.uint8(255) * self._symbols(imgs.n, self.pad, imgs.rows)
+        seqs = self._packed[1:-1]
         idx = np.empty(block.shape[1], dtype=np.int64)
         err = 0.0
         for r in range(block.shape[1]):
-            d = self._first_diff(block[:, [r]], self._columns[1:-1])
+            d = self._first_diff(seqs ^ block[:, [r]], self.n_points)
             idx[r] = int(np.argmin(d))
             err = max(err, float(d[idx[r]]))
         return idx, err
@@ -642,13 +674,14 @@ class WindowSampleModel(CascadeModel):
         return self.key_matrix(imgs, self.window_radius(tau))
 
     def export_images(self, imgs):
-        return ["".join(map(str, seq)) for seq in self.key_matrix(imgs, min(self.pad, 8)).T]
+        syms = self._symbols(imgs.n, min(self.pad, 8), imgs.rows)
+        return ["".join(map(str, seq)) for seq in syms.T]
 
     def orbit_entry(self, imgs, x):
         return {"shift": imgs.n, "point": int(imgs.rows[x])}
 
     def point_data(self, i):
-        sup = np.nonzero(self.bits[i])[0] - self.pad
+        sup = np.nonzero(self._symbols(0, self.pad, [i])[:, 0])[0] - self.pad
         return {"support": [int(v) for v in sup]}
 
     def to_json(self):
@@ -1043,14 +1076,14 @@ def snap_to_finite(model: SampledModel, name: str | None = None) -> FiniteModel:
 
 def sample_window_model(count=64, radius=64, seed=0, density=0.5) -> WindowSampleModel:
     """Seeded sample of finite-support sequences from the full 2-shift, each
-    symbol 1 with probability ``density``; a density outside [0, 1] (NaN
-    too) is refused."""
-    if count < 1 or radius < 1:
-        raise InvalidParameterError("count and radius must be >= 1")
+    symbol 1 with probability ``density``; a ``count`` or ``radius`` that is
+    not an integer >= 1, and a density outside [0, 1] (NaN too), are
+    refused."""
+    count, radius = check_int(count, 1, "count"), check_int(radius, 1, "radius")
     if not 0 <= density <= 1:
         raise InvalidParameterError(f"density={density} is not in [0, 1]")
     width, pad = 2 * radius + 1, radius + 2
-    # all-zero sequences, whose columns then take the draw block by block
+    # all-zero sequences, whose packed rows then take the draw block by block
     model = WindowSampleModel(
         "two-shift-window", {"count": count, "radius": radius, "seed": seed, "density": density},
         np.empty((count, 0), dtype=np.uint8), radius, pad,
@@ -1062,12 +1095,20 @@ def sample_window_model(count=64, radius=64, seed=0, density=0.5) -> WindowSampl
     if cut:
         rng = np.random.default_rng(seed)
         below = np.uint64(cut * 2 ** 11 - 1)
-        columns = model._columns[pad - radius + 1:pad + radius + 2].view(bool)
-        # rows per block: 512 KiB of words, so that each column takes runs
-        # of 16 symbols at width 4003 (runs of 4, from BLOCK_CELLS, ran slower)
+        packed = model._packed[pad - radius + 1:pad + radius + 2]
+        # the symbols of `points` sample points at a time land in a bool
+        # scratch of about 1 MiB, which stays in cache and is packed along its
+        # rows in one call (packing each word block's tiny rows ran slower)
+        points = max(8, 2 ** 20 // width // 8 * 8)
+        scratch = np.empty((width, min(count, points)), dtype=bool)
+        # rows per word block: 512 KiB of words, so that each scratch row
+        # takes runs of 16 symbols at width 4003
         step = max(1, 2 ** 16 // width)
-        for lo in range(0, count, step):
-            hi = min(count, lo + step)
-            words = rng.bit_generator.random_raw((hi - lo) * width).reshape(hi - lo, width)
-            np.less_equal(words.T, below, out=columns[:, lo:hi])
+        for start in range(0, count, points):
+            end = min(count, start + points)
+            for lo in range(start, end, step):
+                hi = min(end, lo + step)
+                words = rng.bit_generator.random_raw((hi - lo) * width).reshape(hi - lo, width)
+                np.less_equal(words.T, below, out=scratch[:, lo - start:hi - start])
+            packed[:, start // 8:-(-end // 8)] = np.packbits(scratch[:, :end - start], axis=1)
     return model

@@ -438,6 +438,14 @@ def test_monogenic_monoid_closed_forms():
     assert algebra.MonogenicMonoid(0, 1).generator == 0
 
 
+@pytest.mark.parametrize("kwargs", [{"max_points": 1}, {"max_points": 0}, {"max_points": -1},
+                                    {"max_points": 2.5}, {"count": -1}, {"count": math.nan}])
+def test_equivalence_corpus_refuses_too_few_points_and_a_negative_count(kwargs):
+    # unchecked, max_points below 2 failed inside numpy with "low >= high"
+    with pytest.raises(spaces.InvalidParameterError, match="is not an integer >="):
+        algebra.run_equivalence_corpus(**{"count": 4, **kwargs})
+
+
 def test_periodic_union_12_pipeline_reads_no_maps_and_no_table():
     # its maps alone would be 27921 x 15756 int64 cells, 3.5 GB
     cfg = {"model": {"name": "periodic-union", "params": {"n": 12}}, "pipeline": [

@@ -550,6 +550,53 @@ def test_scans_refuse_a_negative_horizon_an_empty_eps_list_and_a_negative_tau(na
     assert step["error"].startswith("InvalidParameterError")
 
 
+# integer parameters: unchecked, power_decomposition with n NaN never
+# returned, a NaN count or radius failed inside numpy, 1.5 and True ran as
+# given, and max_points 1, 0 or -1 failed with numpy's "low >= high"
+BAD_INTEGER_STEPS = {
+    **{f"{op}-{key}-{v}": (op, {**params, key: v})
+       for op, params, key in (("power_decomposition", {}, "n"),
+                               ("window_model", {"count": 4, "radius": 3}, "count"),
+                               ("window_model", {"count": 4, "radius": 3}, "radius"))
+       for v in (math.nan, 1.5, True)},
+    **{f"corpus-max-points-{v}": ("equivalence_corpus", {"count": 4, "max_points": v})
+       for v in (1, 0, -1)},
+    "corpus-count": ("equivalence_corpus", {"count": -1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INTEGER_STEPS))
+def test_integer_parameters_are_refused_as_parameters(name):
+    op, params = BAD_INTEGER_STEPS[name]
+    report, _ = cli.run_experiment({
+        "model": {"name": "irrational-rotation", "params": {"grid": 12}},
+        "pipeline": [{"op": "exact_envelope"}, {"op": op, "params": params}]})
+    assert report["steps"][0]["status"] == "ok"
+    assert report["steps"][1]["error"].startswith("InvalidParameterError")
+    assert "is not an integer >=" in report["steps"][1]["error"]
+
+
+# unchecked, a granularity on a shift and a cylinder length on a model were
+# ignored, and a cylinder length of 0 failed with a bare "max() arg is an
+# empty sequence"
+BAD_COVER_PARAMS = [
+    *[("shift", {"granularity": g}) for g in (-1, math.nan, 0.5)],
+    *[("shift", {"cylinder_length": n}) for n in (0, -2, 1.5, math.nan)],
+    *[("model", {"cylinder_length": n}) for n in (3, 0)],
+]
+
+
+@pytest.mark.parametrize("op", ["hitting_matrix", "classify_transitivity"])
+@pytest.mark.parametrize("target,params", BAD_COVER_PARAMS)
+def test_cover_ops_refuse_a_parameter_the_target_does_not_read(op, target, params):
+    load = ({"op": "build_subshift", "params": {"spec": GOLDEN}} if target == "shift" else
+            {"op": "load_example", "params": {"name": "irrational-rotation", "params": {"grid": 12}}})
+    report, _ = cli.run_experiment({"pipeline": [
+        load, {"op": op, "params": {"horizon": 4, **params}}]})
+    assert report["steps"][0]["status"] == "ok"
+    assert report["steps"][1]["error"].startswith("InvalidParameterError")
+
+
 EVERY_OP = json.loads((Path(__file__).resolve().parent.parent / "configs" / "every_op.json")
                       .read_text())
 

@@ -241,7 +241,7 @@ def test_classify_transitivity_matches_loop_reference(build, horizon, kwargs):
     assert got["tails"] == want["tails"]
     assert all(t is None or type(t) is int for t in got["tails"].values())
     k = len(got["verdicts"]["transitive"].params["sets"])
-    sets = properties.transitivity_cover(target, kwargs.get("cylinder_length", 3))
+    sets = properties.transitivity_cover(target, kwargs.get("cylinder_length"))
     masks = hitting_tensor(target, sets, horizon).reshape(horizon + 1, k * k).T
     pair = properties._first_disjoint_pair(masks)
     keys = list(got["tails"])
@@ -264,7 +264,8 @@ def test_hitting_matrix_rows_match_hitting_set(model, shift):
         target = symbolic.build_subshift(shift)
     report, _ = cli.run_experiment(config)
     rows = report["steps"][-1]["result"]["pairs"]
-    sets = properties.transitivity_cover(target, 2)
+    # the op's cover: cylinders up to length 2 on a shift, balls on a model
+    sets = properties.transitivity_cover(target, 2 if model is None else None)
     expected = []
     for u in sets:
         for v in sets:
@@ -400,6 +401,20 @@ def test_scans_refuse_nan_and_out_of_range_parameters(name):
     rot = spaces.load_example("irrational-rotation", grid=12)
     with pytest.raises(spaces.InvalidParameterError):
         BAD_SCAN_PARAMETERS[name](rot)
+
+
+@pytest.mark.parametrize("target,kwargs", [
+    *[("shift", {"granularity": g}) for g in (-1, math.nan, 0.5)],
+    *[("shift", {"cylinder_length": n}) for n in (0, -2, 1.5, math.nan, True)],
+    *[("model", {"cylinder_length": n}) for n in (3, 0)],
+])
+def test_transitivity_refuses_a_cover_parameter_the_target_does_not_read(target, kwargs):
+    # unchecked, granularity -1 or NaN on the golden mean shift answered ok,
+    # and cylinder length 0 failed with a bare ValueError
+    t = (symbolic.golden_mean_shift() if target == "shift"
+         else spaces.load_example("irrational-rotation", grid=12))
+    with pytest.raises(spaces.InvalidParameterError, match="not read by|is not an integer >= 1"):
+        classify_transitivity(t, 10, **kwargs)
 
 
 # -- strong transitivity --------------------------------------------------------------

@@ -72,16 +72,34 @@ def test_window_sample_bits_are_one_draw_in_row_blocks(count, radius, seed, dens
     assert np.array_equal(drawn, whole.astype(np.uint8))
 
 
-def test_window_sample_holds_no_float_draw_of_the_whole_window():
-    # 1000 x 4001 bits: 4 MB as uint8, and again as the model's columns; the
-    # float64 draw of the whole window would add 32 MB
+@pytest.mark.parametrize("count,radius,seed", [
+    (270, 2000, 6),      # scratches of 256 points, the last of 14
+    (2100, 250, 8),      # scratches of 2088 points; a word block straddles the edge
+    (20, 40000, 9),      # scratches of 8 points, one row per word block
+])
+def test_window_sample_bits_cross_scratch_boundaries(count, radius, seed):
+    # the same oracle, over draws that fill and pack more than one scratch
+    m = spaces.sample_window_model(count=count, radius=radius, seed=seed)
+    whole = np.random.default_rng(seed).random((count, 2 * radius + 1)) < 0.5
+    assert np.array_equal(m.bits[:, m.pad - radius:m.pad + radius + 1], whole.astype(np.uint8))
+
+
+@pytest.mark.parametrize("count,radius", [
+    (1000, 2000),    # 0.5 MB packed; unpacked columns alone were 4 MB
+    (3, 33000),      # one point per word block: the scratch holds 8 points
+    (2000, 2001),    # the shift workload's window: 4007 positions of 250 bytes
+])
+def test_window_sample_holds_no_float_draw_of_the_whole_window(count, radius):
+    # the float64 draw of a 1000 x 4001 window would take 32 MB; the draw
+    # goes through one word block and a scratch of about 1 MiB
     tracemalloc.start()
     try:
-        spaces.sample_window_model(count=1000, radius=2000, seed=1)
+        m = spaces.sample_window_model(count=count, radius=radius, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    assert m._packed.shape == (2 * radius + 7, -(-count // 8))
+    assert peak < 4 * 2 ** 20
 
 
 def test_metric_identity_and_symmetry():
@@ -484,11 +502,26 @@ def test_cycle_structure_matches_per_point_walk(table):
     assert got == [walk_to_cycle(table, x) for x in range(len(table))]
 
 
+def window_symbols(bits, pad, imgs, w):
+    # oracle: unpacked symbols, one row per sample point at positions
+    # -pad..pad, between two zero columns; the window's positions are
+    # gathered clipped onto those, then the image's sample rows, position-major
+    cols = np.pad(bits, ((0, 0), (1, 1)))
+    pos = np.arange(imgs.n - w, imgs.n + w + 1) + pad + 1
+    return cols.take(pos, axis=1, mode="clip")[imgs.rows].T
+
+
 def take_key_matrix(model, imgs, w):
-    # oracle: gather the window's positions, clipped onto the zero rows, then
-    # the image's sample rows
-    pos = np.arange(imgs.n - w, imgs.n + w + 1) + model.pad + 1
-    return model._columns.take(pos, axis=0, mode="clip").take(imgs.rows, axis=1)
+    # oracle: the gathered symbols of the window, packed eight points per byte
+    return np.packbits(window_symbols(model.bits, model.pad, imgs, w), axis=1)
+
+
+def dyadic_first_diff(a, b, pad):
+    # oracle: unpacked symbols at positions -pad..pad, one column per point;
+    # the disagreement nearest the origin, at position p, gives 2^-|p|
+    radius = np.abs(np.arange(-pad, pad + 1))[:, None]
+    first = np.where(a != b, radius, pad + 1).min(axis=0)
+    return np.where(first <= pad, 2.0 ** -first, 0.0)
 
 
 @pytest.mark.parametrize("n", [0, 3, -7, 9, -9, 10, -10, 11, 12, -13, 40])
@@ -503,16 +536,40 @@ def test_window_keys_match_the_gather_path(n):
             other = m.apply_to_indices(other, rows)
         for w in (-1, 0, 1, 4, m.pad):
             key = m.key_matrix(imgs, w)
-            assert key.shape == (max(2 * w + 1, 0), m.n_points)
+            assert key.shape == (max(2 * w + 1, 0), 1)    # 7 points in one byte
             assert np.array_equal(key, take_key_matrix(m, imgs, w))
         for tau in (2.0, 0.4, 0.1, 2.0 ** -m.pad):
             w = m.window_radius(tau)
             assert np.array_equal(m.cluster_key(imgs, tau), take_key_matrix(m, imgs, w))
         assert np.array_equal(m.image_pair_dist(imgs, other),
-                              m._first_diff(take_key_matrix(m, imgs, m.pad),
-                                            take_key_matrix(m, other, m.pad)))
+                              dyadic_first_diff(window_symbols(m.bits, m.pad, imgs, m.pad),
+                                                window_symbols(m.bits, m.pad, other, m.pad), m.pad))
     # identity rows whose window fits in the stored rows read a view
-    assert np.shares_memory(m.key_matrix(ident, 1), m._columns) == (abs(n) <= m.pad)
+    assert np.shares_memory(m.key_matrix(ident, 1), m._packed) == (abs(n) <= m.pad)
+
+
+@given(st.sampled_from([1, 7, 9, 301]), st.integers(min_value=0, max_value=2**16),
+       st.integers(min_value=-9, max_value=9), st.integers(min_value=-1, max_value=7))
+def test_packed_window_reads_match_unpacked_oracles(count, seed, n, w):
+    # counts that are not multiples of 8 leave padding bits in the last byte
+    m = spaces.sample_window_model(count=count, radius=5, seed=seed)
+    drawn = (np.random.default_rng(seed).random((count, 11)) < 0.5).astype(np.uint8)
+    bits = np.pad(drawn, ((0, 0), (2, 2)))              # positions -pad..pad, pad 7
+    rows = np.random.default_rng(seed + 1).integers(0, count, size=count)
+    imgs = m.apply_to_indices(m.iterate_images(n), rows)
+    want = window_symbols(bits, m.pad, imgs, w)
+    assert np.array_equal(m.key_matrix(imgs, w), np.packbits(want, axis=1))
+    # snapping: the nearest sample point of each image row, the first on ties
+    win = window_symbols(bits, m.pad, imgs, m.pad)
+    points = bits.T
+    dists = [dyadic_first_diff(win[:, [r]], points, m.pad) for r in range(count)]
+    idx, err = m.snap_images(imgs)
+    assert idx.tolist() == [int(np.argmin(d)) for d in dists]
+    assert err == max(float(d.min()) for d in dists)
+    for i in range(count):
+        assert m.point_data(i) == {"support": (np.flatnonzero(drawn[i]) - 5).tolist()}
+    with pytest.raises(IndexError):     # a padding bit of the last byte is no point
+        m.point_data(count)
 
 
 def loop_isolated_ones_dist(truncate, a, b):
