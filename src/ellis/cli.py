@@ -135,8 +135,8 @@ def _op_approx_envelope(ctx, horizon, tau, power_range="two-sided",
     }
 
 
-def _op_envelope_export(ctx, include_images=False):
-    return _require(ctx.env, "an envelope").to_json(include_images=include_images)
+def _op_envelope_export(ctx):
+    return _require(ctx.env, "an envelope").to_json()
 
 
 def _op_envelope_table(ctx):
@@ -358,8 +358,9 @@ OPS = {
 
 
 def run_experiment(config: dict) -> tuple[dict, list[float]]:
-    """Execute a declarative pipeline; returns (report, per-step timings)."""
-    ctx = StepContext(seed=int(config.get("seed", 0)))
+    """Execute a declarative pipeline; returns (report, per-step timings).  A
+    ``seed`` that is not an integer >= 0 is refused before any step runs."""
+    ctx = StepContext(seed=spaces.check_int(config.get("seed", 0), 0, "seed"))
     steps_out = []
     timings = []
     if "model" in config:
@@ -568,7 +569,11 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "run":
-        report, timings = run_experiment(doc)
+        try:
+            report, timings = run_experiment(doc)
+        except spaces.InvalidParameterError as exc:   # a bad seed or top-level model
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
         formats = set(doc.get("output", {}).get("formats", [args.format]))
         formats.add("json")
         emit_report(report, timings, args.out, sorted(formats))

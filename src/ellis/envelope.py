@@ -69,17 +69,11 @@ class _EnvelopeBase:
     identity_index: int = 0
     generator_index: int | None = None
 
-    def element_of_exponent(self, n: int):
-        raise NotImplementedError
-
     def element_names(self):
         return [e.name for e in self.elements]
 
     def element_images(self, i: int):
         return self.elements[i].images
-
-    def sup_distance(self, i: int, j: int) -> float:
-        return self.model.image_sup_dist(self.element_images(i), self.element_images(j))
 
     def render_table(self) -> str:
         names = self.element_names()
@@ -94,8 +88,8 @@ class _EnvelopeBase:
             rows.append(n.rjust(width) + cells)
         return "\n".join(rows)
 
-    def to_json(self, include_images: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "schema": "ellis.envelope/1",
             "model": self.model.name,
             "elements": self.element_names(),
@@ -107,9 +101,6 @@ class _EnvelopeBase:
             "max_snap_error": self.max_snap_error,
             "table": None if self.table is None else self.table.tolist(),
         }
-        if include_images:
-            out["images"] = [self.model.export_images(e.images) for e in self.elements]
-        return out
 
 
 class ExactEnvelope(_EnvelopeBase):
@@ -158,14 +149,6 @@ class ExactEnvelope(_EnvelopeBase):
         fibres = np.bincount(self.model.iterate_images(self.index))
         return int((fibres * (fibres - 1)).sum()) // 2
 
-    def element_of_exponent(self, n: int):
-        if n >= 0:
-            return self.model.fold(n)
-        if not self.model.invertible:
-            raise NegativePowerError("negative exponent on a semicascade envelope")
-        # invertible finite models have index 0; n mod period picks the element
-        return self.model.fold(n % self.period)
-
     @property
     def is_group(self) -> bool:
         return self.index == 0
@@ -189,9 +172,6 @@ class ApproxEnvelope(_EnvelopeBase):
         self.max_snap_error = max_snap_error
         self.identity_index = exponent_map[0]
         self.generator_index = exponent_map.get(1)
-
-    def element_of_exponent(self, n: int):
-        return self.exponent_map[n]
 
     @cached_property
     def semigroup(self) -> FiniteSemigroup:
@@ -391,8 +371,7 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
     its own.  Members arrive in order of |n|, so a limit's deepest member
     leaves its cluster at least two tail members: only such clusters keep
     one."""
-    if horizon < 1:
-        raise InvalidParameterError("horizon must be >= 1")
+    horizon = check_int(horizon, 1, "horizon")
     if not tau > 0:
         raise InvalidParameterError("tau must be positive")
     if power_range not in ("two-sided", "forward"):
@@ -595,13 +574,11 @@ def stabilization_diagnostic(model: CascadeModel, horizons, tau: float,
     ``env``, when it is an approximate envelope of this model object at this
     tau and power range up to at least the last horizon, is read instead of
     clustering the iterates again."""
-    horizons = list(horizons)
+    horizons = [check_int(h, 1, "horizon") for h in horizons]
     if sorted(horizons) != horizons:
         raise InvalidParameterError("horizons must be increasing")
     counts = []
     if horizons:
-        if horizons[0] < 1:
-            raise InvalidParameterError("horizon must be >= 1")
         # clustering is greedy in exponent order, and the order for h is a
         # prefix of the order for any longer horizon: the clusters at h are
         # the main-loop clusters whose first exponent has |origin| <= h
@@ -726,26 +703,3 @@ def inducibility_check(hyper_env, element_index: int) -> dict:
         "minimal_ok": dominated_by is None,
         "dominated_by": dominated_by,
     }
-
-
-def envelope_phase_model(env) -> FiniteModel:
-    """The envelope as a finite phase space under left multiplication by the
-    generator, with the sup-distance between elements as the metric."""
-    n = len(env.elements)
-    dmat = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dmat[i, j] = dmat[j, i] = env.sup_distance(i, j)
-
-    def dist(a, b):
-        return dmat[np.asarray(a), np.asarray(b)]
-
-    gen = env.generator_index if env.generator_index is not None else env.identity_index
-    table = env.table[gen]
-    if (table < 0).any():
-        raise InvalidParameterError("phase model needs a closed composition table")
-    inv = None
-    if np.array_equal(np.sort(table), np.arange(n)):
-        inv = np.argsort(table)
-    return FiniteModel(f"envelope({env.model.name})", {}, None, dist, table, inv,
-                       "sup-distance", point_labels=[e.name for e in env.elements])

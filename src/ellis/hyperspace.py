@@ -26,7 +26,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .spaces import (BLOCK_CELLS, CascadeModel, FiniteModel, InvalidParameterError,
-                     WindowSampleModel, check_cells, check_index, row_blocks)
+                     WindowSampleModel, check_cells, check_index, check_int, row_blocks)
 
 
 class HyperBudgetError(RuntimeError):
@@ -72,9 +72,7 @@ class HyperCascadeModel(CascadeModel):
     kind = "hyper"
 
     def _enumerate(self, base: CascadeModel, max_cardinality: int, budget: int):
-        if max_cardinality < 1:
-            raise InvalidParameterError("max cardinality must be >= 1")
-        n, k = base.n_points, int(max_cardinality)
+        n, k = base.n_points, check_int(max_cardinality, 1, "max cardinality")
         counts = [math.comb(n, j) for j in range(1, k + 1)]
         if sum(counts) > budget:
             raise HyperBudgetError(f"{sum(counts)} hyperpoints exceeds budget {budget}")
@@ -214,10 +212,6 @@ class HyperCascadeModel(CascadeModel):
         return self.base.diameter
 
     # -- serialization ---------------------------------------------------------
-
-    def export_images(self, imgs):
-        snapped, _ = self.snap_images(imgs)
-        return [list(dict.fromkeys(r)) for r in self.members[snapped].tolist()]
 
     def point_data(self, i):
         return list(dict.fromkeys(self.members[i].tolist()))

@@ -16,7 +16,7 @@ import numpy as np
 from .spaces import (CascadeModel, FiniteModel, InvalidParameterError, check_index, check_int,
                      row_blocks)
 from .symbolic import Subshift, cylinder_tensor
-from .hyperspace import build_hyper_model, canonical, hausdorff_distance
+from .hyperspace import build_hyper_model
 from . import envelope as envelope_mod
 
 
@@ -129,11 +129,6 @@ def _distance_scan(model: CascadeModel, radius: float):
             np.concatenate(ys).astype(np.int64, copy=False), first, ball, counts)
 
 
-def _check_horizon(horizon: int) -> None:
-    if horizon < 0:
-        raise InvalidParameterError(f"horizon={horizon} is negative")
-
-
 def _last_time(model: CascadeModel, horizon: int) -> int:
     """The last time a scan up to ``horizon`` evaluates: on a finite carrier
     f^n = f^(n - period) once n - period >= index."""
@@ -241,7 +236,7 @@ def hitting_tensor(target, sets, horizon: int) -> np.ndarray:
     anything is allocated, with ``InvalidParameterError`` for a negative
     horizon and with ``EnvelopeBudgetError`` over ``CELL_BUDGET`` cells.
     """
-    _check_horizon(horizon)
+    horizon = check_int(horizon, 0, "horizon")
     k = len(sets)
     envelope_mod.check_cells((horizon + 1) * k * k,
                              f"the hitting tensor of {k} sets at horizon {horizon}")
@@ -305,7 +300,7 @@ def classify_transitivity(target, horizon: int, cylinder_length: int | None = No
     parameters that ``transitivity_cover`` refuses are refused with
     ``InvalidParameterError``.
     """
-    _check_horizon(horizon)
+    horizon = check_int(horizon, 0, "horizon")
     if not thick_run >= 1:
         raise InvalidParameterError(f"thick_run={thick_run} is not >= 1")
     sets = transitivity_cover(target, cylinder_length, granularity)
@@ -355,7 +350,7 @@ def strong_transitivity_check(model: CascadeModel, horizon: int) -> dict:
     iterates up to ``_last_time``, which are all the maps, fills both."""
     if not isinstance(model, FiniteModel):
         raise InvalidParameterError("strong transitivity needs enumerable preimages")
-    _check_horizon(horizon)
+    horizon = check_int(horizon, 0, "horizon")
     n = model.n_points
     member = np.ascontiguousarray(_cover_membership(model, default_cover(model)).T)
     ys, js = np.nonzero(member)
@@ -420,7 +415,7 @@ def equicontinuity_scan(model: CascadeModel, eps_list, horizon: int) -> dict:
     negative horizon.
     """
     eps_list = _check_eps(eps_list)
-    _check_horizon(horizon)
+    horizon = check_int(horizon, 0, "horizon")
     g = model.granularity
     xs, ys, first, ball, _ = _distance_scan(model, g)
     # a point whose first mate (in column order) is beyond the granularity is
@@ -454,7 +449,7 @@ def hyper_equicontinuity_crosscheck(base_model: CascadeModel, k: int, eps_list,
     """Almost-equicontinuity agreement between a model and its finite-subset
     hyperspace at cardinality k."""
     _check_eps(eps_list)
-    _check_horizon(horizon)
+    horizon = check_int(horizon, 0, "horizon")
     hyper = build_hyper_model(base_model, k)
     base = equicontinuity_scan(base_model, eps_list, horizon)
     hyp = equicontinuity_scan(hyper, eps_list, horizon)
@@ -464,44 +459,6 @@ def hyper_equicontinuity_crosscheck(base_model: CascadeModel, k: int, eps_list,
         "agree": base["ae"] == hyp["ae"],
         "base": base,
         "hyper": hyp,
-    }
-
-
-def orbit_closure_equicontinuity(base_model: FiniteModel, members, eps: float,
-                                 horizon: int) -> dict:
-    """Equicontinuity of one (arbitrary-cardinality) set inside its own
-    induced orbit closure; used for sets too large to enumerate.  An empty
-    set, a point id outside [0, N) or a negative horizon is refused with
-    ``InvalidParameterError``."""
-    if not isinstance(base_model, FiniteModel):
-        raise InvalidParameterError("orbit-closure check needs a finite-exact model")
-    _check_horizon(horizon)
-    a = canonical(check_index(m, base_model.n_points, "point") for m in members)
-    orbit = [a]
-    seen = {a}
-    cur = a
-    for _ in range(horizon):
-        cur = canonical(base_model.map_table[list(cur)])
-        if cur in seen:
-            break
-        seen.add(cur)
-        orbit.append(cur)
-    dists = [hausdorff_distance(base_model, a, b) for b in orbit[1:]]
-    if not dists:
-        return {"equicontinuous": True, "orbit_size": 1, "nn_distance": None}
-    nn = min(dists)
-    mates = [b for b, d in zip(orbit[1:], dists) if d <= nn * (1 + 1e-12)]
-    sup = 0.0
-    for b in mates:
-        x, y = a, b
-        for _ in range(horizon):
-            sup = max(sup, hausdorff_distance(base_model, x, y))
-            x, y = (canonical(base_model.map_table[list(s)]) for s in (x, y))
-    return {
-        "equicontinuous": sup < eps,
-        "orbit_size": len(orbit),
-        "nn_distance": nn,
-        "sup_divergence": sup,
     }
 
 
@@ -525,7 +482,7 @@ def rigidity_battery(model: CascadeModel, horizon: int, tau: float) -> dict:
     """
     if not tau > 0:
         raise InvalidParameterError("tau must be positive")
-    _check_horizon(horizon)
+    horizon = check_int(horizon, 0, "horizon")
     r = _point_return_matrix(model, horizon, tau)
     n_pts = model.n_points
     # full-sample simultaneous returns
@@ -590,7 +547,7 @@ def recurrence_report(model: CascadeModel, horizon: int, tau: float) -> dict:
     A negative horizon, or a tau that is negative or NaN, is refused with
     ``InvalidParameterError``.
     """
-    _check_horizon(horizon)
+    horizon = check_int(horizon, 0, "horizon")
     if not tau >= 0:
         raise InvalidParameterError(f"tau={tau} is negative or NaN")
     r = _point_return_matrix(model, horizon, tau)

@@ -68,19 +68,24 @@ class NegativePowerError(ValueError):
     """Negative iterate requested on a non-invertible model."""
 
 
+def _integral(value) -> bool:
+    """A real number with an integer value: not a bool, NaN or infinity."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and float(value).is_integer())
+
+
 def check_index(value, size: int, what: str) -> int:
     """``value`` as an index into ``size`` items; no wrapping, no clamping,
-    no truncation."""
-    if int(value) != value or not 0 <= value < size:
+    no truncation, and a bool or NaN is refused too."""
+    if not _integral(value) or not 0 <= value < size:
         raise InvalidParameterError(f"{what}={value} is not an integer in [0, {size})")
     return int(value)
 
 
-def check_int(value, floor: int, what: str) -> int:
+def check_int(value, floor: float, what: str) -> int:
     """``value`` as an integer >= ``floor``; a bool, a non-integral number
     and NaN are refused too."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer() or value < floor):
+    if not _integral(value) or value < floor:
         raise InvalidParameterError(f"{what}={value!r} is not an integer >= {floor}")
     return int(value)
 
@@ -143,7 +148,7 @@ class CascadeModel:
     A carrier must define ``n_points``, ``point_dist``, ``resolution``,
     ``diameter``, ``_identity_images`` and ``_advance`` (or its own
     ``iterate_images``), ``image_pair_dist``, ``snap_images``,
-    ``export_images``, ``orbit_entry`` and ``point_data``.  It inherits
+    ``orbit_entry`` and ``point_data``.  It inherits
     ``apply_to_indices`` (a gather along the leading axis),
     ``image_point_dist`` (``image_pair_dist`` against the identity image at
     the point), ``image_sup_dist``, ``distance_rows``, ``cluster_key``
@@ -287,9 +292,6 @@ class CascadeModel:
         """
         return None
 
-    def export_images(self, imgs) -> list:
-        raise NotImplementedError
-
     def orbit_entry(self, imgs, x: PointId):
         """JSON-ready description of the image of sample point ``x``."""
         raise NotImplementedError
@@ -404,9 +406,6 @@ class FiniteModel(CascadeModel):
             return imgs
         return None
 
-    def export_images(self, imgs):
-        return [int(v) for v in imgs]
-
     def orbit_entry(self, imgs, x):
         return int(imgs[x])
 
@@ -490,9 +489,6 @@ class SampledModel(CascadeModel):
         err = self._raw_dist(imgs, self.points[idx])
         return idx, float(np.max(err)) if len(err) else 0.0
 
-    def export_images(self, imgs):
-        return [[float(v) for v in np.atleast_1d(row)] for row in np.asarray(imgs)]
-
     def orbit_entry(self, imgs, x):
         # the raw image and its snap, so discretization is never silent
         raw = imgs[[x]]
@@ -507,8 +503,9 @@ class SampledModel(CascadeModel):
         return {
             **super().to_json(),
             "epsilon": self.epsilon,
-            "points": self.export_images(self.points),
-            "map": self.export_images(self._step_raw(self.points)),
+            "points": self.points.reshape(self.n_points, -1).tolist(),
+            "map": np.asarray(self._step_raw(self.points), dtype=float)
+                     .reshape(self.n_points, -1).tolist(),
         }
 
 
@@ -673,10 +670,6 @@ class WindowSampleModel(CascadeModel):
     def cluster_key(self, imgs, tau):
         return self.key_matrix(imgs, self.window_radius(tau))
 
-    def export_images(self, imgs):
-        syms = self._symbols(imgs.n, min(self.pad, 8), imgs.rows)
-        return ["".join(map(str, seq)) for seq in syms.T]
-
     def orbit_entry(self, imgs, x):
         return {"shift": imgs.n, "point": int(imgs.rows[x])}
 
@@ -702,8 +695,7 @@ class CatalogEntry:
 
 
 def _interval_model(name, params, lo, hi, grid, fwd, inv):
-    if grid < 2:
-        raise InvalidParameterError("grid size must be >= 2")
+    grid = check_int(grid, 2, "grid")
     pts = np.linspace(lo, hi, grid)
     eps = (hi - lo) / (grid - 1)
 
@@ -1015,21 +1007,11 @@ def list_catalog() -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def metric(model: CascadeModel, a: PointId, b: PointId) -> float:
-    return model.metric(a, b)
-
-
-def step(model: CascadeModel, x: PointId):
-    """One application of the map, ``orbit_segment(model, x, 1, 1)[0]``.
-
-    Finite-exact models return the image PointId.  Sampled models return
-    ``(raw, snapped_id, snap_error)`` so discretization is never silent;
-    window models return the shift handle.
-    """
-    return orbit_segment(model, x, 1, 1)[0]
-
-
 def orbit_segment(model: CascadeModel, x: PointId, n_from: int, n_to: int):
+    """The orbit entries of ``x`` under f^n for n = n_from..n_to: a point id
+    on a finite-exact model, the raw image, its snap and the snap error on a
+    sampled one, the shift handle on a window one."""
+    n_from, n_to = check_int(n_from, -math.inf, "n_from"), check_int(n_to, -math.inf, "n_to")
     if n_from > n_to:
         raise InvalidParameterError("n_from must be <= n_to")
     if n_from < 0 and not model.invertible:
@@ -1041,8 +1023,7 @@ def orbit_segment(model: CascadeModel, x: PointId, n_from: int, n_to: int):
 def omega_limit_estimate(model: CascadeModel, x: PointId, horizon: int, tol: float) -> set[PointId]:
     """Sample points hit at least twice by the tail half of the orbit; a
     ``tol`` that is negative or NaN is refused."""
-    if horizon < 1:
-        raise InvalidParameterError("horizon must be >= 1")
+    horizon = check_int(horizon, 1, "horizon")
     if not tol >= 0:
         raise InvalidParameterError(f"tol={tol} is negative or NaN")
     x = check_index(x, model.n_points, "point")
@@ -1054,24 +1035,6 @@ def omega_limit_estimate(model: CascadeModel, x: PointId, horizon: int, tol: flo
         imgs = model.apply_to_indices(model.iterate_images(n), copies_of_x)
         hits[model.image_pair_dist(imgs, ident) <= tol] += 1
     return {int(i) for i in np.nonzero(hits >= 2)[0]}
-
-
-def snap_to_finite(model: SampledModel, name: str | None = None) -> FiniteModel:
-    """Freeze a sampled model into a finite-exact one via the snapped step.
-
-    The result iterates the snapped map (a total index table); useful for
-    preimage enumeration and exact envelopes at coarse grid scales.
-    """
-    if not isinstance(model, SampledModel):
-        raise InvalidParameterError("snap_to_finite expects a sampled model")
-    table, _ = model.snap_images(model.iterate_images(1))
-    inverse = None
-    if sorted(table) == list(range(model.n_points)):
-        inverse = np.argsort(table)
-    return FiniteModel(
-        name or f"{model.name}-snapped", dict(model.params), model.points, model.point_dist,
-        table, inverse, model.metric_name,
-    )
 
 
 def sample_window_model(count=64, radius=64, seed=0, density=0.5) -> WindowSampleModel:

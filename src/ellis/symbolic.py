@@ -40,6 +40,15 @@ class RuleUndefinedError(KeyError):
     """Sliding-block rule applied outside its domain language."""
 
 
+def _check_length(n, floor: int, what: str) -> int:
+    """``spaces.check_int`` for a word length, refused with ``ShiftSpecError``
+    as every bad shift parameter is."""
+    try:
+        return spaces.check_int(n, floor, what)
+    except spaces.InvalidParameterError as exc:
+        raise ShiftSpecError(*exc.args) from None
+
+
 # ---------------------------------------------------------------------------
 # presentations
 # ---------------------------------------------------------------------------
@@ -222,10 +231,6 @@ class Subshift:
         counts += [int(x.sum() if m else x[0]) for _, x in zip(range(n_max - m), walk)]
         return counts
 
-    def word_in_language(self, word: str) -> bool:
-        p = self.presentation
-        return bool(p.read(p.start, word).any())
-
     def periodic_counts(self, n_max: int) -> list[int]:
         """Points with period dividing n, for n = 0..n_max (entry 0 is 0).
 
@@ -336,34 +341,13 @@ def build_subshift(spec: dict) -> Subshift:
     raise ShiftSpecError(f"unknown shift kind {kind!r}")
 
 
-def full_shift(r: int = 2) -> Subshift:
-    names = "0123456789"[:r]
-    return build_subshift({"kind": "forbidden", "alphabet": list(names), "forbidden": []})
-
-
-def golden_mean_shift() -> Subshift:
-    return build_subshift({"kind": "forbidden", "alphabet": ["0", "1"], "forbidden": ["11"]})
-
-
-def even_shift() -> Subshift:
-    # two-state right-resolving presentation: 1-loops at A, 0-edges A<->B
-    return build_subshift({
-        "kind": "labeled-graph",
-        "states": ["A", "B"],
-        "edges": [["A", "1", "A"], ["A", "0", "B"], ["B", "0", "A"]],
-        "right_resolving": True,
-    })
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
 
 def language(shift: Subshift, n: int) -> set[str]:
-    if n < 0:
-        raise ShiftSpecError("word length must be >= 0")
-    return shift.words(n)
+    return shift.words(_check_length(n, 0, "n"))
 
 
 def _period(step: np.ndarray) -> int | None:
@@ -417,8 +401,7 @@ def _spectral_entropy(shift: Subshift) -> float:
 
 
 def entropy_estimates(shift: Subshift, n_max: int) -> dict:
-    if n_max < 2:
-        raise ShiftSpecError("n_max must be >= 2")
+    n_max = _check_length(n_max, 2, "n_max")
     counts = shift.word_counts(n_max)[1:]
     seq = [(n, math.log(c) / n if c else -math.inf) for n, c in zip(range(1, n_max + 1), counts)]
     ratio = (
@@ -436,9 +419,8 @@ def entropy_estimates(shift: Subshift, n_max: int) -> dict:
 def periodic_spectrum(shift: Subshift, n_max: int) -> dict[int, int]:
     """Points of each least period 1..n_max (counts of points, not orbits):
     the points of period n less those of every least period d | n, d < n.
-    A negative ``n_max`` is refused with ``ShiftSpecError``."""
-    if n_max < 0:
-        raise ShiftSpecError("n_max must be >= 0")
+    An ``n_max`` that is not an integer >= 0 is refused with ``ShiftSpecError``."""
+    n_max = _check_length(n_max, 0, "n_max")
     least = shift.periodic_counts(n_max)
     for d in range(1, n_max + 1):
         for n in range(2 * d, n_max + 1, d):
@@ -492,19 +474,6 @@ class SlidingBlockCode:
         return self.memory + self.anticipation + 1
 
 
-def apply_block_code(code: SlidingBlockCode, word: str) -> str:
-    w = code.window
-    if len(word) < w:
-        raise RuleUndefinedError(f"word shorter than the {w}-window")
-    out = []
-    for i in range(len(word) - w + 1):
-        win = word[i : i + w]
-        if win not in code.rule:
-            raise RuleUndefinedError(win)
-        out.append(code.rule[win])
-    return "".join(out)
-
-
 def verify_factor(code: SlidingBlockCode, domain: Subshift, codomain: Subshift, n: int) -> bool:
     """Every domain n-word must map into the codomain's (n - m - a)-language.
 
@@ -514,8 +483,7 @@ def verify_factor(code: SlidingBlockCode, domain: Subshift, codomain: Subshift, 
     contains and the rule lacks raises ``RuleUndefinedError``.
     """
     drop = code.memory + code.anticipation
-    if n <= drop:
-        raise ShiftSpecError("n must exceed memory + anticipation")
+    n = _check_length(n, drop + 1, "n")
     dom, cod = domain.presentation, codomain.presentation
     layer = {("", b"", b""): (dom.start, cod.start)}
     for _ in range(n):

@@ -13,6 +13,8 @@ import pytest
 
 from ellis import algebra, cli, envelope, hyperspace, properties, spaces, symbolic
 
+import oracles
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -42,7 +44,7 @@ def test_criterion_1_square_map_reproduction():
 
     t = env.table
     assert t[fwd, fwd] == fwd and t[back, back] == back        # idempotent
-    f1 = env.element_of_exponent(1)
+    f1 = env.exponent_map[1]
     assert t[f1, fwd] == fwd and t[f1, back] == back           # f o g_i = g_i
     assert t[fwd, back] == back and t[back, fwd] == fwd        # cross absorption
 
@@ -82,7 +84,7 @@ def test_criterion_2_neg_cube_reproduction():
     assert set(label) == {"g", "h", "m", "n"}  # a bijection onto the formulas
 
     el = dict(label)
-    el["f"] = env.element_of_exponent(1)
+    el["f"] = env.exponent_map[1]
     t = env.table
     expected = [
         ("m", "m", "m"), ("n", "n", "m"), ("m", "g", "g"), ("g", "m", "m"),
@@ -135,8 +137,8 @@ def test_criterion_3_periodic_family(n):
 
 def test_criterion_4_golden_and_even():
     t0 = time.monotonic()
-    golden = symbolic.golden_mean_shift()
-    even = symbolic.even_shift()
+    golden = symbolic.build_subshift(oracles.GOLDEN)
+    even = symbolic.build_subshift(oracles.EVEN)
 
     est = symbolic.entropy_estimates(golden, 24)
     assert abs(est["spectral"] - est["ratio_estimate"]) <= 1e-6
@@ -161,7 +163,8 @@ def test_criterion_4_golden_and_even():
 
 
 def test_criterion_5_two_shift_diagnostics():
-    out = properties.classify_transitivity(symbolic.full_shift(2), 50, cylinder_length=3)
+    two_shift = symbolic.build_subshift(oracles.FULL2)
+    out = properties.classify_transitivity(two_shift, 50, cylinder_length=3)
     assert out["verdicts"]["mixing"].verdict == "holds"
 
     model = spaces.sample_window_model(count=2000, radius=2001, seed=11)
@@ -250,7 +253,7 @@ def test_criterion_8_hyperspace_suite():
     sq11 = spaces.load_example("square-map", grid=11)
     hyper11 = hyperspace.build_hyper_model(sq11, 2)
     henv = envelope.approx_envelope(hyper11, 40, 0.05, "two-sided")
-    targets = [henv.element_of_exponent(1)] + henv.limit_elements
+    targets = [henv.exponent_map[1]] + henv.limit_elements
     for idx in targets:
         rep = envelope.inducibility_check(henv, idx)
         assert rep["singletons_ok"] and rep["monotone_ok"] and rep["minimal_ok"]

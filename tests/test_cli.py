@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import inspect
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from ellis import cli
+from oracles import GOLDEN
 
 
 def run_cli(args):
@@ -217,6 +219,23 @@ def test_subcommands_refuse_a_missing_or_malformed_file(argv, malformed, tmp_pat
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("seed", ["x", 1.5, True, -1, math.nan])
+def test_run_refuses_a_bad_seed(seed, tmp_path):
+    # unchecked, "x" escaped run_experiment as a ValueError traceback, 1.5
+    # and true ran as seed 1, and -1 failed the window_model step in numpy
+    config = {"seed": seed, "pipeline": [{"op": "window_model",
+                                          "params": {"count": 4, "radius": 3}}]}
+    with pytest.raises(cli.spaces.InvalidParameterError, match="seed="):
+        cli.run_experiment(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    r = run_cli(["--out", str(tmp_path / "o"), "run", str(path)])
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.startswith("InvalidParameterError: seed=")
+    assert r.stderr.count("\n") == 1 and r.stderr.endswith("\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_language_rejects_a_negative_length(tmp_path):
     spec = {"kind": "forbidden", "alphabet": ["0", "1"], "forbidden": ["11"]}
     report, _ = cli.run_experiment({"pipeline": [
@@ -270,9 +289,6 @@ def test_props_subcommand(tmp_path):
     r2 = run_cli(["--out", str(tmp_path / "rigidity"), "props", "irrational-rotation",
                   "--param", "grid=24", "rigidity", "--horizon", "96", "--tau", "0.02"])
     assert json.loads(r2.stdout)["uniformly_rigid"]["verdict"] == "holds"
-
-
-GOLDEN = {"kind": "forbidden", "alphabet": ["0", "1"], "forbidden": ["11"]}
 
 
 def _load(name, **params):
@@ -661,3 +677,49 @@ def test_a_bound_op_calls_its_function_as_its_wrapper_did(op, monkeypatch):
     kwargs = {p.name: i for i, p in enumerate(signature)}
     assert cli.OPS[op](ctx, **kwargs) == "result"
     assert calls == [(("target",), kwargs)]
+
+
+# every error class the library raises on its own
+LIBRARY_ERRORS = {cls.__name__ for cls in (
+    cli.spaces.InvalidParameterError, cli.spaces.EnvelopeBudgetError,
+    cli.spaces.NegativePowerError, cli.spaces.UnknownExampleError,
+    cli.symbolic.ShiftSpecError, cli.symbolic.RuleUndefinedError,
+    cli.algebra.TableError, cli.hyperspace.HyperBudgetError)}
+
+
+def _numeric_leaves(doc, path=()):
+    """The paths of the numbers (not bools) nested in ``doc``."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [path] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+    return [leaf for key, value in items for leaf in _numeric_leaves(value, (*path, key))]
+
+
+def _with_leaf(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def test_every_numeric_parameter_is_read_or_refused():
+    # each numeric leaf of every_op.json, set to each bad value in turn: the
+    # step that holds it runs after the steps before it, and either answers
+    # or fails with one of the library's own errors (a NaN once hung
+    # power_decomposition, and 55 leaves failed with bare Python errors)
+    bare = []
+    for path in _numeric_leaves(EVERY_OP["pipeline"]):
+        i = path[0]
+        for value in (math.nan, -1, 0, 1.5):
+            step = _with_leaf(EVERY_OP["pipeline"][i], path[1:], value)
+            report, _ = cli.run_experiment({"seed": 0, "pipeline": [
+                *EVERY_OP["pipeline"][:i], step]})
+            out = report["steps"][-1]
+            if out["status"] == "error" and out["error"].split(":")[0] not in LIBRARY_ERRORS:
+                bare.append((step["op"], path[1:], value, out["error"]))
+    assert bare == []

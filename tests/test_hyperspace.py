@@ -14,6 +14,8 @@ from ellis.hyperspace import (
     hausdorff_distance,
 )
 
+import oracles
+
 
 def brute_hausdorff(d, a, b):
     # independent oracle: direct sup-min over member pairs under the metric d
@@ -148,14 +150,14 @@ def test_induced_step_commutes_with_embedding():
     sq = spaces.load_example("square-map", grid=11)
     hyper = build_hyper_model(sq, 2)
     for x in range(11):
-        stepped = spaces.step(sq, x)["snapped"]
+        stepped = spaces.orbit_segment(sq, x, 1, 1)[0]["snapped"]
         assert induced_step(hyper, (x,)) == (stepped,)
 
 
 def test_square_map_hyper_dynamics_converge():
     # brute-force iteration of the 66-point induced table: everything lands
     # on the subsets of the fixed-point pair {0, 1}
-    sq = spaces.snap_to_finite(spaces.load_example("square-map", grid=11))
+    sq = oracles.snap_to_finite(spaces.load_example("square-map", grid=11))
     hyper = build_hyper_model(sq, 2)
     assert hyper.n_points == 66
     table = hyper.map_table

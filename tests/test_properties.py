@@ -18,12 +18,14 @@ from ellis.properties import (
     hitting_set,
     hitting_tensor,
     hyper_equicontinuity_crosscheck,
-    orbit_closure_equicontinuity,
     recurrence_report,
     rigidity_battery,
     strong_transitivity_check,
     wap_proxy_check,
 )
+
+import oracles
+from oracles import orbit_closure_equicontinuity
 
 
 def finite(table, inverse=None):
@@ -72,7 +74,7 @@ def test_hitting_identity():
 
 def test_hitting_two_shift_cylinders():
     # oracle: for the full shift any non-overlapping placement is realizable
-    full2 = symbolic.full_shift(2)
+    full2 = symbolic.build_subshift(oracles.FULL2)
     assert hitting_set(full2, "1", "0", 10) == list(range(1, 11))
 
 
@@ -112,7 +114,7 @@ def test_open_sets_refuse_point_ids_outside_the_sample():
 
 
 def test_classify_two_shift_mixing():
-    out = classify_transitivity(symbolic.full_shift(2), 50, cylinder_length=3)
+    out = classify_transitivity(symbolic.build_subshift(oracles.FULL2), 50, cylinder_length=3)
     assert out["verdicts"]["mixing"].verdict == "holds"
     assert out["verdicts"]["weakly_mixing"].verdict == "holds"
     assert out["verdicts"]["transitive"].verdict == "holds"
@@ -120,7 +122,7 @@ def test_classify_two_shift_mixing():
 
 
 def test_classify_golden_mean_mixing():
-    out = classify_transitivity(symbolic.golden_mean_shift(), 50, cylinder_length=3)
+    out = classify_transitivity(symbolic.build_subshift(oracles.GOLDEN), 50, cylinder_length=3)
     assert out["verdicts"]["mixing"].verdict == "holds"
 
 
@@ -222,7 +224,7 @@ REFERENCE_CASES = [
     ("reducible-sft", lambda: symbolic.build_subshift(
         {"kind": "forbidden", "alphabet": ["0", "1"], "forbidden": ["10"]}), 20,
      {"cylinder_length": 3}),
-    ("two-shift", lambda: symbolic.full_shift(2), 50, {"cylinder_length": 3}),
+    ("two-shift", lambda: symbolic.build_subshift(oracles.FULL2), 50, {"cylinder_length": 3}),
 ]
 
 
@@ -368,14 +370,14 @@ def test_hitting_scans_refuse_a_negative_horizon_before_allocating(monkeypatch):
     # and minimal false for a minimal rotation
     rot = spaces.load_example("irrational-rotation", grid=12)
     cover = properties.default_cover(rot)
-    golden = symbolic.golden_mean_shift()
+    golden = symbolic.build_subshift(oracles.GOLDEN)
     monkeypatch.setattr(properties, "_cover_membership", lambda *a: pytest.fail("allocated"))
     monkeypatch.setattr(envelope, "check_cells", lambda *a: pytest.fail("budgeted"))
     for call in (lambda: hitting_set(rot, ball(0, 0.1), ball(1, 0.1), -5),
                  lambda: hitting_set(golden, "0", "1", -5),
                  lambda: hitting_tensor(rot, cover, -2),
                  lambda: strong_transitivity_check(rot, -1)):
-        with pytest.raises(spaces.InvalidParameterError, match="horizon=-. is negative"):
+        with pytest.raises(spaces.InvalidParameterError, match="horizon=-. is not an integer >= 0"):
             call()
 
 
@@ -411,7 +413,7 @@ def test_scans_refuse_nan_and_out_of_range_parameters(name):
 def test_transitivity_refuses_a_cover_parameter_the_target_does_not_read(target, kwargs):
     # unchecked, granularity -1 or NaN on the golden mean shift answered ok,
     # and cylinder length 0 failed with a bare ValueError
-    t = (symbolic.golden_mean_shift() if target == "shift"
+    t = (symbolic.build_subshift(oracles.GOLDEN) if target == "shift"
          else spaces.load_example("irrational-rotation", grid=12))
     with pytest.raises(spaces.InvalidParameterError, match="not read by|is not an integer >= 1"):
         classify_transitivity(t, 10, **kwargs)
@@ -479,7 +481,7 @@ def test_strong_transitivity_cycle_and_square():
     assert out["strongly_transitive"].verdict == "holds"
     assert out["minimal"] and out["agrees_with_minimality"]
 
-    sq = spaces.snap_to_finite(spaces.load_example("square-map", grid=51))
+    sq = oracles.snap_to_finite(spaces.load_example("square-map", grid=51))
     out2 = strong_transitivity_check(sq, 60)
     assert out2["strongly_transitive"].verdict == "fails"
     assert strong_transitivity_summary(sq, 60) == set_bfs_strong_transitivity(sq, 60)
@@ -563,7 +565,7 @@ def test_orbit_closure_refuses_an_empty_set_ids_outside_and_a_negative_horizon()
             orbit_closure_equicontinuity(stack, [0, bad], 0.5, 8)
     with pytest.raises(spaces.InvalidParameterError, match="nonempty"):
         orbit_closure_equicontinuity(stack, [], 0.5, 8)
-    with pytest.raises(spaces.InvalidParameterError, match="horizon=-1 is negative"):
+    with pytest.raises(spaces.InvalidParameterError, match="horizon=-1 is not an integer >= 0"):
         orbit_closure_equicontinuity(stack, [0], 0.5, -1)
     assert orbit_closure_equicontinuity(stack, [n - 1, 0], 0.5, 8) == \
         orbit_closure_equicontinuity(stack, np.array([0, n - 1, 0]), 0.5, 8)

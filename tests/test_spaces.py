@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from ellis import cli, hyperspace, spaces
 
+import oracles
+
 
 def test_unknown_name():
     with pytest.raises(spaces.UnknownExampleError):
@@ -104,18 +106,18 @@ def test_window_sample_holds_no_float_draw_of_the_whole_window(count, radius):
 
 def test_metric_identity_and_symmetry():
     m = spaces.load_example("square-map", grid=51)
-    assert spaces.metric(m, 10, 10) == 0.0
-    assert spaces.metric(m, 3, 40) == spaces.metric(m, 40, 3)
+    assert m.metric(10, 10) == 0.0
+    assert m.metric(3, 40) == m.metric(40, 3)
     # point ids outside [0, N), and non-integers, are refused like every
     # other point-id entry point's
     for a, b in ((0, 51), (-1, 0), (2.5, 3)):
         with pytest.raises(spaces.InvalidParameterError, match="not an integer in"):
-            spaces.metric(m, a, b)
+            m.metric(a, b)
 
 
 def test_circle_antipodal_arc_length():
     rot = spaces.load_example("irrational-rotation", grid=36)
-    assert spaces.metric(rot, 0, 18) == pytest.approx(math.pi)
+    assert rot.metric(0, 18) == pytest.approx(math.pi)
 
 
 def test_shift_metric_on_window_model():
@@ -131,9 +133,9 @@ def test_shift_metric_on_window_model():
 
 def test_step_finite_and_sampled():
     ident = spaces.load_example("identity", n=5)
-    assert spaces.step(ident, 2) == 2
+    assert spaces.orbit_segment(ident, 2, 1, 1)[0] == 2
     sq = spaces.load_example("square-map", grid=101)
-    out = spaces.step(sq, 50)  # x = 0.5
+    out = spaces.orbit_segment(sq, 50, 1, 1)[0]  # x = 0.5
     assert out["raw"] == [0.25]
     assert out["snapped"] == 25
     assert out["snap_error"] == 0.0
@@ -144,7 +146,7 @@ def test_step_periodic_stack_formula():
     # locate (3, 0, 1): step must give (3, 1, 2)
     idx = next(i for i in range(m.n_points)
                if m.point_data(i) == {"n": 3, "k": 0, "l": 1})
-    nxt = spaces.step(m, idx)
+    nxt = spaces.orbit_segment(m, idx, 1, 1)[0]
     assert m.point_data(nxt) == {"n": 3, "k": 1, "l": 2}
 
 
@@ -225,7 +227,7 @@ def test_orbit_segment_consistency_with_step():
     m = spaces.load_example("isolated-ones-subshift", truncate=6)
     seg = spaces.orbit_segment(m, 2, 0, 6)
     for a, b in zip(seg, seg[1:]):
-        assert spaces.step(m, a) == b
+        assert spaces.orbit_segment(m, a, 1, 1)[0] == b
 
 
 def test_negative_powers_rejected_on_semicascade():
@@ -236,9 +238,10 @@ def test_negative_powers_rejected_on_semicascade():
 
 def test_orbit_and_omega_limit_refuse_point_ids_outside_the_sample():
     # -1 named point N - 1: the orbit of -1 was point 5's [5, 3, 1], and N
-    # failed with a bare IndexError; 2.5 was truncated to point 2
+    # failed with a bare IndexError; 2.5 was truncated to point 2, True read
+    # as point 1 and NaN failed with a bare ValueError
     rot = spaces.load_example("irrational-rotation", grid=6)
-    for bad in (-1, 6, 2.5):
+    for bad in (-1, 6, 2.5, True, math.nan):
         refused = rf"point={bad} is not an integer in \[0, 6\)"
         with pytest.raises(spaces.InvalidParameterError, match=refused):
             spaces.orbit_segment(rot, bad, 0, 2)
@@ -250,17 +253,17 @@ def test_orbit_and_omega_limit_refuse_point_ids_outside_the_sample():
 
 
 def test_step_is_the_one_entry_orbit_segment():
-    # oracle: the orbit entry of f^1, which step read before; it took -1 as
-    # point N - 1 and failed at N with a bare IndexError
+    # oracle: the orbit entry of f^1; one step took -1 as point N - 1 and
+    # failed at N with a bare IndexError
     for m in (spaces.load_example("irrational-rotation", grid=12),
               spaces.load_example("square-map", grid=41),
               spaces.sample_window_model(count=12, radius=6, seed=3)):
         f1 = m.iterate_images(1)
-        assert [spaces.step(m, x) for x in range(m.n_points)] == \
+        assert [spaces.orbit_segment(m, x, 1, 1)[0] for x in range(m.n_points)] == \
             [m.orbit_entry(f1, x) for x in range(m.n_points)]
         for bad in (-1, m.n_points):
             with pytest.raises(spaces.InvalidParameterError, match=rf"point={bad} is not"):
-                spaces.step(m, bad)
+                spaces.orbit_segment(m, bad, 1, 1)[0]
 
 
 def test_omega_limit_refuses_a_negative_tol():
@@ -355,7 +358,7 @@ def test_triangle_inequality_spot_checks():
 
 def test_snap_to_finite():
     sq = spaces.load_example("square-map", grid=11)
-    fin = spaces.snap_to_finite(sq)
+    fin = oracles.snap_to_finite(sq)
     assert fin.n_points == 11
     assert int(fin.map_table[10]) == 10  # 1.0 fixed
     assert int(fin.map_table[0]) == 0

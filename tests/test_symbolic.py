@@ -9,20 +9,18 @@ from ellis import cli, properties, symbolic
 from ellis.symbolic import (
     RuleUndefinedError,
     ShiftSpecError,
-    apply_block_code,
     boyle_precondition,
     build_subshift,
     classify_sft,
     cylinder_tensor,
     entropy_estimates,
-    even_shift,
-    full_shift,
-    golden_mean_shift,
     golden_to_even_code,
     language,
     periodic_spectrum,
     verify_factor,
 )
+
+from oracles import EVEN, FULL2, GOLDEN, apply_block_code, word_in_language
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -34,7 +32,7 @@ def _overlap_meets(shift, u, v, n):
     """[u] meets sigma^-n [v] for 0 < n < len(u): v starts inside u, so the
     two words overlay into one word, which decides."""
     overlap = u[n:n + len(v)]
-    return v[:len(overlap)] == overlap and shift.word_in_language(u + v[len(overlap):])
+    return v[:len(overlap)] == overlap and word_in_language(shift, u + v[len(overlap):])
 
 
 def cylinder_hitting(shift, u, v, horizon):
@@ -223,7 +221,7 @@ def entropy_by_power_iteration(adj):
 def verify_factor_by_words(code, domain, codomain, n):
     # the per-word loop: map every domain n-word, then read every image
     images = [apply_block_code(code, w) for w in sorted(domain.words(n))]
-    return all(codomain.word_in_language(img) for img in images)
+    return all(word_in_language(codomain, img) for img in images)
 
 
 # random forbidden-word SFTs over 01 / 012 and random 4-state labeled graphs
@@ -267,16 +265,16 @@ def test_build_errors():
 
 def test_periodic_spectrum_refuses_a_negative_n_max():
     # unchecked, periodic_spectrum(golden, -3) returned {}
-    golden = golden_mean_shift()
+    golden = build_subshift(GOLDEN)
     for call in (lambda: periodic_spectrum(golden, -3),
-                 lambda: boyle_precondition(golden, even_shift(), -1)):
-        with pytest.raises(ShiftSpecError, match="n_max must be >= 0"):
+                 lambda: boyle_precondition(golden, build_subshift(EVEN), -1)):
+        with pytest.raises(ShiftSpecError, match=r"n_max=-\d is not an integer >= 0"):
             call()
     assert periodic_spectrum(golden, 0) == {}
 
 
 def test_golden_mean_language():
-    golden = golden_mean_shift()
+    golden = build_subshift(GOLDEN)
     assert language(golden, 2) == {"00", "01", "10"}
     assert language(golden, 0) == {""}
     counts = fib_counts(12)
@@ -285,13 +283,13 @@ def test_golden_mean_language():
 
 
 def test_full_shift_language():
-    full2 = full_shift(2)
+    full2 = build_subshift(FULL2)
     assert len(language(full2, 3)) == 8
     assert full2.word_counts(11) == [2 ** n for n in range(12)]
 
 
 def test_even_shift_language_vs_brute_force():
-    even = even_shift()
+    even = build_subshift(EVEN)
     assert language(even, 3) == even_brute_words(3)
     assert "101" not in language(even, 3)
     assert len(language(even, 3)) == 7
@@ -321,16 +319,17 @@ def test_edge_graph_shift():
 
 
 def test_entropy_full_shift_exact():
-    est = entropy_estimates(full_shift(2), 10)
+    est = entropy_estimates(build_subshift(FULL2), 10)
     assert est["spectral"] == pytest.approx(math.log(2), abs=1e-10)
     assert est["ratio_estimate"] == pytest.approx(math.log(2), abs=1e-12)
     assert all(v == pytest.approx(math.log(2)) for _, v in est["sequence"])
-    est3 = entropy_estimates(full_shift(3), 6)
+    full3 = build_subshift({"kind": "forbidden", "alphabet": ["0", "1", "2"], "forbidden": []})
+    est3 = entropy_estimates(full3, 6)
     assert est3["spectral"] == pytest.approx(math.log(3), abs=1e-10)
 
 
 def test_entropy_golden_mean():
-    est = entropy_estimates(golden_mean_shift(), 20)
+    est = entropy_estimates(build_subshift(GOLDEN), 20)
     assert est["spectral"] == pytest.approx(LOG_PHI, abs=1e-7)
     assert est["ratio_estimate"] == pytest.approx(LOG_PHI, abs=1e-7)
     assert not est["reducible_warning"]
@@ -352,7 +351,7 @@ def test_entropy_reducible_warning():
 
 
 def test_subadditivity_of_log_counts():
-    shifts = [golden_mean_shift(), even_shift(), full_shift(2),
+    shifts = [build_subshift(GOLDEN), build_subshift(EVEN), build_subshift(FULL2),
               build_subshift({"kind": "spacing", "gap_modulus": 2, "cutoff": 7})]
     for shift in shifts:
         counts = shift.word_counts(12)
@@ -365,8 +364,8 @@ def test_subadditivity_of_log_counts():
 
 
 def test_classify_examples():
-    assert classify_sft(full_shift(2)) == {"irreducible": True, "mixing": True, "period": 1}
-    golden_cls = classify_sft(golden_mean_shift())
+    assert classify_sft(build_subshift(FULL2)) == {"irreducible": True, "mixing": True, "period": 1}
+    golden_cls = classify_sft(build_subshift(GOLDEN))
     assert golden_cls["irreducible"] and golden_cls["mixing"] and golden_cls["period"] == 1
     two_fixed = build_subshift(
         {"kind": "forbidden", "alphabet": ["0", "1"], "forbidden": ["01", "10"]})
@@ -380,8 +379,8 @@ def test_classify_examples():
 def test_classify_labeled_graphs_on_the_essential_graph():
     # the even shift is irreducible and mixing; its subset automaton, whose
     # all-states start is transient, is not
-    assert classify_sft(even_shift()) == {"irreducible": True, "mixing": True, "period": 1}
-    assert not entropy_estimates(even_shift(), 8)["reducible_warning"]
+    assert classify_sft(build_subshift(EVEN)) == {"irreducible": True, "mixing": True, "period": 1}
+    assert not entropy_estimates(build_subshift(EVEN), 8)["reducible_warning"]
     # a reducible presentation and a periodic one prove nothing: two fixed
     # points, and the one fixed point a^infinity on a 2-cycle
     two_loops = build_subshift({"kind": "labeled-graph", "states": ["A", "B"],
@@ -427,12 +426,12 @@ def test_golden_primitivity_by_squaring():
     a = [[1, 1], [1, 0]]
     sq = [[sum(a[i][k] * a[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
     assert all(v > 0 for row in sq for v in row)
-    assert classify_sft(golden_mean_shift())["mixing"]
+    assert classify_sft(build_subshift(GOLDEN))["mixing"]
 
 
 def test_mixing_implies_cofinite_hitting_sets():
     horizon = 40
-    for shift in (full_shift(2), golden_mean_shift()):
+    for shift in (build_subshift(FULL2), build_subshift(GOLDEN)):
         assert classify_sft(shift)["mixing"]
         for lu in range(1, 5):
             for lv in range(1, 5):
@@ -447,18 +446,18 @@ def test_mixing_implies_cofinite_hitting_sets():
 
 
 def test_periodic_spectrum_full_shift_brute():
-    assert periodic_spectrum(full_shift(2), 3) == full2_least_periods(3)
-    assert periodic_spectrum(full_shift(2), 6) == full2_least_periods(6)
+    assert periodic_spectrum(build_subshift(FULL2), 3) == full2_least_periods(3)
+    assert periodic_spectrum(build_subshift(FULL2), 6) == full2_least_periods(6)
 
 
 def test_periodic_spectrum_golden_and_single():
-    assert periodic_spectrum(golden_mean_shift(), 1) == {1: 1}
+    assert periodic_spectrum(build_subshift(GOLDEN), 1) == {1: 1}
     single = build_subshift({"kind": "forbidden", "alphabet": ["0", "1"], "forbidden": ["1"]})
     assert periodic_spectrum(single, 5) == {1: 1}
 
 
 def test_periodic_spectrum_even_shift():
-    spec = periodic_spectrum(even_shift(), 4)
+    spec = periodic_spectrum(build_subshift(EVEN), 4)
     # fixed points 0^inf and 1^inf; (001)-type orbits at period 3; (0011) at 4
     assert spec[1] == 2 and spec[3] == 3 and spec[4] == 4 and 2 not in spec
 
@@ -498,17 +497,17 @@ def test_spacing_shift_counts_and_spectrum():
 
 
 def test_boyle_preconditions():
-    rep = boyle_precondition(golden_mean_shift(), even_shift(), 10)
+    rep = boyle_precondition(build_subshift(GOLDEN), build_subshift(EVEN), 10)
     assert rep["per_divides"]
     assert abs(rep["entropy_gap"]) <= rep["entropy_gap_bound"] == symbolic.ENTROPY_GAP_BOUND
     assert not rep["hypotheses_hold"]  # equal entropies
 
-    rep2 = boyle_precondition(full_shift(2), golden_mean_shift(), 10)
+    rep2 = boyle_precondition(build_subshift(FULL2), build_subshift(GOLDEN), 10)
     assert rep2["per_divides"]
     assert rep2["entropy_gap"] == pytest.approx(math.log(2) - LOG_PHI, abs=1e-6)
     assert rep2["hypotheses_hold"]
 
-    rep3 = boyle_precondition(golden_mean_shift(), golden_mean_shift(), 8)
+    rep3 = boyle_precondition(build_subshift(GOLDEN), build_subshift(GOLDEN), 8)
     assert rep3["entropy_gap"] == 0.0
     assert not rep3["hypotheses_hold"]
 
@@ -522,7 +521,7 @@ def test_boyle_gap_on_chained_components_of_equal_entropy():
         [1, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 1], [1, 0, 0, 0, 0, 0],
         [1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 1, 0], [0, 0, 0, 1, 0, 1]]})
     assert entropy_estimates(chain, 4)["spectral"] == pytest.approx(LOG_PHI, abs=1e-12)
-    rep = boyle_precondition(chain, golden_mean_shift(), 6)
+    rep = boyle_precondition(chain, build_subshift(GOLDEN), 6)
     assert rep["per_divides"]
     assert abs(rep["entropy_gap"]) <= rep["entropy_gap_bound"]
     assert not rep["hypotheses_hold"]
@@ -542,8 +541,8 @@ def test_block_code_application():
 
 def test_verify_factor_range():
     code = golden_to_even_code()
-    golden = golden_mean_shift()
-    even = even_shift()
+    golden = build_subshift(GOLDEN)
+    even = build_subshift(EVEN)
     for n in range(2, 17):
         assert verify_factor(code, golden, even, n)
     # a wrong rule fails fast
@@ -552,7 +551,7 @@ def test_verify_factor_range():
 
 
 def test_verify_factor_raises_on_a_missing_window():
-    golden, even = golden_mean_shift(), even_shift()
+    golden, even = build_subshift(GOLDEN), build_subshift(EVEN)
     # "10" occurs in the golden mean shift; "11" does not and may be left out
     lacks_10 = symbolic.SlidingBlockCode(0, 1, {"00": "1", "01": "0"})
     with pytest.raises(RuleUndefinedError):
@@ -588,7 +587,7 @@ def test_verify_factor_matches_per_word_oracle(dom_spec, cod_spec, data):
 
 def test_cylinder_hitting_full_shift():
     # oracle: any placement works once the windows stop overlapping
-    full2 = full_shift(2)
+    full2 = build_subshift(FULL2)
     assert cylinder_hitting(full2, "1", "0", 10) == list(range(1, 11))
     ns = cylinder_hitting(full2, "111", "000", 10)
     assert set(range(3, 11)) <= set(ns)
@@ -634,7 +633,7 @@ def test_cylinder_tensor_matches_cylinder_hitting_on_random_sofic_shifts(edges):
 
 
 def test_window_model_sampling_respects_language():
-    golden = golden_mean_shift()
+    golden = build_subshift(GOLDEN)
     model = symbolic.window_model(golden, count=24, radius=16, seed=4)
     for i in range(model.n_points):
         row = "".join(str(model.symbol(i, p)) for p in range(-16, 17))
@@ -649,7 +648,7 @@ def test_one_sided_flag_recorded():
 
 
 def test_language_csv():
-    est = entropy_estimates(golden_mean_shift(), 6)
+    est = entropy_estimates(build_subshift(GOLDEN), 6)
     rows = [[n, c, v] for (n, v), c in zip(est["sequence"], est["counts"])]
     lines = cli.csv_text(["n", "count", "log_count_over_n"], rows).strip().splitlines()
     assert lines[0] == "n,count,log_count_over_n"
@@ -678,7 +677,7 @@ def test_word_in_language_matches_words(spec):
     for n in range(5):
         language_n = shift.words(n)
         for w in map("".join, itertools.product(shift.alphabet + ("x",), repeat=n)):
-            assert shift.word_in_language(w) == (w in language_n), w
+            assert word_in_language(shift, w) == (w in language_n), w
 
 
 @given(sofic_specs)
