@@ -370,8 +370,12 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
     iterate cache may have dropped them by the end, and a composite holds
     its own.  Members arrive in order of |n|, so a limit's deepest member
     leaves its cluster at least two tail members: only such clusters keep
-    one."""
+    one.  An exponent n past the model's ``fold`` joins the cluster of
+    f^fold(n) with no lookup.  ``max_elements``, when given, is an integer
+    >= 1."""
     horizon = check_int(horizon, 1, "horizon")
+    if max_elements is not None:
+        max_elements = check_int(max_elements, 1, "max_elements")
     if not tau > 0:
         raise InvalidParameterError("tau must be positive")
     if power_range not in ("two-sided", "forward"):
@@ -389,11 +393,15 @@ def approx_envelope(model: CascadeModel, horizon: int, tau: float,
 
     for n in exponents:
         images = model.iterate_images(n)
-        key = model.cluster_key(images, tau)
-        hit = index.find(images, key)
+        # f^n has the bits of f^fold(n), and the loop only appends clusters,
+        # so the first cluster within tau of f^n is the one f^fold(n) joined
+        hit = exponent_map.get(model.fold(n))
         if hit is None:
-            hit = index.add(images, key, n)
-            elements.append(MapSample("", None, n, [], "iterate", model=model))
+            key = model.cluster_key(images, tau)
+            hit = index.find(images, key)
+            if hit is None:
+                hit = index.add(images, key, n)
+                elements.append(MapSample("", None, n, [], "iterate", model=model))
         el = elements[hit]
         if abs(n) > tail_start:
             el.tail_count += 1

@@ -73,6 +73,7 @@ class HyperCascadeModel(CascadeModel):
 
     def _enumerate(self, base: CascadeModel, max_cardinality: int, budget: int):
         n, k = base.n_points, check_int(max_cardinality, 1, "max cardinality")
+        budget = check_int(budget, 1, "budget")
         counts = [math.comb(n, j) for j in range(1, k + 1)]
         if sum(counts) > budget:
             raise HyperBudgetError(f"{sum(counts)} hyperpoints exceeds budget {budget}")
@@ -254,6 +255,10 @@ class SampledHyperModel(HyperCascadeModel):
         super().__init__()
         self._enumerate(base, max_cardinality, budget)
         self.invertible = base.invertible
+
+    def fold(self, n: int) -> int:
+        # F^n gathers f^n, so it repeats where the base's iterates do
+        return self.base.fold(n)
 
     def iterate_images(self, n: int):
         return self.base.apply_to_indices(self.base.iterate_images(n), self.members)

@@ -90,6 +90,21 @@ def check_int(value, floor: float, what: str) -> int:
     return int(value)
 
 
+def _same_bits(a, b) -> bool:
+    """Whether two images hold the same bits: every ``len // 64``-th entry
+    compared by value first, then the whole arrays, bit for bit, in slices
+    of ``SUP_CHUNK`` entries."""
+    if b is None or a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    step = max(1, len(a) // 64)
+    if not np.array_equal(a[::step], b[::step]):
+        return False
+    bits = np.dtype(f"u{a.dtype.itemsize}")
+    a, b = a.view(bits), b.view(bits)
+    return all(np.array_equal(a[i:i + SUP_CHUNK], b[i:i + SUP_CHUNK])
+               for i in range(0, len(a), SUP_CHUNK))
+
+
 def _minarc(a, b):
     d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % TWO_PI
     return np.minimum(d, TWO_PI - d)
@@ -169,11 +184,11 @@ class CascadeModel:
     memoizes pure results.  It holds at most ``ITERATE_CACHE_BYTES`` of
     iterates, or more only while it holds two entries: past the budget it
     drops the least recently used entries, and the two newest stay, since
-    two-sided sweeps alternate n and -n.  A miss steps from n's neighbour
-    toward 0 when that is cached, else from the nearest cached exponent
-    between 0 and n, or from the identity: never across 0 and never
-    backwards.  So f^n is always f applied n times to the identity (f^-1
-    |n| times for n < 0), and an evicted iterate comes back bitwise equal.
+    two-sided sweeps alternate n and -n.  f^n is always f applied n times to
+    the identity (f^-1 |n| times for n < 0), so an evicted iterate comes
+    back bitwise equal, and once f^e equals f^(e-p) bit for bit every deeper
+    iterate of that sign repeats with period p: ``fold(n)`` names the least
+    exponent known to hold f^n's bits, and the cache is read at it.
     """
 
     name: str = "anonymous"
@@ -185,6 +200,7 @@ class CascadeModel:
     def __init__(self):
         self._iter_cache: OrderedDict[int, np.ndarray] = OrderedDict()
         self._iter_bytes = 0
+        self._repeats: dict[bool, tuple[int, int]] = {}   # n > 0 -> (index, period)
 
     # -- metric ------------------------------------------------------------
 
@@ -232,14 +248,46 @@ class CascadeModel:
 
     # -- dynamics (raw-image protocol) --------------------------------------
 
+    def fold(self, n: int) -> int:
+        """The least exponent of n's sign known to have the images of f^n:
+        with the index and period of the iterates of that sign, index +
+        (|n| - index) mod period, signed, once |n| reaches index + period,
+        and n itself before that or while no repeat is known."""
+        cycle = self._cycle(n > 0)
+        if cycle is None or abs(n) < sum(cycle):
+            return n
+        index, period = cycle
+        m = index + (abs(n) - index) % period
+        return m if n > 0 else -m
+
+    def _cycle(self, forward: bool) -> tuple[int, int] | None:
+        """(index, period) of the forward or backward iterates: the repeat
+        that the stepping loop of ``iterate_images`` has seen, if any."""
+        return self._repeats.get(forward)
+
     def iterate_images(self, n: int):
+        """The images of the whole sample under f^n, read from the iterate
+        cache at ``fold(n)``.
+
+        A miss steps from the neighbour of fold(n) toward 0 when that is
+        cached, else from the nearest cached exponent between 0 and fold(n),
+        or from the identity: never across 0 and never backwards.  Each step
+        to an exponent e compares the new image, bit for bit, with the one it
+        stepped from (p = 1) and with f^(e-2) when the cache holds it
+        (p = 2), while no repeat of that sign is known.  At the first match
+        the loop records index |e| - p and period p for e's sign and stops,
+        since f^n is then f^fold(n), either the image it stepped from or the
+        cached f^(e-2).  The check reads only what the loop and the cache
+        hold."""
         if n < 0 and not self.invertible:
             raise NegativePowerError(f"negative power {n} on non-invertible model")
+        n = self.fold(n)
         cache = self._iter_cache
         if n in cache:
             cache.move_to_end(n)
             return cache[n]
-        near = n - 1 if n > 0 else n + 1
+        sign = 1 if n > 0 else -1
+        near = n - sign
         if n and near in cache:
             base = near
         elif n > 0:
@@ -247,8 +295,23 @@ class CascadeModel:
         else:
             base = min((m for m in cache if n < m <= 0), default=0)
         img = cache[base] if base in cache else self._identity_images()
-        for _ in range(abs(n - base)):
-            img = self._advance(img, 1 if n > 0 else -1)
+        seek = self._cycle(sign > 0) is None
+        e = base
+        while abs(e) < abs(n):
+            e += sign
+            prev, img = img, self._advance(img, sign)
+            if not seek:
+                continue
+            period = (1 if _same_bits(img, prev) else
+                      2 if abs(e) > 1 and _same_bits(img, cache.get(e - 2 * sign)) else 0)
+            if period:
+                self._repeats[sign > 0] = (abs(e) - period, period)
+                n = self.fold(n)          # e - sign, or e - 2 sign, which is cached
+                if n in cache:
+                    cache.move_to_end(n)
+                    return cache[n]
+                if n == e - sign:
+                    img = prev
         cache[n] = img
         self._iter_bytes += img.nbytes
         while self._iter_bytes > ITERATE_CACHE_BYTES and len(cache) > 2:
@@ -359,11 +422,10 @@ class FiniteModel(CascadeModel):
     def period(self) -> int:
         return self.cycles[1]
 
-    def fold(self, n: int) -> int:
-        """The least exponent m with f^m = f^n, for n >= 0."""
-        if n < self.index + self.period:
-            return n
-        return self.index + (n - self.index) % self.period
+    def _cycle(self, forward):
+        # the closed form, least index and period; an inverse table is a
+        # permutation, of index 0, so f^-1 repeats with the same period
+        return self.index, self.period
 
     @cached_property
     def _scale(self) -> tuple[float, float]:
@@ -730,8 +792,7 @@ def build_neg_cube(grid=2001):
 
 
 def build_identity(n=5):
-    if n < 1:
-        raise InvalidParameterError("identity model needs n >= 1")
+    n = check_int(n, 1, "n")
     coords = np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1)
 
     def dist(a, b):
@@ -800,8 +861,7 @@ def build_double_circle_rotation(alpha="0.6180339887498949", grid=36):
 def _circle_stack(name, params, base, levels, mult, step_of_level):
     """Concentric circles r = 1 - base^-j plus the center point and the unit
     circle; each circle rotates by an exact number of grid steps."""
-    if levels < 1 or mult < 1:
-        raise InvalidParameterError("levels and mult must be >= 1")
+    levels, mult = check_int(levels, 1, "levels"), check_int(mult, 1, "mult")
     g = (base ** levels) * mult
     radii = [1.0 - base ** (-j) for j in range(1, levels + 1)] + [1.0]
     xs, ys, fwd, inv = [0.0], [0.0], [0], [0]  # center point, fixed
@@ -844,14 +904,15 @@ def build_triadic_circle_stack(levels=3, mult=2):
     )
 
 
-def _periodic_stacks(name, params, sizes, truncate):
-    """Disjoint periodic stacks, one per size c, their metric 3 larger across
-    stacks.  Stack c holds the points (k, l), k in -truncate..truncate plus
-    infinity and l in 1..c, k-major; f moves k one step toward infinity and
-    l to l mod c + 1.  Point (k, l) of stack c is offset_c + pos(k)·c + l - 1,
+def _periodic_stacks(name, n, truncate, union):
+    """Disjoint periodic stacks, one per size c (c = 1..n for a union, else
+    only n), their metric 3 larger across stacks.  Stack c holds the points
+    (k, l), k in -truncate..truncate plus infinity and l in 1..c, k-major; f
+    moves k one step toward infinity and l to l mod c + 1.  Point (k, l) of stack c is offset_c + pos(k)·c + l - 1,
     with pos(k) = k + truncate and pos(infinity) = 2·truncate + 1."""
-    if not sizes or min(sizes) < 1 or truncate < 1:
-        raise InvalidParameterError(f"{name} needs n >= 1 and truncate >= 1")
+    params = {"n": n, "truncate": truncate}
+    n, truncate = check_int(n, 1, "n"), check_int(truncate, 1, "truncate")
+    sizes = list(range(1, n + 1)) if union else [n]
     rows = 2 * truncate + 2
     counts = [rows * c for c in sizes]
     comp_arr = np.repeat(np.asarray(sizes, dtype=np.int64), counts)
@@ -876,17 +937,15 @@ def _periodic_stacks(name, params, sizes, truncate):
 
 
 def build_periodic_stack(n=3, truncate=100):
-    return _periodic_stacks("periodic-stack", {"n": n, "truncate": truncate}, [n], truncate)
+    return _periodic_stacks("periodic-stack", n, truncate, union=False)
 
 
 def build_periodic_union(n=3, truncate=100):
-    return _periodic_stacks("periodic-union", {"n": n, "truncate": truncate},
-                            list(range(1, n + 1)), truncate)
+    return _periodic_stacks("periodic-union", n, truncate, union=True)
 
 
 def build_isolated_ones_subshift(truncate=12):
-    if truncate < 1:
-        raise InvalidParameterError("truncate must be >= 1")
+    truncate = check_int(truncate, 1, "truncate")
     # points: x^j (single 1 at position j), |j| <= truncate, plus all-zero
     js = list(range(-truncate, truncate + 1))
     n = len(js) + 1
@@ -911,8 +970,7 @@ def build_isolated_ones_subshift(truncate=12):
 
 
 def build_annulus_skew(radial=5, grid=36, alpha=0.6180339887498949):
-    if radial < 0 or grid < 2:
-        raise InvalidParameterError("annulus-skew needs radial >= 0 and grid >= 2")
+    radial, grid = check_int(radial, 0, "radial"), check_int(grid, 2, "grid")
     r_grid = np.linspace(1.0, 2.0, radial + 2)
     t_grid = TWO_PI * np.arange(grid) / grid
     rr, tt = np.meshgrid(r_grid, t_grid, indexing="ij")

@@ -577,6 +577,12 @@ BAD_INTEGER_STEPS = {
        for v in (math.nan, 1.5, True)},
     **{f"corpus-max-points-{v}": ("equivalence_corpus", {"count": 4, "max_points": v})
        for v in (1, 0, -1)},
+    # a NaN budget turned the refusal off: build_hyper with k 3 answered 298
+    # hyperpoints
+    **{f"{op}-{key}-{v}": (op, {**params, key: v})
+       for op, params, key in (("build_hyper", {"k": 3}, "budget"),
+                               ("approx_envelope", {"horizon": 10, "tau": 0.01}, "max_elements"))
+       for v in (math.nan, 1.5, True, 0)},
     "corpus-count": ("equivalence_corpus", {"count": -1}),
 }
 

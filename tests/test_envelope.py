@@ -712,7 +712,10 @@ def test_square_map_envelope_makes_one_step_per_exponent(monkeypatch, budget):
     real = model._advance
     monkeypatch.setattr(model, "_advance", lambda img, d: steps.append(d) or real(img, d))
     env = approx_envelope(model, 60, 1e-3)
-    assert len(steps) == 2 * 60
+    # f^28 = f^27 and f^-58 = f^-57 bit for bit: one step per exponent up to
+    # each repeat, and none past it
+    assert len(steps) == 28 + 58
+    assert (model.fold(60), model.fold(-60)) == (27, -57)
     assert len(env.elements) == 35
     assert model._iter_bytes <= max(spaces.ITERATE_CACHE_BYTES, 2 * model.points.nbytes)
 

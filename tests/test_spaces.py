@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ellis import cli, hyperspace, spaces
+from ellis import cli, envelope, hyperspace, spaces
 
 import oracles
 
@@ -594,6 +594,30 @@ def test_isolated_ones_metric_matches_the_pair_loop(truncate):
     assert m.point_dist(2, 2).tolist() == [0.0]
 
 
+# the integer parameters of the catalog builders; unchecked, a NaN n failed
+# with a bare ValueError, a NaN levels or a radial of 1.5 with a bare
+# TypeError, and a truncate of 1.5 answered
+BUILDER_INTEGERS = [("periodic-stack", "n"), ("periodic-stack", "truncate"),
+                    ("periodic-union", "n"), ("periodic-union", "truncate"),
+                    ("identity", "n"),
+                    ("dyadic-circle-stack", "levels"), ("dyadic-circle-stack", "mult"),
+                    ("dyadic-circle-stack-inward", "levels"),
+                    ("triadic-circle-stack", "mult"),
+                    ("annulus-skew", "radial"), ("annulus-skew", "grid"),
+                    ("isolated-ones-subshift", "truncate")]
+
+
+@pytest.mark.parametrize("name,key", BUILDER_INTEGERS)
+@pytest.mark.parametrize("value", [math.nan, -1, 0, 1.5, True])
+def test_catalog_integer_parameters_answer_or_are_refused(name, key, value):
+    try:
+        m = spaces.load_example(name, **{key: value})
+    except spaces.InvalidParameterError as exc:
+        assert "is not an integer >=" in str(exc)
+    else:
+        assert value == 0 and m.params[key] == 0
+
+
 # -- the byte-bounded iterate cache -------------------------------------------
 
 
@@ -626,6 +650,54 @@ def test_iterates_are_bitwise_equal_under_every_cache_budget(name, exponents):
         assert a.tobytes() == b.tobytes() == replayed_iterate(fresh, n).tobytes()
 
 
+FOLD_CASES = {
+    "square-map": st.builds(lambda g: {"grid": g}, st.integers(2, 3001)),
+    "neg-cube": st.builds(lambda g: {"grid": g}, st.integers(2, 3001)),
+    # an irrational rotation of the angle: its iterates never repeat
+    "annulus-skew": st.builds(lambda r, g: {"radial": r, "grid": g},
+                              st.integers(0, 3), st.integers(2, 16)),
+}
+
+
+def _envelope_record(env):
+    return ([(e.name, e.origin, e.exponents, e.provenance, e.is_limit, e.tail_count,
+              e.images.tobytes()) for e in env.elements],
+            env.exponent_map, env.table.tolist(), env.stabilized, env.max_snap_error)
+
+
+@given(st.sampled_from(sorted(FOLD_CASES)).flatmap(
+           lambda name: st.tuples(st.just(name), FOLD_CASES[name])),
+       st.lists(st.integers(min_value=-70, max_value=70), max_size=30),
+       st.integers(min_value=1, max_value=70),
+       st.sampled_from([1e-3, 1e-2, 0.1]),
+       st.sampled_from(["two-sided", "forward"]),
+       st.sampled_from([0, None, 2 ** 62]))
+def test_the_fold_reads_the_bits_and_the_clusters_of_brute_force(case, exponents, horizon, tau,
+                                                                  power_range, budget):
+    # a model that folds against one whose fold is the identity, which
+    # steps every iterate and clusters every exponent: both read the
+    # iterates in a random order first, and each iterate is the replay's
+    name, params = case
+    replay = spaces.load_example(name, **params)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(spaces, "ITERATE_CACHE_BYTES", budget)
+        folded, plain = (spaces.load_example(name, **params) for _ in range(2))
+        mp.setattr(plain, "fold", lambda n: n)
+        steps = {}
+        for m in (folded, plain):
+            for n in exponents:
+                assert m.iterate_images(n).tobytes() == replayed_iterate(replay, n).tobytes()
+            real, steps[m] = m._advance, []
+            mp.setattr(m, "_advance", lambda img, d, real=real, log=steps[m]:
+                       log.append(d) or real(img, d))
+        envs = [envelope.approx_envelope(m, horizon, tau, power_range) for m in (folded, plain)]
+    assert _envelope_record(envs[0]) == _envelope_record(envs[1])
+    if name == "annulus-skew":
+        assert all(folded.fold(n) == n for n in range(-horizon, horizon + 1))
+        assert len(steps[folded]) == len(steps[plain])
+
+
 @given(st.sampled_from([0, 1, 3, 7]),
        st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=60))
 def test_cached_bytes_stay_under_the_budget_or_two_newest_entries(entries, exponents):
@@ -639,7 +711,7 @@ def test_cached_bytes_stay_under_the_budget_or_two_newest_entries(entries, expon
             held = sum(v.nbytes for v in cache.values())
             newest = sum(cache[k].nbytes for k in list(cache)[-2:])
             assert m._iter_bytes == held <= max(entries * entry, newest)
-            assert list(cache)[-1] == n
+            assert list(cache)[-1] == m.fold(n)
             assert len(cache) <= max(2, entries)
 
 
@@ -652,8 +724,10 @@ def test_a_sweep_steps_once_per_exponent_from_its_neighbour(monkeypatch):
     for n in range(1, 401):
         m.iterate_images(n)
         m.iterate_images(-n)
-    assert steps == [1, -1] * 400
-    assert sorted(m._iter_cache) == [-400, 400]
+    # the rotation by 30 of 48 points has period 8, so f^n is read at
+    # fold(n) = n mod 8 (signed) and a multiple of 8 is f^0, with no step
+    assert steps == [1, -1] * 7 * 50
+    assert sorted(m._iter_cache) == [-7, 0]
     # a miss whose neighbour is gone steps from the nearest exponent between
     # 0 and n, never across 0 and never backwards
     steps.clear()
