@@ -9,6 +9,7 @@ balls on the sample; shift spaces use exact cylinder arithmetic instead.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -129,33 +130,35 @@ def _distance_scan(model: CascadeModel, radius: float):
             np.concatenate(ys).astype(np.int64, copy=False), first, ball, counts)
 
 
-def _last_time(model: CascadeModel, horizon: int) -> int:
-    """The last time a scan up to ``horizon`` evaluates: on a finite carrier
-    f^n = f^(n - period) once n - period >= index."""
-    return min(horizon, model.index + model.period) if isinstance(model, FiniteModel) else horizon
-
-
-def _repeat_rows(out: np.ndarray, model: CascadeModel) -> np.ndarray:
-    """Fill the rows of a scan indexed by time past its ``_last_time``: row n
-    repeats row n - period, never row 0, copied in whole periods doubling."""
-    filled = _last_time(model, len(out) - 1) + 1
-    while filled < len(out):
-        back = (filled - model.index - 1) // model.period * model.period
-        out[filled:filled + back] = out[filled - back:filled][:len(out) - filled]
-        filled += back
-    return out
+def _times(model: CascadeModel, horizon: int, out: np.ndarray | None = None):
+    """Yield (n, f^n) for n = 1, 2, ... up to ``horizon``, stopping at the first
+    n with ``model.fold(n - 1) < n - 1``: every later iterate is a map met
+    before.  The fold is read inside the loop: a sampled carrier learns it
+    while stepping.  Once all are consumed, each later row n of ``out``
+    (indexed by time) copies row fold(n - 1) + 1, never row 0, in whole
+    periods doubling."""
+    n = 1
+    while n <= horizon and model.fold(n - 1) == n - 1:
+        yield n, model.iterate_images(n)
+        n += 1
+    while out is not None and n < len(out):
+        back = n - 1 - model.fold(n - 1)
+        out[n:n + back] = out[n - back:n][:len(out) - n]
+        n += back
 
 
 def _point_return_matrix(model: CascadeModel, horizon: int, tau: float) -> np.ndarray:
-    """R[n, i] true when the n-th image of point i is within tau of it."""
+    """R[n, i] true when the n-th image of point i is within tau of it; refused,
+    as are other time tables of its shape, over ``CELL_BUDGET`` cells."""
     n_pts = model.n_points
+    envelope_mod.check_cells((horizon + 1) * n_pts,
+                             f"a time table of {n_pts} points at horizon {horizon}")
     ident = model.iterate_images(0)
     out = np.zeros((horizon + 1, n_pts), dtype=bool)
     out[0] = True
-    for n in range(1, _last_time(model, horizon) + 1):
-        imgs = model.iterate_images(n)
+    for n, imgs in _times(model, horizon, out):
         out[n] = model.image_pair_dist(imgs, ident) <= tau
-    return _repeat_rows(out, model)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +253,10 @@ def hitting_tensor(target, sets, horizon: int) -> np.ndarray:
     elif any(v.kind == "points" for v in sets):
         raise InvalidParameterError("explicit point sets need a finite-exact model")
     hits = np.zeros((horizon + 1, k, k), dtype=bool)
-    for n in range(1, _last_time(model, horizon) + 1):
-        imgs = model.iterate_images(n)
+    for n, imgs in _times(model, horizon, hits):
         target_n = _target_membership(model, sets, imgs) if table is None else table[imgs]
         hits[n] = member @ target_n > 0
-    return _repeat_rows(hits, model)
+    return hits
 
 
 def _thick(masks: np.ndarray, run: int) -> np.ndarray:
@@ -315,8 +317,11 @@ def classify_transitivity(target, horizon: int, cylinder_length: int | None = No
     transitive = not empty
     thick_fail = [(labels[i], labels[j]) for (i, j), ok in zip(keys, _thick(masks, run))
                   if not ok]
-    # on a finite carrier every later time repeats one up to _last_time
-    disjoint = _first_disjoint_pair(masks[:, :_last_time(target, horizon) + 1])
+    # every time past the first m with fold(m) < m repeats an earlier one;
+    # a shift space has no fold
+    last = horizon if isinstance(target, Subshift) else next(
+        (m for m in range(horizon + 1) if target.fold(m) < m), horizon)
+    disjoint = _first_disjoint_pair(masks[:, :last + 1])
     pair_fail = [] if disjoint is None else [(keys[disjoint[0]], keys[disjoint[1]])]
     weakly = transitive and not thick_fail and not pair_fail
     # column 0 is never a hit, so every reversed row has a first miss
@@ -347,7 +352,7 @@ def strong_transitivity_check(model: CascadeModel, horizon: int) -> dict:
     With member[y, j] = [y in V_j] over the default cover, back[x, j] marks
     some y in V_j with f^t y = x, and fwd[x, j] some f^t x in V_j, for
     t <= horizon (forward orbits stop after N steps); one pass over the
-    iterates up to ``_last_time``, which are all the maps, fills both."""
+    iterates of ``_times``, which are all the maps, fills both."""
     if not isinstance(model, FiniteModel):
         raise InvalidParameterError("strong transitivity needs enumerable preimages")
     horizon = check_int(horizon, 0, "horizon")
@@ -355,8 +360,7 @@ def strong_transitivity_check(model: CascadeModel, horizon: int) -> dict:
     member = np.ascontiguousarray(_cover_membership(model, default_cover(model)).T)
     ys, js = np.nonzero(member)
     back, fwd = member.copy(), member.copy()
-    for t in range(1, _last_time(model, horizon) + 1):
-        imgs = model.iterate_images(t)
+    for t, imgs in _times(model, horizon):
         back[imgs[ys], js] = True
         if t <= n:
             fwd |= member[imgs]
@@ -380,13 +384,11 @@ def strong_transitivity_check(model: CascadeModel, horizon: int) -> dict:
 def _pair_sup_divergence(model, xs, ys, horizon):
     """sup over n <= horizon of d(f^n x, f^n y) for the index pairs (xs, ys),
     through ``image_pair_dist``: on a finite carrier the same floats that
-    ``distance_rows`` gives for the image ids."""
+    ``distance_rows`` gives for the image ids, at time 0 and at ``_times``."""
     sup = np.zeros(len(xs))
-    for n in range(_last_time(model, horizon) + 1):
-        imgs = model.iterate_images(n)
-        d = model.image_pair_dist(model.apply_to_indices(imgs, xs),
-                                  model.apply_to_indices(imgs, ys))
-        sup = np.maximum(sup, d)
+    for _, imgs in chain([(0, model.iterate_images(0))], _times(model, horizon)):
+        sup = np.maximum(sup, model.image_pair_dist(model.apply_to_indices(imgs, xs),
+                                                    model.apply_to_indices(imgs, ys)))
     return sup
 
 
@@ -495,11 +497,7 @@ def rigidity_battery(model: CascadeModel, horizon: int, tau: float) -> dict:
     for _ in range(32):
         size = int(rng.integers(2, TUPLE_SIZE + 1))
         tuples.append(tuple(int(v) for v in rng.integers(0, n_pts, size)))
-    weak_fail = None
-    for t in tuples:
-        if not r[1:, list(t)].all(axis=1).any():
-            weak_fail = t
-            break
+    weak_fail = next((t for t in tuples if not r[1:, list(t)].all(axis=1).any()), None)
     weakly = weak_fail is None
     chain_ok = (not uniform or rigid) and (not rigid or weakly)
     return {
@@ -541,11 +539,12 @@ def recurrence_report(model: CascadeModel, horizon: int, tau: float) -> dict:
     x is nonwandering when some n <= horizon brings a point y of its tau-ball
     within tau of x.  The tau-balls come from one ``_distance_scan``,
     bit-packed (N^2 / 8 bytes, no N x N float array); their pairs (x, y) are
-    compared once per iterate up to ``_last_time``, in blocks of rows that
-    hold at most N pairs each.  Essential nonwandering asks that every n
-    from some start on hits, which holds exactly when n = horizon hits.
-    A negative horizon, or a tau that is negative or NaN, is refused with
-    ``InvalidParameterError``.
+    compared once per iterate of ``_times``, in blocks of rows that hold at
+    most N pairs each.  Essential nonwandering asks that every n from some
+    start on hits, which holds exactly when n = horizon hits.  A negative
+    horizon, or a tau that is negative or NaN, is refused with
+    ``InvalidParameterError``, and (horizon + 1) x N time tables over
+    ``CELL_BUDGET`` cells with ``EnvelopeBudgetError``.
     """
     horizon = check_int(horizon, 0, "horizon")
     if not tau >= 0:
@@ -555,7 +554,8 @@ def recurrence_report(model: CascadeModel, horizon: int, tau: float) -> dict:
     *_, ball, counts = _distance_scan(model, tau)
     ends = np.cumsum(counts)
     ident = model.iterate_images(0)
-    hit = np.zeros((horizon + 1, n_pts), dtype=bool)
+    # point-major, so that the later times of a block of rows fill in runs
+    hit = np.zeros((n_pts, horizon + 1), dtype=bool)
     lo = 0
     while lo < n_pts:
         # rows lo..hi-1 hold at most n_pts ball pairs, as many as one ball
@@ -563,12 +563,11 @@ def recurrence_report(model: CascadeModel, horizon: int, tau: float) -> dict:
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + n_pts, "right")))
         xs, ys = _ball_pairs(ball, lo, hi, n_pts)
         at_x = model.apply_to_indices(ident, xs)
-        for n in range(1, _last_time(model, horizon) + 1):
-            sub = model.apply_to_indices(model.iterate_images(n), ys)
-            hit[n, xs[model.image_pair_dist(sub, at_x) <= tau]] = True
+        for n, imgs in _times(model, horizon, hit[lo:hi].T):
+            sub = model.apply_to_indices(imgs, ys)
+            hit[xs[model.image_pair_dist(sub, at_x) <= tau], n] = True
         lo = hi
-    _repeat_rows(hit, model)
-    nonwandering = hit[1:].any(axis=0)
+    nonwandering = hit[:, 1:].any(axis=1)
     returns = r[1:].sum(axis=0)
     # gap before each return: its time minus the latest return before it
     times = np.arange(horizon + 1)[:, None]
@@ -578,7 +577,7 @@ def recurrence_report(model: CascadeModel, horizon: int, tau: float) -> dict:
         "point": x,
         "recurrent": bool(returns[x] >= 2),
         "nonwandering": bool(nonwandering[x]),
-        "essentially_nonwandering": bool(hit[horizon, x]),
+        "essentially_nonwandering": bool(hit[x, horizon]),
         "almost_periodic_gap": int(gaps[x]) if returns[x] >= 2 else None,
     } for x in range(n_pts)]
     return {"horizon": horizon, "tau": tau, "points": points}

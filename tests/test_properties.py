@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from ellis import algebra, cli, envelope, properties, spaces, symbolic
 from ellis.hyperspace import build_hyper_model
@@ -602,9 +602,10 @@ def dense_neighbor_pairs(model, dist):
 
 
 def dense_pair_sup_divergence(model, xs, ys, horizon, dist):
-    # a finite carrier's image pairs read from the distance matrix
+    # a finite carrier's image pairs read from the distance matrix, at
+    # every time up to the horizon
     sup = np.zeros(len(xs))
-    for n in range(properties._last_time(model, horizon) + 1):
+    for n in range(horizon + 1):
         imgs = model.iterate_images(n)
         a = model.apply_to_indices(imgs, xs)
         b = model.apply_to_indices(imgs, ys)
@@ -1255,45 +1256,75 @@ def test_hitting_tensor_is_refused_over_the_cell_budget():
     assert peak < 16 * 2 ** 20
 
 
-# -- finite carriers scanned per cycle ------------------------------------------------
+# -- every carrier scanned up to its fold ----------------------------------------------
 
 
-def full_walk(fn, *args):
-    """``fn(*args)`` with every scan walking each time up to its horizon:
-    the oracle of the scans that stop at index + period."""
+def full_walk(fn, model, *args):
+    """``fn(model, *args)`` with the model's ``fold`` the identity, so that
+    every scan walks each time up to its horizon: the oracle of the scans
+    that stop at the fold."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(properties, "_last_time", lambda model, horizon: horizon)
-        return fn(*args)
+        mp.setattr(model, "fold", lambda n: n)
+        return fn(model, *args)
+
+
+def last_time(model, horizon):
+    # the last time a folded scan evaluates: the first m with fold(m) < m
+    return next((m for m in range(horizon + 1) if model.fold(m) < m), horizon)
+
+
+SAMPLED_FOLD_CASES = {
+    "square-map": lambda g: spaces.load_example("square-map", grid=g),
+    "neg-cube": lambda g: spaces.load_example("neg-cube", grid=g),
+    # an irrational rotation of the angle: its iterates never repeat
+    "annulus-skew": lambda g: spaces.load_example("annulus-skew", radial=1, grid=g),
+    "hyper-square-map": lambda g: build_hyper_model(
+        spaces.load_example("square-map", grid=g // 4 + 2), 2),
+}
 
 
 @st.composite
 def folded_cases(draw):
     # a random finite map on n <= 12 points (tails, a permutation or the
-    # identity) and a horizon below, at or above index + period
-    n = draw(st.integers(min_value=1, max_value=12))
-    kind = draw(st.sampled_from(["tails", "permutation", "identity"]))
-    if kind == "tails":
-        table = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n))
-    elif kind == "permutation":
-        table = draw(st.permutations(list(range(n))))
+    # identity) or a small sampled carrier, and a horizon below, at or above
+    # the time where its scans stop
+    kind = draw(st.sampled_from(["tails", "permutation", "identity", *SAMPLED_FOLD_CASES]))
+    if kind in SAMPLED_FOLD_CASES:
+        grid = draw(st.integers(min_value=2, max_value=24))
+        model, probe = (SAMPLED_FOLD_CASES[kind](grid) for _ in range(2))
+        for m in range(1, 41):
+            probe.iterate_images(m)
+        last = last_time(probe, 40)
     else:
-        table = list(range(n))
-    model = finite(table, np.argsort(table) if kind != "tails" else None)
-    last = model.index + model.period
+        n = draw(st.integers(min_value=1, max_value=12))
+        if kind == "tails":
+            table = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                  min_size=n, max_size=n))
+        elif kind == "permutation":
+            table = draw(st.permutations(list(range(n))))
+        else:
+            table = list(range(n))
+        model = finite(table, np.argsort(table) if kind != "tails" else None)
+        last = model.index + model.period
     horizon = draw(st.sampled_from([max(1, last - 1), last, last + 1, 3 * last + 2])
                    | st.integers(min_value=1, max_value=4 * last + 5))
     return model, horizon
 
 
+# a failing example is reported unshrunk: each shrink step runs every scan twice
+@settings(phases=[p for p in Phase if p is not Phase.shrink])
 @given(folded_cases(), st.data())
 def test_folded_scans_equal_the_full_horizon_walk(case, data):
     model, horizon = case
     n = model.n_points
+    exact = isinstance(model, spaces.FiniteModel)
     tau = data.draw(st.sampled_from([0.0, 0.5 / max(1, n - 1), 1.5 / max(1, n - 1), 0.5]))
-    cover = properties.default_cover(model)
-    points = [OpenSet("points", points=tuple(data.draw(st.sets(
-        st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=3)))) for _ in range(2)]
-    for sets in (cover, points):
+    covers = [properties.default_cover(model)]
+    if exact:
+        covers.append([OpenSet("points", points=tuple(data.draw(st.sets(
+            st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=3))))
+            for _ in range(2)])
+    for sets in covers:
         got = hitting_tensor(model, sets, horizon)
         assert got.tobytes() == full_walk(hitting_tensor, model, sets, horizon).tobytes()
     got = properties._point_return_matrix(model, horizon, tau)
@@ -1306,8 +1337,9 @@ def test_folded_scans_equal_the_full_horizon_walk(case, data):
     got = properties._pair_sup_divergence(model, xs, ys, horizon)
     assert got.tobytes() == \
         full_walk(properties._pair_sup_divergence, model, xs, ys, horizon).tobytes()
-    assert strong_transitivity_check(model, horizon) == \
-        full_walk(strong_transitivity_check, model, horizon)
+    if exact:
+        assert strong_transitivity_check(model, horizon) == \
+            full_walk(strong_transitivity_check, model, horizon)
     assert classify_transitivity(model, horizon) == full_walk(classify_transitivity, model, horizon)
 
 
@@ -1319,7 +1351,44 @@ def test_folded_scans_evaluate_each_distinct_map_once(case):
     model.iterate_images = lambda n: seen.append(n) or real(n)
     hitting_tensor(model, properties.default_cover(model), horizon)
     properties._point_return_matrix(model, horizon, 0.1)
-    assert max(seen) <= model.index + model.period
+    assert max(seen) <= last_time(model, horizon)
+
+
+SCANS_AT_64 = {
+    "hitting_tensor": lambda m: hitting_tensor(m, properties.default_cover(m), 64),
+    "classify_transitivity": lambda m: classify_transitivity(m, 64),
+    "rigidity_battery": lambda m: rigidity_battery(m, 64, 0.02),
+    "recurrence_report": lambda m: recurrence_report(m, 64, 0.02),
+    "equicontinuity_scan": lambda m: equicontinuity_scan(m, [0.1], 64),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(SCANS_AT_64))
+def test_sampled_scans_stop_at_the_fold(scan):
+    # square-map grid 401 has f^20 = f^19: no scan reads a later iterate
+    model = spaces.load_example("square-map", grid=401)
+    seen = []
+    real = model.iterate_images
+    model.iterate_images = lambda n: seen.append(n) or real(n)
+    SCANS_AT_64[scan](model)
+    assert max(seen) == 20 and model.fold(64) == 19
+
+
+def test_time_tables_are_refused_over_the_cell_budget():
+    # rotation grid 48 at horizon 2**27: the (H+1) x N return matrix, hit
+    # and latest tables would touch 6.4 GB
+    rot = spaces.load_example("irrational-rotation", grid=48)
+    for scan in (rigidity_battery, recurrence_report):
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(envelope.EnvelopeBudgetError, match="48 points at horizon 134217728"):
+                scan(rot, 2 ** 27, 0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 16 * 2 ** 20
 
 
 def test_rigidity_at_a_long_horizon_walks_one_period():

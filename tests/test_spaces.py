@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from ellis import cli, envelope, hyperspace, spaces
 
@@ -665,6 +665,9 @@ def _envelope_record(env):
             env.exponent_map, env.table.tolist(), env.stabilized, env.max_snap_error)
 
 
+# a failing example is reported unshrunk: each shrink step builds two
+# envelopes and replays every exponent, and shrinking ran for over ten minutes
+@settings(phases=[p for p in Phase if p is not Phase.shrink])
 @given(st.sampled_from(sorted(FOLD_CASES)).flatmap(
            lambda name: st.tuples(st.just(name), FOLD_CASES[name])),
        st.lists(st.integers(min_value=-70, max_value=70), max_size=30),
