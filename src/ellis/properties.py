@@ -533,6 +533,22 @@ def _ball_pairs(ball: np.ndarray, lo: int, hi: int, n: int):
     return np.concatenate(xs), np.concatenate(ys)
 
 
+def _return_gaps(r: np.ndarray) -> np.ndarray:
+    """Per point, the longest gap before a return at a time n >= 1 of the
+    time table ``r``: n minus the latest return before it (time 0 counts), 0
+    with none.  Rows go in blocks of about ``BLOCK_CELLS`` cells that carry
+    each point's latest return, so no temporary spans the whole table."""
+    latest = np.zeros(r.shape[1], dtype=np.int64)
+    gaps = np.zeros(r.shape[1], dtype=np.int64)
+    for rows in row_blocks(len(r) - 1, r.shape[1]):
+        block, times = r[rows + 1], rows[:, None] + 1
+        run = np.maximum.accumulate(np.where(block, times, latest), axis=0)
+        before = np.concatenate([latest[None], run[:-1]])
+        np.maximum(gaps, np.where(block, times - before, 0).max(axis=0), out=gaps)
+        latest = run[-1]
+    return gaps
+
+
 def recurrence_report(model: CascadeModel, horizon: int, tau: float) -> dict:
     """Per-point recurrence flags at tolerance tau.
 
@@ -569,10 +585,7 @@ def recurrence_report(model: CascadeModel, horizon: int, tau: float) -> dict:
         lo = hi
     nonwandering = hit[:, 1:].any(axis=1)
     returns = r[1:].sum(axis=0)
-    # gap before each return: its time minus the latest return before it
-    times = np.arange(horizon + 1)[:, None]
-    latest = np.maximum.accumulate(np.where(r, times, 0), axis=0)
-    gaps = np.where(r[1:], times[1:] - latest[:-1], 0).max(axis=0, initial=0)
+    gaps = _return_gaps(r)
     points = [{
         "point": x,
         "recurrent": bool(returns[x] >= 2),

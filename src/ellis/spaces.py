@@ -42,8 +42,11 @@ BLOCK_CELLS = 1 << 14
 # distance matrix, or one window snap may hold: 1 GiB
 CELL_BUDGET = 2 ** 27
 
-# bytes of iterates one model keeps memoized, past its two newest entries
-ITERATE_CACHE_BYTES = 2 ** 23
+# bytes of iterates one model keeps memoized, past its two newest entries:
+# every workload and config pipeline read its iterates again within 2 MiB of
+# them (the same steps as at 8 MiB), once finite carriers jump to a cold
+# iterate instead of stepping back to it from the cache
+ITERATE_CACHE_BYTES = 2 ** 21
 
 
 class EnvelopeBudgetError(RuntimeError):
@@ -181,14 +184,15 @@ class CascadeModel:
       so deep shifts stay exact.
 
     Models are immutable after construction; the iterate cache only
-    memoizes pure results.  It holds at most ``ITERATE_CACHE_BYTES`` of
-    iterates, or more only while it holds two entries: past the budget it
+    memoizes pure results.  It holds at most ``ITERATE_CACHE_BYTES`` (2 MiB)
+    of iterates, or more only while it holds two entries: past the budget it
     drops the least recently used entries, and the two newest stay, since
-    two-sided sweeps alternate n and -n.  f^n is always f applied n times to
-    the identity (f^-1 |n| times for n < 0), so an evicted iterate comes
-    back bitwise equal, and once f^e equals f^(e-p) bit for bit every deeper
-    iterate of that sign repeats with period p: ``fold(n)`` names the least
-    exponent known to hold f^n's bits, and the cache is read at it.
+    two-sided sweeps alternate n and -n.  f^n is f applied n times to the
+    identity (f^-1 |n| times for n < 0), or on a finite carrier the product
+    of the f^(2^j) over the bits of n, the same ids; so an evicted iterate
+    comes back bitwise equal, and once f^e equals f^(e-p) bit for bit every
+    deeper iterate of that sign repeats with period p: ``fold(n)`` names the
+    least exponent known to hold f^n's bits, and the cache is read at it.
     """
 
     name: str = "anonymous"
@@ -269,9 +273,11 @@ class CascadeModel:
         """The images of the whole sample under f^n, read from the iterate
         cache at ``fold(n)``.
 
-        A miss steps from the neighbour of fold(n) toward 0 when that is
+        A miss starts from the neighbour of fold(n) toward 0 when that is
         cached, else from the nearest cached exponent between 0 and fold(n),
-        or from the identity: never across 0 and never backwards.  Each step
+        or from the identity: never across 0 and never backwards.  Once the
+        repeat of n's sign is known (on a finite carrier, always), more than
+        one step there is one ``_jump``; before that it steps.  Each step
         to an exponent e compares the new image, bit for bit, with the one it
         stepped from (p = 1) and with f^(e-2) when the cache holds it
         (p = 2), while no repeat of that sign is known.  At the first match
@@ -297,6 +303,9 @@ class CascadeModel:
         img = cache[base] if base in cache else self._identity_images()
         seek = self._cycle(sign > 0) is None
         e = base
+        if not seek and abs(n - base) > 1:
+            # a lone step is one ``_advance`` either way
+            img, e = self._jump(img, sign, int(abs(n - base))), n
         while abs(e) < abs(n):
             e += sign
             prev, img = img, self._advance(img, sign)
@@ -323,6 +332,13 @@ class CascadeModel:
 
     def _advance(self, images, direction: int):
         raise NotImplementedError
+
+    def _jump(self, images, sign: int, count: int):
+        """The images under f^(sign * count) of ``images``: ``count`` steps,
+        so a sampled carrier's bits are those of stepping."""
+        for _ in range(count):
+            images = self._advance(images, sign)
+        return images
 
     def image_pair_dist(self, a_imgs, b_imgs) -> np.ndarray:
         """Per-sample-point distances between two image objects."""
@@ -400,6 +416,7 @@ class FiniteModel(CascadeModel):
         self.invertible = self.inverse_table is not None
         self.metric_name = metric_name
         self._labels = point_labels
+        self._doublings: dict[int, list[np.ndarray]] = {}   # sign -> f^(sign 2^j), j = 0, 1, ..
 
     @property
     def n_points(self):
@@ -456,6 +473,21 @@ class FiniteModel(CascadeModel):
         if table is None:
             raise NegativePowerError("model has no inverse table")
         return table[images]
+
+    def _jump(self, images, sign, count):
+        # f^count is the product of the f^(2^j) over the bits of count: one
+        # gather per bit, through id tables squared from f (or f^-1) on
+        # first use and kept per sign
+        tables = self._doublings.setdefault(
+            sign, [self.map_table if sign > 0 else self.inverse_table])
+        while len(tables) < count.bit_length():
+            check_cells(self.n_points * (len(tables) + 1),
+                        f"the f^(2^j) tables of {self.name}")
+            tables.append(tables[-1][tables[-1]])
+        for j, table in enumerate(tables):
+            if count >> j & 1:
+                images = table[images]
+        return images
 
     def image_pair_dist(self, a_imgs, b_imgs):
         return self.point_dist(a_imgs, b_imgs)
@@ -619,10 +651,6 @@ class WindowSampleModel(CascadeModel):
         self._packed[lo : lo + bits.shape[1]] = np.packbits(bits.T, axis=1)
         self._rows = np.arange(bits.shape[0])
         self.invertible = True
-        # positions -pad..pad in order of distance from the origin
-        pos = np.arange(-pad, pad + 1)
-        self._scan_order = np.argsort(np.abs(pos), kind="stable")
-        self._scan_weight = 2.0 ** (-np.abs(pos[self._scan_order]))
 
     @property
     def n_points(self):
@@ -670,11 +698,12 @@ class WindowSampleModel(CascadeModel):
 
     def _first_diff(self, xor, count: int):
         # the XOR of two packed keys on positions -pad..pad, for ``count``
-        # points: the disagreement nearest the origin, at position p, gives
-        # 2^-|p|; none gives 0
-        diff = np.unpackbits(xor[self._scan_order], axis=1, count=count).view(bool)
+        # points: row k of its fold holds positions -k and k, and the first
+        # disagreement, at |p| = k, gives 2^-k; none gives 0
+        near = xor[self.pad:] | xor[self.pad::-1]
+        diff = np.unpackbits(near, axis=1, count=count).view(bool)
         first = np.argmax(diff, axis=0)
-        return np.where(diff.any(axis=0), self._scan_weight[first], 0.0)
+        return np.where(diff.any(axis=0), np.ldexp(1.0, -first), 0.0)
 
     def point_dist(self, a, b):
         a, b = (ShiftImage(0, np.atleast_1d(p)) for p in (a, b))
@@ -1117,6 +1146,15 @@ def sample_window_model(count=64, radius=64, seed=0, density=0.5) -> WindowSampl
         rng = np.random.default_rng(seed)
         below = np.uint64(cut * 2 ** 11 - 1)
         packed = model._packed[pad - radius + 1:pad + radius + 2]
+        if width > 2 ** 17:
+            # a wide row is drawn 2**16 words at a time, each run OR-ed into
+            # its point's bit of the packed byte column
+            for i in range(count):
+                column, shift = packed[:, i >> 3], np.uint8(7 - (i & 7))
+                for lo in range(0, width, 2 ** 16):
+                    words = rng.bit_generator.random_raw(min(width - lo, 2 ** 16))
+                    column[lo:lo + len(words)] |= (words <= below).view(np.uint8) << shift
+            return model
         # the symbols of `points` sample points at a time land in a bool
         # scratch of about 1 MiB, which stays in cache and is packed along its
         # rows in one call (packing each word block's tiny rows ran slower)

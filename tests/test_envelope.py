@@ -665,7 +665,7 @@ def test_cold_representatives_fill_their_unknown_columns():
 
 def test_square_map_envelope_work_is_bounded(monkeypatch):
     # grid 1e5: 35 elements of 800 KB, of which the envelope holds the two
-    # limits' deepest members; the iterate cache holds at most 8 MB past its
+    # limits' deepest members; the iterate cache holds at most 2 MB past its
     # two newest entries
     model = spaces.load_example("square-map", grid=100001)
     steps = []
@@ -732,6 +732,23 @@ def test_limits_are_not_recomputed_after_eviction(monkeypatch):
     env = approx_envelope(model, 80, 1e-3)
     assert len(env.limit_elements) == 4
     assert len(steps) == 2 * 80
+
+
+def test_rotation_cold_representatives_jump(monkeypatch):
+    # rotation grid 2000 at H 400: 495 clusters read a cold representative
+    # that the iterate cache no longer holds, and stepping each again from
+    # the nearest cached exponent took 15,157 steps; a finite carrier jumps
+    # there in one gather per bit of the distance (998 steps and 1,624
+    # gathers at a 2 MiB budget)
+    model = spaces.load_example("irrational-rotation", grid=2000)
+    steps, gathers = [], []
+    real, real_jump = model._advance, model._jump
+    monkeypatch.setattr(model, "_advance", lambda img, d: steps.append(d) or real(img, d))
+    monkeypatch.setattr(model, "_jump", lambda img, s, c: gathers.append(bin(c).count("1"))
+                        or real_jump(img, s, c))
+    env = approx_envelope(model, 400, 0.01)
+    assert len(env.elements) == 500
+    assert len(steps) <= 1000 and sum(gathers) <= 2000
 
 
 # -- power decomposition ---------------------------------------------------------

@@ -1123,6 +1123,35 @@ def test_recurrence_ball_pairs_are_compared_in_bounded_blocks():
     assert peak < 16 * 2 ** 20
 
 
+@given(st.integers(1, 9), st.integers(0, 40), st.integers(1, 64), st.data())
+def test_return_gaps_carry_the_latest_return_across_row_blocks(n_pts, horizon, cells, data):
+    # the oracle: whole (H + 1) x N int64 tables of the latest return times
+    r = np.asarray(data.draw(st.lists(st.booleans(), min_size=(horizon + 1) * n_pts,
+                                      max_size=(horizon + 1) * n_pts)),
+                   dtype=bool).reshape(horizon + 1, n_pts)
+    times = np.arange(horizon + 1)[:, None]
+    latest = np.maximum.accumulate(np.where(r, times, 0), axis=0)
+    want = np.where(r[1:], times[1:] - latest[:-1], 0).max(axis=0, initial=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "BLOCK_CELLS", cells)
+        assert properties._return_gaps(r).tolist() == want.tolist()
+
+
+def test_recurrence_gaps_hold_no_table_of_return_times():
+    # rotation grid 48 at horizon 2**17: 6.3e6 cells, whose int64 tables of
+    # return times peaked at 157 MB; the bool return and hit tables are 6 MB each
+    model = spaces.load_example("irrational-rotation", grid=48)
+    tracemalloc.start()
+    try:
+        rep = recurrence_report(model, 2 ** 17, 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rotation by 30 of 48 points returns every 8 steps
+    assert {p["almost_periodic_gap"] for p in rep["points"]} == {8}
+    assert peak < 40 * 2 ** 20
+
+
 # -- WAP proxy and semiflows -------------------------------------------------------------
 
 

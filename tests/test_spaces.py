@@ -64,6 +64,9 @@ def test_window_sample_refuses_a_density_outside_the_unit_interval(density):
     (301, 301, 4, 1.0),
     (301, 301, 4, 2.0 ** -60),   # only a word below 2^11 falls under it
     (301, 301, 4, 1 - 2.0 ** -53),
+    (3, 2 ** 16 + 5, 2, 0.3),        # rows wider than 2**17 symbols, drawn in runs
+    (3, 2 ** 16 + 5, 2, 2.0 ** -60),
+    (3, 2 ** 16 + 5, 2, 1.0),
 ])
 def test_window_sample_bits_are_one_draw_in_row_blocks(count, radius, seed, density):
     # the oracle: rng.random over the whole window, compared with density
@@ -78,6 +81,8 @@ def test_window_sample_bits_are_one_draw_in_row_blocks(count, radius, seed, dens
     (270, 2000, 6),      # scratches of 256 points, the last of 14
     (2100, 250, 8),      # scratches of 2088 points; a word block straddles the edge
     (20, 40000, 9),      # scratches of 8 points, one row per word block
+    (9, 70000, 4),       # rows wider than 2**17 symbols: runs of 2**16 words
+                         # OR-ed into two byte columns
 ])
 def test_window_sample_bits_cross_scratch_boundaries(count, radius, seed):
     # the same oracle, over draws that fill and pack more than one scratch
@@ -102,6 +107,20 @@ def test_window_sample_holds_no_float_draw_of_the_whole_window(count, radius):
         tracemalloc.stop()
     assert m._packed.shape == (2 * radius + 7, -(-count // 8))
     assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("count", [1, 8])
+def test_wide_window_rows_are_drawn_in_bounded_runs(count):
+    # a million-symbol radius: one row of raw words alone would be 16 MB,
+    # and position-ordered scan tables of the window 32 MB more
+    tracemalloc.start()
+    try:
+        m = spaces.sample_window_model(count=count, radius=10 ** 6, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m._packed.shape == (2 * 10 ** 6 + 7, 1)
+    assert peak < 8 * 2 ** 20
 
 
 def test_metric_identity_and_symmetry():
@@ -721,20 +740,85 @@ def test_cached_bytes_stay_under_the_budget_or_two_newest_entries(entries, expon
 def test_a_sweep_steps_once_per_exponent_from_its_neighbour(monkeypatch):
     monkeypatch.setattr(spaces, "ITERATE_CACHE_BYTES", 0)
     m = spaces.load_example("irrational-rotation", grid=48)
-    steps = []
-    real = m._advance
+    steps, jumps = [], []
+    real, real_jump = m._advance, m._jump
     monkeypatch.setattr(m, "_advance", lambda img, d: steps.append(d) or real(img, d))
+    monkeypatch.setattr(m, "_jump", lambda img, s, c: jumps.append((s, c)) or real_jump(img, s, c))
     for n in range(1, 401):
         m.iterate_images(n)
         m.iterate_images(-n)
     # the rotation by 30 of 48 points has period 8, so f^n is read at
     # fold(n) = n mod 8 (signed) and a multiple of 8 is f^0, with no step
-    assert steps == [1, -1] * 7 * 50
+    assert steps == [1, -1] * 7 * 50 and jumps == []
     assert sorted(m._iter_cache) == [-7, 0]
-    # a miss whose neighbour is gone steps from the nearest exponent between
-    # 0 and n, never across 0 and never backwards
+    # a finite miss whose neighbour is gone jumps from the nearest exponent
+    # between 0 and n, never across 0: one gather per bit of the distance,
+    # through f^(2^j) tables squared per sign, and no step
     steps.clear()
     fresh = spaces.load_example("irrational-rotation", grid=48)
     for n in (405, -3, 2):
         assert np.array_equal(m.iterate_images(n), replayed_iterate(fresh, n))
-    assert steps == [1] * 5 + [-1] * 3 + [1] * 2
+    assert steps == [] and jumps == [(1, 5), (-1, 3), (1, 2)]
+    assert sum(bin(c).count("1") for _, c in jumps) == 5
+    assert {s: len(t) for s, t in m._doublings.items()} == {1: 3, -1: 2}
+
+
+def test_a_sampled_miss_steps_from_the_nearest_exponent_toward_0(monkeypatch):
+    # a sampled carrier steps while it seeks a repeat, and neg-cube grid 201
+    # shows none within these exponents at this budget
+    monkeypatch.setattr(spaces, "ITERATE_CACHE_BYTES", 0)
+    m = spaces.load_example("neg-cube", grid=201)
+    for n in range(1, 41):
+        m.iterate_images(n)
+        m.iterate_images(-n)
+    assert sorted(m._iter_cache) == [-40, 40] and m._repeats == {}
+    steps = []
+    real = m._advance
+    monkeypatch.setattr(m, "_advance", lambda img, d: steps.append(d) or real(img, d))
+    fresh = spaces.load_example("neg-cube", grid=201)
+    for n in (7, -3, 2, 5, -6):
+        assert m.iterate_images(n).tobytes() == replayed_iterate(fresh, n).tobytes()
+    # 7, -3 and 2 from the identity, 5 from the cached 2, and -6 from the
+    # identity, not across 0 from 2 or 5
+    assert steps == [1] * 7 + [-1] * 3 + [1] * 2 + [1] * 3 + [-1] * 6
+    assert m._repeats == {}
+
+
+@st.composite
+def _finite_maps(draw):
+    """A map on at most 12 points: any table (tails allowed), a permutation
+    with its inverse, or the identity."""
+    size = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["map", "permutation", "identity"]))
+    if shape == "map":
+        return draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size)), None
+    table = (list(range(size)) if shape == "identity"
+             else draw(st.permutations(list(range(size)))))
+    return table, np.argsort(table)
+
+
+@given(_finite_maps(), st.booleans(), st.sampled_from(["none", "one", "default"]), st.data())
+def test_finite_jumps_give_the_replayed_iterates(case, hyper, budget, data):
+    table, inverse = case
+    coords = np.linspace(0.0, 1.0, len(table))
+    base = spaces.FiniteModel("m", {}, coords, lambda a, b: np.abs(coords[a] - coords[b]),
+                              table, inverse)
+    m = hyperspace.build_hyper_model(base, 2) if hyper else base
+    size = m.n_points
+    limit = {"none": 0, "one": 8 * size, "default": spaces.ITERATE_CACHE_BYTES}[budget]
+    exponents = data.draw(st.lists(st.integers(-3 * size, 3 * size), min_size=1, max_size=12))
+    if not m.invertible:
+        exponents = [abs(n) for n in exponents]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "ITERATE_CACHE_BYTES", limit)
+        for n in exponents:
+            assert m.iterate_images(n).tobytes() == replayed_iterate(m, n).tobytes()
+
+
+def test_the_doubling_tables_are_refused_over_the_cell_budget(monkeypatch):
+    m = spaces.load_example("irrational-rotation", grid=48)
+    monkeypatch.setattr(spaces, "CELL_BUDGET", 2 * 48)
+    assert np.array_equal(m.iterate_images(3), replayed_iterate(m, 3))
+    with pytest.raises(spaces.EnvelopeBudgetError, match="f\\^\\(2\\^j\\) tables"):
+        m.iterate_images(7)
+    assert {s: len(t) for s, t in m._doublings.items()} == {1: 2}
